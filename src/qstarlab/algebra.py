@@ -206,11 +206,6 @@ class State:
         s, c = algebra.involution, algebra.structure
         return np.einsum("ik,kjl,l->ij", s, c, self.values)
 
-    def is_normalized(self, algebra: StarAlgebra, tol: float = 1e-10) -> bool:
-        if not algebra.has_unit:
-            return False
-        return abs(complex(np.dot(self.values, algebra.unit)) - 1.0) <= tol
-
     def check_positive(self, algebra: StarAlgebra,
                        tol: float = POSITIVITY_TOL) -> np.ndarray:
         """Return the Gram matrix, raising if it is not Hermitian PSD."""

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topologies import TruncatedOperator
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -374,9 +372,6 @@ class FourierOperator:
 
     matrix: np.ndarray
     n_trunc: int
-
-    def to_operator(self) -> TruncatedOperator:
-        return TruncatedOperator(self.matrix)
 
     def apply(self, v) -> np.ndarray:
         return self.matrix @ np.asarray(v, dtype=complex)

@@ -431,7 +431,7 @@ def embed_vector(f: GridFunction) -> np.ndarray:
 
 def mult_operator(f: GridFunction) -> TruncatedOperator:
     """Multiplication by f; diagonal in the orthonormal grid frame."""
-    return TruncatedOperator(np.diag(f.values))
+    return TruncatedOperator(diag=f.values)
 
 
 def node_spike_set(grid: Grid) -> BoundedSet:

@@ -23,7 +23,8 @@ from .gns import gns_construct, verify_gns
 from .matrix_lab import NON_CAUCHY_FAMILIES, NULL_FAMILIES
 from .rates import geometric_ladder
 from .serialize import gnsrep_to_dict
-from .topologies import closability_check, extend_by_closure, suite_from_bounded_sets
+from .topologies import (TOPOLOGIES, closability_check, extend_by_closure,
+                         suite_from_bounded_sets)
 
 
 class ConfigError(ValueError):
@@ -53,6 +54,8 @@ class ScenarioOutcome:
 # Extension experiments shared by the catalog and the acceptance suite
 
 EXTENSION_GRID_NODES = 257
+CLIP_VARIANTS = ("height", "plateau")
+EXTENSION_TARGETS = ("power", "step")
 
 
 def clipped_power_family(grid: flab.Grid, beta: float,
@@ -64,15 +67,13 @@ def clipped_power_family(grid: flab.Grid, beta: float,
     passes the grid resolution, so they realise two distinct approximating
     sequences with the same limit.
     """
+    if variant not in CLIP_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of "
+                         f"{CLIP_VARIANTS}")
     target = flab.power_function(grid, beta)
 
     def generate(n: int) -> flab.GridFunction:
-        if variant == "height":
-            cap = float(n)
-        elif variant == "plateau":
-            cap = float(n) ** beta
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+        cap = float(n) if variant == "height" else float(n) ** beta
         return flab.GridFunction(np.minimum(target.values.real, cap)
                                  .astype(complex), grid)
 
@@ -540,19 +541,14 @@ def _submult_op(params: dict, seed: int) -> ScenarioOutcome:
 
 def _extension_op(params: dict, seed: int) -> ScenarioOutcome:
     topology = params.get("topology", "strongstar")
-    if topology not in ("uniform", "strong", "strongstar", "weak"):
-        raise ConfigError(f"unknown topology tag {topology!r}")
-    target = params.get("target", "power")
     grid = flab.simpson_grid(EXTENSION_GRID_NODES)
-    if target == "power":
+    if params.get("target", "power") == "power":
         family = clipped_power_family(grid, float(params.get("beta", 0.2)),
                                       params.get("variant", "height"))
         n_max = int(params.get("n_max", 4096))
-    elif target == "step":
+    else:
         family = ramp_family(grid)
         n_max = min(int(params.get("n_max", 128)), 128)
-    else:
-        raise ConfigError(f"unknown extension target {target!r}")
     result = run_extension(grid, family, topology, n_max=n_max, seed=seed)
     header, rows = result.trace_table()
     return ScenarioOutcome(
@@ -598,6 +594,18 @@ def _resolve_algebra_state(params: dict):
 class Operation:
     handler: Callable[[dict, int], ScenarioOutcome]
     allowed_params: frozenset
+    choices: dict = field(default_factory=dict)  # parameter -> allowed values
+
+    def check(self, params: dict, where: str) -> None:
+        """Raise ConfigError, located at `where`, for an unknown parameter
+        or a value outside the parameter's choices."""
+        unknown = set(params) - self.allowed_params
+        if unknown:
+            raise ConfigError(f"{where}: unknown parameters {sorted(unknown)}")
+        for name, allowed in self.choices.items():
+            if name in params and params[name] not in allowed:
+                raise ConfigError(f"{where}: unknown {name} {params[name]!r}; "
+                                  f"expected one of {allowed}")
 
 
 OPERATIONS: dict[tuple[str, str], Operation] = {
@@ -632,7 +640,10 @@ OPERATIONS: dict[tuple[str, str], Operation] = {
     ("op-topologies", "extend_by_closure"):
         Operation(_extension_op,
                   frozenset({"topology", "target", "beta", "variant",
-                             "n_max"})),
+                             "n_max"}),
+                  choices={"topology": TOPOLOGIES,
+                           "target": EXTENSION_TARGETS,
+                           "variant": CLIP_VARIANTS}),
 }
 
 
@@ -679,10 +690,7 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> ScenarioOutcome:
     if key not in OPERATIONS:
         raise ConfigError(f"unknown operation {key[0]}/{key[1]}")
     op = OPERATIONS[key]
-    unknown = set(scenario.parameters) - op.allowed_params
-    if unknown:
-        raise ConfigError(
-            f"scenario {scenario.scenario_id}: unknown parameters {sorted(unknown)}")
+    op.check(scenario.parameters, f"scenario {scenario.scenario_id}")
     outcome = op.handler(scenario.parameters, seed)
     outcome.scenario_id = scenario.scenario_id
     outcome.output_stem = scenario.output_path or scenario.scenario_id
@@ -695,6 +703,7 @@ def parse_config(data: dict) -> list[Scenario]:
     if not isinstance(data["scenarios"], list):
         raise ConfigError("'scenarios' must be a list")
     scenarios = []
+    stems: dict[str, int] = {}  # normalised output stem -> scenario index
     for i, entry in enumerate(data["scenarios"]):
         where = f"scenarios[{i}]"
         if not isinstance(entry, dict):
@@ -709,18 +718,22 @@ def parse_config(data: dict) -> list[Scenario]:
         if key not in OPERATIONS:
             raise ConfigError(
                 f"{where}: unknown operation {key[0]}/{key[1]}")
-        unknown = set(params) - OPERATIONS[key].allowed_params
-        if unknown:
-            raise ConfigError(f"{where}: unknown parameters {sorted(unknown)}")
+        OPERATIONS[key].check(params, where)
         output_path = entry.get("output_path")
         if output_path is not None and (not isinstance(output_path, str)
                                         or os.path.isabs(output_path)):
             raise ConfigError(f"{where}: 'output_path' must be a relative path")
-        scenarios.append(Scenario(
+        scenario = Scenario(
             scenario_id=entry.get("id", f"scenario-{i}"),
             module=entry["module"], operation=entry["operation"],
             description=entry.get("description", ""), parameters=params,
-            output_path=output_path))
+            output_path=output_path)
+        stem = os.path.normpath(str(output_path or scenario.scenario_id))
+        if stem in stems:
+            raise ConfigError(f"{where}: output stem {stem!r} clashes with "
+                              f"scenarios[{stems[stem]}]")
+        stems[stem] = i
+        scenarios.append(scenario)
     return scenarios
 
 

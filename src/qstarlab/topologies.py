@@ -12,7 +12,7 @@ the finite suite in use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,58 +71,105 @@ class TruncatedTriple:
 
 
 class TruncatedOperator:
-    """Matrix acting from the truncated domain into its dual proxy."""
+    """Matrix acting from the truncated domain into its dual proxy.
 
-    __slots__ = ("matrix", "_adjoint")
+    A diagonal operator, such as multiplication by a function on grid
+    nodes, can be given by its diagonal alone: TruncatedOperator(diag=d).
+    Sums, differences and adjoints of two diagonal operators stay diagonal;
+    a diagonal/dense pair goes through the dense matrices, and .matrix
+    builds the dense matrix on demand.  A real diagonal is applied
+    elementwise, which equals the dense product bit for bit.  A complex
+    one is applied through the dense matrix, because BLAS rounds complex
+    products differently from elementwise multiplication, and a value must
+    not depend on the form an operator was built in.
+    """
 
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix, dtype=complex)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError(f"operator matrix must be square, got {self.matrix.shape}")
+    __slots__ = ("_matrix", "diag", "_real_diag", "_adjoint")
+
+    def __init__(self, matrix=None, *, diag=None):
+        if (matrix is None) == (diag is None):
+            raise ValueError("give either an operator matrix or a diagonal")
         self._adjoint = None
+        if diag is not None:
+            d = np.asarray(diag, dtype=complex)
+            if d.ndim != 1:
+                raise ValueError(f"operator diagonal must be 1-D, got {d.shape}")
+            self._matrix = None
+            self.diag = d
+            self._real_diag = None if d.imag.any() else d
+            return
+        m = np.asarray(matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"operator matrix must be square, got {m.shape}")
+        self._matrix = m
+        self.diag = self._real_diag = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.diag(self.diag) if self._matrix is None else self._matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.diag) if self._matrix is None else self._matrix.shape[0]
 
     @property
     def adjoint_matrix(self) -> np.ndarray:
-        if self._adjoint is None:
-            self._adjoint = self.matrix.conj().T
-        return self._adjoint
+        return self.adjoint().matrix
 
     def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.adjoint_matrix)
+        if self._adjoint is None:
+            self._adjoint = (TruncatedOperator(self._matrix.conj().T)
+                             if self._matrix is not None
+                             else TruncatedOperator(diag=self.diag.conj()))
+        return self._adjoint
+
+    def _combine(self, other: "TruncatedOperator", op) -> "TruncatedOperator":
+        if self.dim != other.dim:
+            raise ValueError("truncation dimensions differ")
+        if self.diag is not None and other.diag is not None:
+            return TruncatedOperator(diag=op(self.diag, other.diag))
+        return TruncatedOperator(op(self.matrix, other.matrix))
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        if self.dim != other.dim:
-            raise ValueError("truncation dimensions differ")
-        return TruncatedOperator(self.matrix - other.matrix)
+        return self._combine(other, np.subtract)
 
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        if self.dim != other.dim:
-            raise ValueError("truncation dimensions differ")
-        return TruncatedOperator(self.matrix + other.matrix)
+        return self._combine(other, np.add)
 
     def apply(self, v) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=complex)
+        v = np.asarray(v, dtype=complex)
+        if self._real_diag is not None:
+            return (self._real_diag * v.T).T  # scales rows of a 2-D v too
+        return self.matrix @ v
 
 
 @dataclass(frozen=True, eq=False)
 class BoundedSet:
-    """Finite stand-in for a bounded subset of the domain."""
+    """Finite stand-in for a bounded subset of the domain.
+
+    The vectors are stacked once, on construction, into the read-only
+    `rows` matrix (one vector per row) and its conjugate `conj_rows`;
+    `vectors` are the rows of that one array.
+    """
 
     vectors: tuple
     name: str = "M"
+    rows: np.ndarray = field(init=False, repr=False)
+    conj_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        vecs = tuple(np.asarray(v, dtype=complex) for v in self.vectors)
-        if not vecs:
+        if not len(self.vectors):
             raise ValueError("bounded set must contain at least one vector")
-        object.__setattr__(self, "vectors", vecs)
+        rows = self.stack()
+        rows.flags.writeable = False
+        conj_rows = rows.conj()
+        conj_rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "conj_rows", conj_rows)
+        object.__setattr__(self, "vectors", tuple(rows))
 
     def stack(self) -> np.ndarray:
-        return np.stack(self.vectors)
+        return np.stack(self.vectors, dtype=complex)
 
 
 def pairing(u, psi) -> complex:
@@ -140,14 +187,15 @@ def seminorm(a: TruncatedOperator, topology: str, m: BoundedSet | None = None,
     if topology == "uniform":
         if m is None:
             raise ValueError("uniform seminorm needs a bounded set")
-        vecs = m.stack()
-        grid = vecs.conj() @ a.matrix @ vecs.T  # [psi index, phi index]
+        d = a._real_diag
+        left = m.conj_rows * d if d is not None else m.conj_rows @ a.matrix
+        grid = left @ m.rows.T  # [psi index, phi index]
         return float(np.max(np.abs(grid)))
     if topology == "strong":
         if m is None or phi is None:
             raise ValueError("strong seminorm needs a bounded set and a vector")
         img = a.apply(phi)
-        return float(np.max(np.abs(m.stack().conj() @ img)))
+        return float(np.max(np.abs(m.conj_rows @ img)))
     if topology == "strongstar":
         if m is None or phi is None:
             raise ValueError("strong* seminorm needs a bounded set and a vector")
@@ -163,9 +211,8 @@ def seminorm(a: TruncatedOperator, topology: str, m: BoundedSet | None = None,
 def strongstar_hilbert_seminorm(a: TruncatedOperator, f) -> float:
     """max(|A f|, |A' f|) with the Hilbert norm; the strong* seminorm used
     for operators mapping the domain into the Hilbert space itself."""
-    f = np.asarray(f, dtype=complex)
-    return max(float(np.linalg.norm(a.matrix @ f)),
-               float(np.linalg.norm(a.adjoint_matrix @ f)))
+    return max(float(np.linalg.norm(a.apply(f))),
+               float(np.linalg.norm(a.adjoint().apply(f))))
 
 
 def eta_seminorm(ambient_value: float, operator_value: float) -> float:

@@ -124,6 +124,53 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["replicate", "ex-9.9-9"]) == 2
 
 
+def test_unknown_variant_rejected(tmp_path, capsys):
+    from qstarlab import function_lab as flab
+    from qstarlab.scenarios import clipped_power_family
+
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        clipped_power_family(flab.simpson_grid(33), 0.2, "bogus")
+    cfg = tmp_path / "variant.json"
+    cfg.write_text(json.dumps({"scenarios": [
+        {"id": "ok", "module": "gns", "operation": "gns_construct"},
+        {"id": "bad", "module": "op-topologies",
+         "operation": "extend_by_closure",
+         "parameters": {"variant": "bogus"}}]}))
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "scenarios[1]" in err and "variant 'bogus'" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+    for variant in ("height", "plateau"):
+        parse_config({"scenarios": [
+            {"module": "op-topologies", "operation": "extend_by_closure",
+             "parameters": {"variant": variant}}]})
+
+
+def test_duplicate_output_stems_rejected(tmp_path, capsys):
+    gns = {"module": "gns", "operation": "gns_construct"}
+    clashes = [
+        [{"id": "x", **gns}, {"id": "x", **gns}],
+        [{"id": "x", **gns}, {"id": "y", "output_path": "x", **gns}],
+        [{"id": "a", "output_path": "sub/x", **gns},
+         {"id": "b", "output_path": "sub/./x", **gns}],
+        [{"id": "scenario-1", **gns}, gns],
+    ]
+    for entries in clashes:
+        with pytest.raises(ConfigError,
+                           match=r"scenarios\[1\].*clashes with scenarios\[0\]"):
+            parse_config({"scenarios": entries})
+    assert len(parse_config({"scenarios": [
+        {"id": "x", **gns}, {"id": "x", "output_path": "x2", **gns}]})) == 2
+    cfg = tmp_path / "dup.json"
+    cfg.write_text(json.dumps({"scenarios": clashes[0]}))
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "run", str(cfg)]) == 2
+    assert "scenarios[1]" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_empty_scenario_list(tmp_path):
     cfg = tmp_path / "empty.json"
     cfg.write_text(json.dumps({"scenarios": []}))
