@@ -1,14 +1,15 @@
 """The CCR algebra on the unit interval: formal polynomials in the momentum
 symbol with trigonometric-polynomial coefficients.
 
-Coefficients are stored by Fourier frequency, so derivatives, products and
-the spectral representation are finite exact computations.  Scalars are
-kept as polynomials in 2*pi with machine-complex coefficients: derivative
-factors enter as powers of 2*pi with exact Gaussian-integer multipliers,
-which makes the *-algebra identities hold coefficient-exactly, not merely
-to round-off.  Truncation edge effects are handled by the safe-subspace
-discipline: operator identities are asserted only on vectors whose images
-stay inside the truncation window.
+A polynomial sum_k phi_k p^k is one complex array C[k, n + F, j], the
+coefficient of p^k exp(2 pi i n x) (2 pi)^j for |n| <= F; a TrigPoly is
+one slice C[n + F, j].  Derivative factors enter as powers of 2*pi with
+exact integer multipliers, so for Gaussian-integer or dyadic data every
+partial sum of a product or involution is exact and the *-algebra
+identities hold coefficient-exactly, not merely to round-off.  Arrays stay
+trimmed, so equality is array equality.  Truncation edge effects are
+handled by the safe-subspace discipline: operator identities are asserted
+only on vectors whose images stay inside the truncation window.
 """
 
 from __future__ import annotations
@@ -21,126 +22,154 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-class TwoPiScalar:
-    """Exact scalar sum_j c_j (2 pi)^j with complex coefficients c_j.
+# ---------------------------------------------------------------------------
+# Coefficient arrays: the last two axes are frequency (centered, odd length)
+# and power of 2*pi; a CCR polynomial puts the power of p in front.
 
-    Addition and multiplication never evaluate 2*pi, so expressions whose
-    c_j stay dyadic (integer coefficients, binomials, powers of i) compare
-    exactly.  to_complex() evaluates for the numerical layer.
+def _trim(c: np.ndarray) -> np.ndarray:
+    """Canonical read-only form: no trailing zero power, the frequency axis
+    centered on the nonzero support.  Zero has size 0 and frequency 0."""
+    hit = np.nonzero(c)
+    if not hit[0].size:
+        c = np.zeros([int(ax == c.ndim - 2) for ax in range(c.ndim)], complex)
+    else:
+        keep = [slice(0, int(h.max()) + 1) for h in hit]
+        f = c.shape[-2] // 2
+        half = max(f - int(hit[-2].min()), int(hit[-2].max()) - f)
+        keep[-2] = slice(f - half, f + half + 1)
+        c = c[tuple(keep)]
+    c.flags.writeable = False
+    return c
+
+
+def _frequencies(c: np.ndarray) -> np.ndarray:
+    return np.arange(c.shape[-2]) - c.shape[-2] // 2
+
+
+def _nonzero_rows(c: np.ndarray) -> list:
+    """Per (power of p and) frequency: has the coefficient a nonzero part?"""
+    return (c != 0).any(axis=-1).tolist()
+
+
+def _evaluate(c: np.ndarray) -> np.ndarray:
+    """sum_j c[..., j] (2 pi)^j, added in ascending j starting from zero."""
+    out = np.zeros(c.shape[:-1], complex)
+    for j in range(c.shape[-1]):
+        out = out + c[..., j] * TWO_PI ** j
+    return out
+
+
+def _summed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    shape = np.maximum(a.shape, b.shape)
+    total = np.zeros(shape, complex)
+    for c in (a, b):  # odd frequency lengths: center c in total
+        at = [slice(0, s) for s in c.shape]
+        at[-2] = slice((shape[-2] - c.shape[-2]) // 2, (shape[-2] + c.shape[-2]) // 2)
+        total[tuple(at)] += c
+    return total
+
+
+def _outer_sum(left_at, left, right_at, right, size: int) -> np.ndarray:
+    """Flat array whose cell left_at[p] + right_at[q] sums left[p] * right[p, q]
+    (right may be one row shared by all p), added in order of p, then q.
+
+    The complex products are written out in real arithmetic, so each one
+    rounds exactly as Python's complex product does; numpy's complex
+    multiply fuses a multiply-add and can differ in the last bit.
     """
+    lr, li = left.real[:, None], left.imag[:, None]
+    rr, ri = right.real, right.imag
+    at = (left_at[:, None] + right_at).ravel()
+    out = np.empty(size, complex)
+    out.real = np.bincount(at, (lr * rr - li * ri).ravel(), size)
+    out.imag = np.bincount(at, (lr * ri + li * rr).ravel(), size)
+    return out
 
-    __slots__ = ("parts",)
 
-    def __init__(self, parts: dict | complex = 0):
-        if not isinstance(parts, dict):
-            parts = {0: complex(parts)}
-        self.parts = {j: complex(c) for j, c in parts.items() if c != 0}
+class _Coefficients:
+    """Linear structure shared by the three array-backed types; `_c` is
+    always trimmed and read-only."""
 
-    def __bool__(self) -> bool:
-        return bool(self.parts)
+    __slots__ = ("_c",)
+
+    @classmethod
+    def _from_array(cls, c: np.ndarray):
+        obj = cls.__new__(cls)
+        obj._c = _trim(c)
+        return obj
+
+    def is_zero(self) -> bool:
+        return not self._c.size
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, TwoPiScalar):
-            other = TwoPiScalar(other)
-        return self.parts == other.parts
+        return isinstance(other, type(self)) and np.array_equal(self._c, other._c)
 
     def __hash__(self):
-        return hash(tuple(sorted(self.parts.items(), key=lambda kv: kv[0])))
+        return hash((self._c.shape, (self._c + 0).tobytes()))  # -0.0 -> 0.0
 
-    def __add__(self, other) -> "TwoPiScalar":
-        if not isinstance(other, TwoPiScalar):
-            other = TwoPiScalar(other)
-        parts = dict(self.parts)
-        for j, c in other.parts.items():
-            parts[j] = parts.get(j, 0j) + c
-        return TwoPiScalar(parts)
+    def __add__(self, other):
+        return self._from_array(_summed(self._c, other._c))
 
-    def __neg__(self) -> "TwoPiScalar":
-        return TwoPiScalar({j: -c for j, c in self.parts.items()})
+    def __sub__(self, other):
+        return self + other.scale(-1)
 
-    def __sub__(self, other) -> "TwoPiScalar":
-        return self + (-other if isinstance(other, TwoPiScalar)
-                       else TwoPiScalar(other).__neg__())
+    def scale(self, factor: complex):
+        return self._from_array(self._c * complex(factor))
 
-    def __mul__(self, other) -> "TwoPiScalar":
-        if not isinstance(other, TwoPiScalar):
-            other = TwoPiScalar(other)
-        parts: dict = {}
-        for j1, c1 in self.parts.items():
-            for j2, c2 in other.parts.items():
-                j = j1 + j2
-                parts[j] = parts.get(j, 0j) + c1 * c2
-        return TwoPiScalar(parts)
 
-    __rmul__ = __mul__
+class TwoPiScalar(_Coefficients):
+    """Exact scalar sum_j c_j (2 pi)^j: the array C[0, j] of one frequency.
+    TrigPoly.coeffs hands its coefficients out in this form."""
+
+    __slots__ = ()
+
+    def __init__(self, parts: dict | complex = 0):
+        """parts: {power of 2*pi: complex}, or one complex for power 0."""
+        parts = parts if isinstance(parts, dict) else {0: parts}
+        if any(j < 0 for j in parts):
+            raise ValueError(f"negative power of 2*pi in {parts!r}")
+        c = np.zeros((1, max(parts, default=-1) + 1), complex)
+        for j, v in parts.items():
+            c[0, j] = v
+        self._c = _trim(c)
+
+    @property
+    def parts(self) -> dict:
+        return {j: v for j, v in enumerate(self._c[0].tolist()) if v}
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __mul__(self, other: "TwoPiScalar") -> "TwoPiScalar":
+        return self._from_array(
+            (TrigPoly._from_array(self._c) * TrigPoly._from_array(other._c))._c)
 
     def conj(self) -> "TwoPiScalar":
-        return TwoPiScalar({j: c.conjugate() for j, c in self.parts.items()})
-
-    def shift(self, power: int, factor: complex = 1.0) -> "TwoPiScalar":
-        """Multiply by factor * (2 pi)^power."""
-        return TwoPiScalar({j + power: c * factor for j, c in self.parts.items()})
+        return self._from_array(self._c.conj())
 
     def to_complex(self) -> complex:
-        return sum((c * TWO_PI ** j for j, c in self.parts.items()), 0j)
+        return complex(_evaluate(self._c)[0])
 
     def __repr__(self):
         return f"TwoPiScalar({self.parts!r})"
 
 
-# Inside the hot loops a coefficient is a raw dict {power of 2*pi: complex};
-# the helpers below keep the arithmetic allocation-light.
+class TrigPoly(_Coefficients):
+    """Trigonometric polynomial sum_n c_n exp(2 pi i n x) on [0,1], stored
+    as the array C[n + F, j] of the coefficients of (2 pi)^j."""
 
-def _raw_trim(parts: dict) -> dict:
-    return {j: c for j, c in parts.items() if c != 0}
-
-
-def _raw_add_into(acc: dict, parts: dict, factor: complex = 1.0,
-                  power: int = 0) -> None:
-    for j, c in parts.items():
-        key = j + power
-        acc[key] = acc.get(key, 0j) + factor * c
-
-
-def _raw_derivative(coeffs: dict) -> dict:
-    """Frequency map derivative on raw coefficient dicts."""
-    out: dict = {}
-    for n, parts in coeffs.items():
-        if n == 0:
-            continue
-        out[n] = {j + 1: (1j * n) * c for j, c in parts.items()}
-    return out
-
-
-class TrigPoly:
-    """Trigonometric polynomial sum_n c_n exp(2 pi i n x) on [0,1]."""
-
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: dict | None = None):
-        clean = {}
-        for n, c in (coeffs or {}).items():
-            if not isinstance(c, TwoPiScalar):
-                c = TwoPiScalar(c)
-            if c:
-                clean[int(n)] = c
-        self.coeffs = clean
-
-    @classmethod
-    def _from_raw(cls, raw: dict) -> "TrigPoly":
-        poly = cls.__new__(cls)
-        coeffs = {}
-        for n, parts in raw.items():
-            trimmed = _raw_trim(parts)
-            if trimmed:
-                sc = TwoPiScalar.__new__(TwoPiScalar)
-                sc.parts = trimmed
-                coeffs[n] = sc
-        poly.coeffs = coeffs
-        return poly
-
-    def _raw(self) -> dict:
-        return {n: c.parts for n, c in self.coeffs.items()}
+        """coeffs: {frequency: complex or TwoPiScalar}."""
+        cols = {int(n): (c if isinstance(c, TwoPiScalar) else TwoPiScalar(c))._c[0]
+                for n, c in (coeffs or {}).items()}
+        f = max(map(abs, cols), default=0)
+        c = np.zeros((2 * f + 1, max(map(len, cols.values()), default=0)),
+                     complex)
+        for n, col in cols.items():
+            c[n + f, :len(col)] = col
+        self._c = _trim(c)
 
     @classmethod
     def mode(cls, n: int, coeff=1) -> "TrigPoly":
@@ -151,88 +180,72 @@ class TrigPoly:
         return cls({0: 1})
 
     @property
-    def max_freq(self) -> int:
-        return max((abs(n) for n in self.coeffs), default=0)
+    def coeffs(self) -> dict:
+        """{frequency: TwoPiScalar} for the nonzero coefficients."""
+        return {n: TwoPiScalar._from_array(col[None])
+                for n, col, present in zip(_frequencies(self._c).tolist(),
+                                           self._c, _nonzero_rows(self._c))
+                if present}
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def max_freq(self) -> int:
+        return self._c.shape[0] // 2
 
     def is_real(self) -> bool:
-        return all(self.coeffs.get(-n, TwoPiScalar()) == c.conj()
-                   for n, c in self.coeffs.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TrigPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        coeffs = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            coeffs[n] = coeffs.get(n, TwoPiScalar()) + c
-        return TrigPoly(coeffs)
-
-    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "TrigPoly":
-        if not isinstance(factor, TwoPiScalar):
-            factor = TwoPiScalar(factor)
-        return TrigPoly({n: c * factor for n, c in self.coeffs.items()})
+        return self.conj() == self
 
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
-        acc: dict = {}
-        for n1, c1 in self.coeffs.items():
-            p1 = c1.parts
-            for n2, c2 in other.coeffs.items():
-                bucket = acc.setdefault(n1 + n2, {})
-                for j1, v1 in p1.items():
-                    for j2, v2 in c2.parts.items():
-                        key = j1 + j2
-                        bucket[key] = bucket.get(key, 0j) + v1 * v2
-        return TrigPoly._from_raw(acc)
+        """Pointwise product, summed over the left factor's frequencies in
+        ascending order (then over its powers of 2*pi)."""
+        a, b = self._c, other._c
+        if not a.size or not b.size:
+            return TrigPoly()
+        n, j = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
+        na, ja = np.nonzero(a)
+        nb, jb = np.nonzero(b)
+        out = _outer_sum(na * j + ja, a[na, ja], nb * j + jb,
+                         b[nb, jb][None, :], n * j)
+        return TrigPoly._from_array(out.reshape(n, j))
 
     def derivative(self) -> "TrigPoly":
         """d/dx multiplies the n-th coefficient by 2 pi i n, exactly."""
-        return TrigPoly._from_raw(_raw_derivative(self._raw()))
+        out = np.zeros((self._c.shape[0], self._c.shape[1] + 1), complex)
+        out[:, 1:] = self._c * (1j * _frequencies(self._c))[:, None]
+        return TrigPoly._from_array(out)
 
     def conj(self) -> "TrigPoly":
-        return TrigPoly({-n: c.conj() for n, c in self.coeffs.items()})
+        return TrigPoly._from_array(self._c[::-1].conj())
 
     def to_vector(self, n_trunc: int) -> np.ndarray:
         """Complex coefficients on the centered frequency window."""
-        if self.max_freq > n_trunc:
-            raise ValueError(f"frequency {self.max_freq} exceeds window {n_trunc}")
+        f = self.max_freq
+        if f > n_trunc:
+            raise ValueError(f"frequency {f} exceeds window {n_trunc}")
         vec = np.zeros(2 * n_trunc + 1, dtype=complex)
-        for n, c in self.coeffs.items():
-            vec[n + n_trunc] = c.to_complex()
+        vec[n_trunc - f:n_trunc + f + 1] = _evaluate(self._c)
         return vec
 
     def __repr__(self):
         return f"TrigPoly({self.coeffs!r})"
 
 
-class CCRPolynomial:
-    """Formal polynomial sum_k phi_k p^k with TrigPoly coefficients."""
+class CCRPolynomial(_Coefficients):
+    """Formal polynomial sum_k phi_k p^k, stored as the array C[k, n + F, j]."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
-        coeffs = tuple(c if isinstance(c, TrigPoly) else TrigPoly(c)
-                       for c in coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
-        self.coeffs = coeffs
+        """coeffs: phi_0, phi_1, ... as TrigPoly objects or their dicts."""
+        self._c = CCRPolynomial.from_terms(enumerate(coeffs))._c
 
     @classmethod
     def from_terms(cls, terms) -> "CCRPolynomial":
-        """terms: iterable of (power, TrigPoly)."""
-        degree = max((k for k, _ in terms), default=-1)
-        coeffs = [TrigPoly() for _ in range(degree + 1)]
+        """terms: iterable of (power, TrigPoly or its dict); powers may repeat."""
+        total = np.zeros((0, 1, 0), complex)
         for k, phi in terms:
-            coeffs[k] = coeffs[k] + phi
-        return cls(coeffs)
+            phi = phi if isinstance(phi, TrigPoly) else TrigPoly(phi)
+            total = _summed(total, np.pad(phi._c[None], ((k, 0), (0, 0), (0, 0))))
+        return cls._from_array(total)
 
     @classmethod
     def momentum(cls) -> "CCRPolynomial":
@@ -247,36 +260,17 @@ class CCRPolynomial:
         return cls([TrigPoly.one()])
 
     @property
+    def coeffs(self) -> tuple:
+        """(phi_0, ..., phi_degree) as TrigPoly objects."""
+        return tuple(TrigPoly._from_array(phi) for phi in self._c)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return self._c.shape[0] - 1  # -1 for the zero polynomial
 
     @property
     def max_freq(self) -> int:
-        return max((phi.max_freq for phi in self.coeffs), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CCRPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "CCRPolynomial") -> "CCRPolynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        coeffs = [TrigPoly() for _ in range(size)]
-        for i, c in enumerate(self.coeffs):
-            coeffs[i] = coeffs[i] + c
-        for i, c in enumerate(other.coeffs):
-            coeffs[i] = coeffs[i] + c
-        return CCRPolynomial(coeffs)
-
-    def __sub__(self, other: "CCRPolynomial") -> "CCRPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "CCRPolynomial":
-        return CCRPolynomial([c.scale(factor) for c in self.coeffs])
+        return self._c.shape[1] // 2
 
     def __mul__(self, other: "CCRPolynomial") -> "CCRPolynomial":
         return ccr_mul(self, other)
@@ -288,57 +282,53 @@ class CCRPolynomial:
         return f"CCRPolynomial({list(self.coeffs)!r})"
 
 
+def _binomials(size: int) -> np.ndarray:
+    """table[r, k] = C(k, r) for r, k < size."""
+    return np.array([[math.comb(k, r) for k in range(size)]
+                     for r in range(size)], dtype=float)
+
+
 def ccr_mul(q1: CCRPolynomial, q2: CCRPolynomial) -> CCRPolynomial:
-    """Noncommutative product induced by the Leibniz rule: moving a power
-    of p through a coefficient trades it for -i times a derivative."""
-    if q1.is_zero() or q2.is_zero():
+    """Noncommutative product induced by the Leibniz rule: moving p^k
+    through psi gives sum_r C(k, r) (-i d/dx)^r psi p^(k-r).
+
+    On the arrays (-i)^r (2 pi i n)^r = n^r (2 pi)^r, so Leibniz term r
+    pairs every cell of q1 at a power k >= r, weighted C(k, r), with every
+    cell of q2, weighted n^r, and lands r powers of p lower and r powers
+    of 2*pi higher: one convolution over (k, n, j) per r, all r at once.
+    """
+    a, b = q1._c, q2._c
+    if not a.size or not b.size:
         return CCRPolynomial()
-    out_deg = q1.degree + q2.degree
-    acc: list[dict] = [{} for _ in range(out_deg + 1)]
-    raw2 = [psi._raw() for psi in q2.coeffs]
-    for k, phi in enumerate(q1.coeffs):
-        if phi.is_zero():
-            continue
-        p_phi = phi._raw()
-        for l, psi_raw in enumerate(raw2):
-            if not psi_raw:
-                continue
-            deriv = psi_raw
-            for r in range(k + 1):
-                factor = (-1j) ** r * math.comb(k, r)
-                bucket = acc[k - r + l]
-                # bucket += factor * (phi * d^r psi), all on raw dicts
-                for n1, parts1 in p_phi.items():
-                    for n2, parts2 in deriv.items():
-                        cell = bucket.setdefault(n1 + n2, {})
-                        for j1, v1 in parts1.items():
-                            fv1 = factor * v1
-                            for j2, v2 in parts2.items():
-                                key = j1 + j2
-                                cell[key] = cell.get(key, 0j) + fv1 * v2
-                if r < k:
-                    deriv = _raw_derivative(deriv)
-    return CCRPolynomial([TrigPoly._from_raw(bucket) for bucket in acc])
+    (k1, n1, j1), (k2, n2, j2) = a.shape, b.shape
+    shape = (k1 + k2 - 1, n1 + n2 - 1, j1 + j2 + k1 - 2)
+    hit = np.nonzero(a)
+    r, cell = np.nonzero(np.arange(k1)[:, None] <= hit[0])
+    ka, na, ja = (axis[cell] for axis in hit)
+    kb, nb, jb = np.nonzero(b)
+    weighted = ((nb - n2 // 2).astype(float) ** np.arange(k1)[:, None]
+                * b[kb, nb, jb])
+    out = _outer_sum(((ka - r) * shape[1] + na) * shape[2] + ja + r,
+                     _binomials(k1)[r, ka] * a[ka, na, ja],
+                     (kb * shape[1] + nb) * shape[2] + jb, weighted[r],
+                     math.prod(shape))
+    return CCRPolynomial._from_array(out.reshape(shape))
 
 
 def ccr_star(q: CCRPolynomial) -> CCRPolynomial:
-    """Involution: (phi p^k)* = sum_r (-i)^r C(k,r) conj(phi)^(r) p^(k-r)."""
-    if q.is_zero():
+    """Involution: (phi p^k)* = sum_r (-i)^r C(k,r) conj(phi)^(r) p^(k-r),
+    where (-i)^r (2 pi i n)^r = n^r (2 pi)^r on the arrays."""
+    c = q._c
+    if not c.size:
         return CCRPolynomial()
-    acc: list[dict] = [{} for _ in range(q.degree + 1)]
-    for k, phi in enumerate(q.coeffs):
-        if phi.is_zero():
-            continue
-        deriv = phi.conj()._raw()
-        for r in range(k + 1):
-            factor = (-1j) ** r * math.comb(k, r)
-            bucket = acc[k - r]
-            for n, parts in deriv.items():
-                cell = bucket.setdefault(n, {})
-                _raw_add_into(cell, parts, factor)
-            if r < k:
-                deriv = _raw_derivative(deriv)
-    return CCRPolynomial([TrigPoly._from_raw(bucket) for bucket in acc])
+    k, n, j = c.shape
+    conj = c[:, ::-1].conj()
+    freq = _frequencies(c).astype(float)[:, None]
+    binom = _binomials(k)
+    out = np.zeros((k, n, j + k - 1), complex)
+    for r in range(k):
+        out[:k - r, :, r:r + j] += binom[r, r:, None, None] * freq ** r * conj[r:]
+    return CCRPolynomial._from_array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +343,25 @@ def momentum_matrix(n_trunc: int) -> np.ndarray:
     return np.diag(TWO_PI * freqs(n_trunc)).astype(complex)
 
 
+def _band_matrices(values: np.ndarray, n_trunc: int) -> np.ndarray:
+    """Multiplication by each row of centered coefficient values as the
+    banded shift matrix on the window (entry (i, j): frequency i - j),
+    as a strided read-only view; copy it before a matrix product, which
+    would not reach BLAS through its negative strides."""
+    dim = 2 * n_trunc + 1
+    f = values.shape[-1] // 2
+    if f >= dim:
+        values = values[..., f - dim + 1:f + dim]
+        f = dim - 1
+    full = np.zeros(values.shape[:-1] + (2 * dim - 1,), complex)
+    full[..., dim - 1 - f:dim + f] = values
+    return np.lib.stride_tricks.sliding_window_view(
+        full[..., ::-1], dim, axis=-1)[..., ::-1, :]
+
+
 def convolution_matrix(phi: TrigPoly, n_trunc: int) -> np.ndarray:
     """Multiplication by phi as the banded shift matrix on the window."""
-    dim = 2 * n_trunc + 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    for n, c in phi.coeffs.items():
-        val = c.to_complex()
-        for j in range(dim):
-            i = j + n
-            if 0 <= i < dim:
-                mat[i, j] = val
-    return mat
+    return np.array(_band_matrices(_evaluate(phi._c), n_trunc))
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,11 +386,11 @@ def ccr_represent(q: CCRPolynomial, n_trunc: int) -> FourierOperator:
             f"truncation too small: need n_trunc >= {q.max_freq + 1}")
     dim = 2 * n_trunc + 1
     d_p = TWO_PI * freqs(n_trunc)
+    bands = _band_matrices(_evaluate(q._c), n_trunc)
     mat = np.zeros((dim, dim), dtype=complex)
-    for k, phi in enumerate(q.coeffs):
-        if phi.is_zero():
-            continue
-        mat += convolution_matrix(phi, n_trunc) * (d_p ** k)[np.newaxis, :]
+    for k, phi in enumerate(q._c):
+        if phi.any():
+            mat += bands[k] * (d_p ** k)[np.newaxis, :]
     return FourierOperator(matrix=mat, n_trunc=n_trunc)
 
 
@@ -424,8 +422,11 @@ def graph_seminorm(phi, k: int) -> float:
 def graph_seminorm_poly(phi: TrigPoly, k: int) -> float:
     """Graph seminorm straight off the coefficient map (no truncation)."""
     total = 0.0
-    for n, c in phi.coeffs.items():
-        total += (1.0 + (TWO_PI * n) ** 2) ** (2 * k) * abs(c.to_complex()) ** 2
+    for n, value, present in zip(_frequencies(phi._c).tolist(),
+                                 _evaluate(phi._c).tolist(),
+                                 _nonzero_rows(phi._c)):
+        if present:
+            total += (1.0 + (TWO_PI * n) ** 2) ** (2 * k) * abs(value) ** 2
     return math.sqrt(total)
 
 
@@ -442,26 +443,29 @@ class SubmultReport:
         return self.max_ratio <= 2.0 * max(self.half_sample_ratio, 1.0)
 
 
+def _random_coefficients(rng, shape: tuple, scale: int,
+                         integer: bool) -> np.ndarray:
+    """Complex draws in C order, each real part drawn before its imaginary
+    part, as the array C[..., n + F, 0]."""
+    if integer:
+        draws = rng.integers(-scale, scale + 1, size=(*shape, 2)).astype(float)
+    else:
+        draws = rng.standard_normal((*shape, 2))
+    return draws.view(complex)
+
+
 def random_trig_poly(rng, max_freq: int, scale: int = 2,
                      integer: bool = True) -> TrigPoly:
     """Random trigonometric polynomial; integer mode keeps coefficients
     Gaussian-integer so symbolic identities stay exact."""
-    coeffs = {}
-    for n in range(-max_freq, max_freq + 1):
-        if integer:
-            c = complex(int(rng.integers(-scale, scale + 1)),
-                        int(rng.integers(-scale, scale + 1)))
-        else:
-            c = complex(rng.standard_normal(), rng.standard_normal())
-        if c:
-            coeffs[n] = c
-    return TrigPoly(coeffs)
+    return TrigPoly._from_array(
+        _random_coefficients(rng, (2 * max_freq + 1,), scale, integer))
 
 
 def random_ccr_polynomial(rng, degree: int, max_freq: int,
                           scale: int = 2) -> CCRPolynomial:
-    return CCRPolynomial([random_trig_poly(rng, max_freq, scale)
-                          for _ in range(degree + 1)])
+    return CCRPolynomial._from_array(_random_coefficients(
+        rng, (degree + 1, 2 * max_freq + 1), scale, True))
 
 
 def submultiplicativity_probe(k: int, n_pairs: int = 40, max_freq: int = 8,
@@ -553,14 +557,12 @@ def ccr_polynomial_to_literal(q: CCRPolynomial) -> list:
     """Deterministic literal form: entries sorted by power and frequency,
     scalar coefficients evaluated to [re, im] pairs."""
     literal = []
-    for k, phi in enumerate(q.coeffs):
-        if phi.is_zero():
-            continue
-        entries = []
-        for n in sorted(phi.coeffs):
-            value = phi.coeffs[n].to_complex()
-            entries.append([n, [value.real, value.imag]])
-        literal.append([k, entries])
+    for k, (values, present) in enumerate(zip(_evaluate(q._c).tolist(),
+                                              _nonzero_rows(q._c))):
+        entries = [[n, [v.real, v.imag]] for n, v, hit
+                   in zip(_frequencies(q._c).tolist(), values, present) if hit]
+        if entries:
+            literal.append([k, entries])
     return literal
 
 
@@ -573,10 +575,7 @@ def uniform_seminorm_identity(phi_vec: np.ndarray, test_polys,
     Returns (lhs, rhs); polynomially growing Phi vectors are fine.
     """
     phi_vec = np.asarray(phi_vec, dtype=complex)
-    phi_poly = TrigPoly({n: phi_vec[n + n_trunc]
-                         for n in range(-n_trunc, n_trunc + 1)
-                         if phi_vec[n + n_trunc] != 0})
-    conv = convolution_matrix(phi_poly, n_trunc)
+    conv = np.array(_band_matrices(_evaluate(phi_vec[:, None]), n_trunc))
     lhs = 0.0
     for f in test_polys:
         fv = f.to_vector(n_trunc)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 from .scenarios import (ConfigError, SCENARIOS, ScenarioOutcome, list_catalog,
@@ -47,16 +48,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_one(scenario, seed: int) -> ScenarioOutcome:
+    """run_scenario, except that an exception raised inside the scenario,
+    other than a config error, becomes a FAIL outcome recording it."""
+    try:
+        return run_scenario(scenario, seed)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        print(f"error: scenario {scenario.scenario_id} raised:",
+              file=sys.stderr)
+        traceback.print_exc()
+        return ScenarioOutcome(
+            scenario_id=scenario.scenario_id, passed=False,
+            details={"error": {"type": type(exc).__name__,
+                               "message": str(exc)}},
+            tables={}, output_stem=scenario.output_stem)
+
+
 def _run_all(scenarios, seed: int, jobs: int, out_dir: str, fmt: str) -> int:
     outcomes: list[ScenarioOutcome] = []
     try:
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(run_scenario, sc, seed)
-                           for sc in scenarios]
+                futures = [pool.submit(_run_one, sc, seed) for sc in scenarios]
                 outcomes = [f.result() for f in futures]
         else:
-            outcomes = [run_scenario(sc, seed) for sc in scenarios]
+            outcomes = [_run_one(sc, seed) for sc in scenarios]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

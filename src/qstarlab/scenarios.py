@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,7 +21,7 @@ from .forms import ProbeFamily, check_lemma24
 from .gns import gns_construct, verify_gns
 from .matrix_lab import NON_CAUCHY_FAMILIES, NULL_FAMILIES
 from .rates import geometric_ladder
-from .serialize import gnsrep_to_dict
+from .serialize import atomic_write, dump_json, gnsrep_to_dict
 from .topologies import (TOPOLOGIES, closability_check, extend_by_closure,
                          suite_from_bounded_sets)
 
@@ -39,6 +38,10 @@ class Scenario:
     description: str
     parameters: dict = field(default_factory=dict)
     output_path: str | None = None  # stem under the output dir; default: id
+
+    @property
+    def output_stem(self) -> str:
+        return self.output_path or self.scenario_id
 
 
 @dataclass
@@ -590,15 +593,24 @@ def _resolve_algebra_state(params: dict):
 # ---------------------------------------------------------------------------
 # Registry and catalog
 
+# Desk-scale caps on integer parameters: a config cannot ask for more.
+N_MAX_CAP = 4096
+TRUNCATION_CAP = 1024
+SAMPLES_CAP = 10_000
+K_CAP = 16
+
+
 @dataclass(frozen=True)
 class Operation:
     handler: Callable[[dict, int], ScenarioOutcome]
     allowed_params: frozenset
     choices: dict = field(default_factory=dict)  # parameter -> allowed values
+    bounds: dict = field(default_factory=dict)  # integer parameter -> (min, max)
 
     def check(self, params: dict, where: str) -> None:
-        """Raise ConfigError, located at `where`, for an unknown parameter
-        or a value outside the parameter's choices."""
+        """Raise ConfigError, located at `where`, for an unknown parameter,
+        a value outside the parameter's choices, or an integer parameter
+        that is not an integer or lies outside its bounds."""
         unknown = set(params) - self.allowed_params
         if unknown:
             raise ConfigError(f"{where}: unknown parameters {sorted(unknown)}")
@@ -606,44 +618,66 @@ class Operation:
             if name in params and params[name] not in allowed:
                 raise ConfigError(f"{where}: unknown {name} {params[name]!r}; "
                                   f"expected one of {allowed}")
+        for name, (low, high) in self.bounds.items():
+            if name not in params:
+                continue
+            value = params[name]
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or (isinstance(value, float) and not value.is_integer())):
+                raise ConfigError(f"{where}: {name} must be an integer, "
+                                  f"got {value!r}")
+            if not low <= value <= high:
+                raise ConfigError(f"{where}: {name} {value!r} outside "
+                                  f"[{low}, {high}]")
 
 
 OPERATIONS: dict[tuple[str, str], Operation] = {
     ("function-lab", "dichotomy_suite"):
-        Operation(_dichotomy_suite, frozenset({"n_max"})),
+        Operation(_dichotomy_suite, frozenset({"n_max"}),
+                  bounds={"n_max": (4, N_MAX_CAP)}),
     ("function-lab", "weighted_form_suite"):
         Operation(_weighted_form_suite, frozenset()),
     ("function-lab", "gaussian_suite"):
-        Operation(_gaussian_suite, frozenset({"n_max"})),
+        Operation(_gaussian_suite, frozenset({"n_max"}),
+                  bounds={"n_max": (2, N_MAX_CAP)}),
     ("matrix-lab", "replay_suite"):
-        Operation(_matrix_replay_suite, frozenset({"truncation"})),
+        Operation(_matrix_replay_suite, frozenset({"truncation"}),
+                  bounds={"truncation": (2, TRUNCATION_CAP)}),
     ("op-topologies", "periodic_multiplication_suite"):
         Operation(_periodic_multiplication_suite, frozenset()),
     ("ccr-lab", "symbolic_suite"):
-        Operation(_ccr_symbolic_suite, frozenset({"samples"})),
+        Operation(_ccr_symbolic_suite, frozenset({"samples"}),
+                  bounds={"samples": (1, SAMPLES_CAP)}),
     ("op-topologies", "multiplication_extension_suite"):
         Operation(_multiplication_extension_suite, frozenset()),
     ("gns", "gns_construct"):
         Operation(_gns_construct_op, frozenset({"algebra", "state"})),
     ("forms", "check_lemma24"):
-        Operation(_lemma24_op, frozenset({"truncation"})),
+        Operation(_lemma24_op, frozenset({"truncation"}),
+                  bounds={"truncation": (3, TRUNCATION_CAP)}),
     ("forms", "closability_probe"):
         Operation(_closability_probe_op,
                   frozenset({"context", "family", "n_max", "truncation", "p",
-                             "height_exp"})),
+                             "height_exp"}),
+                  bounds={"n_max": (2, TRUNCATION_CAP),
+                          "truncation": (1, TRUNCATION_CAP)}),
     ("matrix-lab", "matrix_closability_replay"):
-        Operation(_matrix_replay_op, frozenset({"family", "truncation"})),
+        Operation(_matrix_replay_op, frozenset({"family", "truncation"}),
+                  bounds={"truncation": (2, TRUNCATION_CAP)}),
     ("function-lab", "unboundedness_witness"):
-        Operation(_witness_op, frozenset({"p", "n_max"})),
+        Operation(_witness_op, frozenset({"p", "n_max"}),
+                  bounds={"n_max": (4, N_MAX_CAP)}),
     ("ccr-lab", "submultiplicativity_probe"):
-        Operation(_submult_op, frozenset({"k", "n_pairs"})),
+        Operation(_submult_op, frozenset({"k", "n_pairs"}),
+                  bounds={"k": (0, K_CAP), "n_pairs": (1, SAMPLES_CAP)}),
     ("op-topologies", "extend_by_closure"):
         Operation(_extension_op,
                   frozenset({"topology", "target", "beta", "variant",
                              "n_max"}),
                   choices={"topology": TOPOLOGIES,
                            "target": EXTENSION_TARGETS,
-                           "variant": CLIP_VARIANTS}),
+                           "variant": CLIP_VARIANTS},
+                  bounds={"n_max": (2, N_MAX_CAP)}),
 }
 
 
@@ -693,7 +727,7 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> ScenarioOutcome:
     op.check(scenario.parameters, f"scenario {scenario.scenario_id}")
     outcome = op.handler(scenario.parameters, seed)
     outcome.scenario_id = scenario.scenario_id
-    outcome.output_stem = scenario.output_path or scenario.scenario_id
+    outcome.output_stem = scenario.output_stem
     return outcome
 
 
@@ -728,7 +762,7 @@ def parse_config(data: dict) -> list[Scenario]:
             module=entry["module"], operation=entry["operation"],
             description=entry.get("description", ""), parameters=params,
             output_path=output_path)
-        stem = os.path.normpath(str(output_path or scenario.scenario_id))
+        stem = os.path.normpath(str(scenario.output_stem))
         if stem in stems:
             raise ConfigError(f"{where}: output stem {stem!r} clashes with "
                               f"scenarios[{stems[stem]}]")
@@ -750,32 +784,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _atomic_write(path: str, writer) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_outcome(outcome: ScenarioOutcome, out_dir: str,
                   fmt: str = "csv") -> list[str]:
     """Write the verdict JSON plus one CSV per table (or embed them)."""
     written = []
     payload = {"id": outcome.scenario_id, "passed": bool(outcome.passed),
-               "details": _plain(outcome.details)}
+               "details": outcome.details}
     if fmt == "json":
-        payload["tables"] = {name: {"header": header, "rows": _plain(rows)}
+        payload["tables"] = {name: {"header": header, "rows": rows}
                              for name, (header, rows) in outcome.tables.items()}
     stem = outcome.output_stem or outcome.scenario_id
     verdict_path = os.path.join(out_dir, f"{stem}.json")
-    _atomic_write(verdict_path, lambda fh: dump_json_to(payload, fh))
+    dump_json(payload, verdict_path)
     written.append(verdict_path)
     if fmt == "csv":
         for name, (header, rows) in sorted(outcome.tables.items()):
@@ -787,32 +807,6 @@ def write_outcome(outcome: ScenarioOutcome, out_dir: str,
                 for row in rows:
                     out.writerow([_format_cell(cell) for cell in row])
 
-            _atomic_write(path, writer)
+            atomic_write(path, writer)
             written.append(path)
     return written
-
-
-def dump_json_to(payload, fh) -> None:
-    import json
-
-    json.dump(payload, fh, sort_keys=True, indent=1)
-    fh.write("\n")
-
-
-def _plain(value):
-    """Recursively convert numpy scalars/arrays for JSON serialization."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, np.ndarray):
-        return _plain(value.tolist())
-    return value

@@ -1,0 +1,180 @@
+"""The array-backed CCR algebra: golden values recorded from the earlier
+dict-of-dict implementation, canonical form of the coefficient arrays, and
+the Leibniz product and involution against a cell-by-cell reference."""
+
+import json
+import math
+import os
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qstarlab.ccr import (CCRPolynomial, TrigPoly, TwoPiScalar, ccr_mul,
+                          ccr_polynomial_from_literal,
+                          ccr_polynomial_to_literal, ccr_star,
+                          graph_seminorm_poly, homomorphism_check,
+                          random_ccr_polynomial, random_trig_poly)
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "ccr_golden.json")
+
+
+def load_golden() -> dict:
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# ---------------------------------------------------------------------------
+# Golden values (compared with ==, not approximately)
+
+def test_golden_random_products_and_star():
+    golden = load_golden()["random"]
+    rng = np.random.default_rng(golden["seed"])
+    q1, q2, q3 = (random_ccr_polynomial(rng, golden["degree"],
+                                        golden["max_freq"]) for _ in range(3))
+    assert ccr_polynomial_to_literal(q1) == golden["q1"]
+    assert ccr_polynomial_to_literal(ccr_mul(q1, q2)) == golden["product"]
+    assert ccr_polynomial_to_literal(ccr_star(q1)) == golden["star"]
+    assert ccr_polynomial_to_literal(ccr_mul(ccr_mul(q1, q2), q3)) \
+        == golden["triple"]
+
+
+def test_golden_dyadic_product():
+    golden = load_golden()["dyadic"]
+    a = ccr_polynomial_from_literal(golden["a"])
+    b = ccr_polynomial_from_literal(golden["b"])
+    prod = ccr_mul(a, b)
+    assert ccr_polynomial_to_literal(prod) == golden["product"]
+    assert ccr_polynomial_to_literal(ccr_star(prod)) == golden["star"]
+
+
+def test_golden_submultiplicativity_seminorms():
+    golden = load_golden()["submultiplicativity"]
+    rng = np.random.default_rng(golden["seed"])
+    for expected in golden["seminorms"]:
+        phi = random_trig_poly(rng, golden["max_freq"], integer=False)
+        chi = random_trig_poly(rng, golden["max_freq"], integer=False)
+        assert [graph_seminorm_poly(phi * chi, k)
+                for k in golden["ks"]] == expected
+
+
+# ---------------------------------------------------------------------------
+# Canonical form: stored shape never shows through == or hash
+
+def padded(q, k=0, n=0, j=0):
+    """The same polynomial built from its array with trailing zero powers of
+    p and of 2*pi and with extra zero frequencies on both sides."""
+    return type(q)._from_array(
+        np.pad(np.asarray(q._c), [(0, k), (n, n), (0, j)][-q._c.ndim:]))
+
+
+def test_zero_differences_are_the_zero_polynomial():
+    rng = np.random.default_rng(7)
+    q = random_ccr_polynomial(rng, 3, 2)
+    assert q - q == CCRPolynomial()
+    assert hash(q - q) == hash(CCRPolynomial())
+    assert (q - q).degree == -1 and (q - q).max_freq == 0
+    phi = q.coeffs[1]
+    assert phi - phi == TrigPoly() and (phi - phi).is_zero()
+    assert ccr_mul(q, q - q) == CCRPolynomial()
+    assert ccr_star(CCRPolynomial()) == CCRPolynomial()
+
+
+def test_trailing_zeros_do_not_change_equality_or_hash():
+    rng = np.random.default_rng(8)
+    q = ccr_mul(random_ccr_polynomial(rng, 2, 2),
+                random_ccr_polynomial(rng, 1, 1))
+    for k, n, j in [(1, 0, 0), (0, 2, 0), (0, 0, 3), (2, 1, 1)]:
+        other = padded(q, k, n, j)
+        assert other == q and hash(other) == hash(q)
+        assert other._c.shape == q._c.shape
+    phi = q.coeffs[0]
+    assert padded(phi, n=3, j=2) == phi
+    assert hash(padded(phi, n=3, j=2)) == hash(phi)
+    # explicit zeros through the public constructors
+    assert TrigPoly({0: 1, 4: 0, -2: TwoPiScalar({1: 0})}) == TrigPoly.one()
+    assert TwoPiScalar({0: 2, 3: 0}) == TwoPiScalar(2)
+    assert CCRPolynomial([{1: 1j}, TrigPoly(), {}]) \
+        == CCRPolynomial([{1: 1j}])
+    # a signed zero is zero
+    assert TrigPoly({0: complex(1, -0.0)}) == TrigPoly({0: 1})
+    assert hash(TrigPoly({0: complex(1, -0.0)})) == hash(TrigPoly({0: 1}))
+
+
+def test_arrays_are_trimmed_and_read_only():
+    q = CCRPolynomial([TrigPoly({-1: 1, 1: 0}), TrigPoly()])
+    assert q._c.shape == (1, 3, 1) and q.max_freq == 1 and q.degree == 0
+    assert not q._c.flags.writeable
+    assert TrigPoly({2: 1})._c.shape == (5, 1)
+    assert CCRPolynomial()._c.shape == (0, 1, 0)
+    assert TrigPoly()._c.shape == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Product and involution against a cell-by-cell reference
+
+def cells(q) -> dict:
+    """{(power of p, frequency, power of 2*pi): coefficient}."""
+    return {(k, n, j): v for k, phi in enumerate(q.coeffs)
+            for n, scalar in phi.coeffs.items()
+            for j, v in scalar.parts.items()}
+
+
+def reference_mul(q1, q2) -> dict:
+    """Leibniz rule term by term: phi p^k psi = sum_r C(k, r) phi
+    (-i d/dx)^r psi p^(k-r), with (-i)^r (2 pi i n)^r = n^r (2 pi)^r."""
+    out: dict = {}
+    for (k, n1, j1), v1 in cells(q1).items():
+        for (l, n2, j2), v2 in cells(q2).items():
+            for r in range(k + 1):
+                key = (k - r + l, n1 + n2, j1 + j2 + r)
+                out[key] = out.get(key, 0) + math.comb(k, r) * n2 ** r * v1 * v2
+    return {key: v for key, v in out.items() if v != 0}
+
+
+def reference_star(q) -> dict:
+    """(phi p^k)* = sum_r C(k, r) n^r (2 pi)^r conj(phi)_n p^(k-r)."""
+    out: dict = {}
+    for (k, n, j), v in cells(q).items():
+        for r in range(k + 1):
+            key = (k - r, -n, j + r)
+            out[key] = out.get(key, 0) + math.comb(k, r) * (-n) ** r \
+                * v.conjugate()
+    return {key: v for key, v in out.items() if v != 0}
+
+
+@st.composite
+def gaussian_polys(draw, max_degree=3, max_freq=2, max_power=1):
+    """Mixed-degree Gaussian-integer polynomials, including the zero
+    polynomial and pure powers p^k, with powers of 2*pi in the coefficients."""
+    kind = draw(st.sampled_from(["zero", "pure", "mixed"]))
+    if kind == "zero":
+        return CCRPolynomial()
+    degree = draw(st.integers(0, max_degree))
+    if kind == "pure":
+        return CCRPolynomial([TrigPoly()] * degree + [TrigPoly.one()])
+    gauss = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+    coeffs = []
+    for _ in range(degree + 1):
+        freq = draw(st.integers(0, max_freq))
+        coeffs.append(TrigPoly({n: TwoPiScalar(
+            {j: draw(gauss) for j in range(draw(st.integers(0, max_power)) + 1)})
+            for n in range(-freq, freq + 1)}))
+    return CCRPolynomial(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaussian_polys(), gaussian_polys())
+def test_mul_and_star_match_reference(q1, q2):
+    assert cells(ccr_mul(q1, q2)) == reference_mul(q1, q2)
+    assert cells(ccr_star(q1)) == reference_star(q1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gaussian_polys(max_power=0), gaussian_polys(max_power=0))
+def test_homomorphism_on_mixed_degrees(q1, q2):
+    check = homomorphism_check(q1, q2, 12)
+    assert check.safe_dim == 2 * (12 - q1.max_freq - q2.max_freq) + 1
+    if q1.is_zero() or q2.is_zero():
+        assert check.residual == 0.0
+    assert check.relative_residual < 1e-12

@@ -227,3 +227,93 @@ def test_jobs_flag_same_results(tmp_path):
     assert names == sorted(os.listdir(out2))
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_integer_parameters_validated(tmp_path, capsys):
+    def entry(operation, **params):
+        module = {"symbolic_suite": "ccr-lab",
+                  "submultiplicativity_probe": "ccr-lab",
+                  "replay_suite": "matrix-lab",
+                  "dichotomy_suite": "function-lab"}[operation]
+        return {"module": module, "operation": operation, "parameters": params}
+
+    gns = {"module": "gns", "operation": "gns_construct"}
+    bad = [
+        (entry("symbolic_suite", samples=-3), "outside"),
+        (entry("symbolic_suite", samples=0), "outside"),
+        (entry("symbolic_suite", samples="abc"), "must be an integer"),
+        (entry("symbolic_suite", samples=True), "must be an integer"),
+        (entry("symbolic_suite", samples=2.5), "must be an integer"),
+        (entry("symbolic_suite", samples=None), "must be an integer"),
+        (entry("dichotomy_suite", n_max="abc"), "must be an integer"),
+        (entry("dichotomy_suite", n_max=2), "outside"),
+        (entry("submultiplicativity_probe", k=-1), "outside"),
+        (entry("submultiplicativity_probe", n_pairs=0), "outside"),
+        (entry("replay_suite", truncation=float("inf")), "must be an integer"),
+    ]
+    for params, message in bad:
+        with pytest.raises(ConfigError, match=r"scenarios\[1\].*" + message):
+            parse_config({"scenarios": [gns, params]})
+    accepted = parse_config({"scenarios": [
+        entry("symbolic_suite", samples=1),
+        {**entry("replay_suite", truncation=256.0), "id": "integral-float"},
+        {**entry("submultiplicativity_probe", k=0), "id": "k0"}]})
+    assert len(accepted) == 3
+
+    cfg = tmp_path / "abc.json"
+    cfg.write_text(json.dumps({"scenarios": [
+        {"id": "ok", **gns}, entry("dichotomy_suite", n_max="abc")]}))
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "scenarios[1]" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_integer_parameter_cap_rejects_before_running(tmp_path, monkeypatch):
+    from qstarlab import scenarios
+
+    def refuse(params, seed):
+        raise AssertionError("the handler must not run")
+
+    key = ("matrix-lab", "replay_suite")
+    monkeypatch.setitem(scenarios.OPERATIONS, key, scenarios.Operation(
+        refuse, scenarios.OPERATIONS[key].allowed_params,
+        bounds=scenarios.OPERATIONS[key].bounds))
+    huge = {"module": "matrix-lab", "operation": "replay_suite",
+            "parameters": {"truncation": 10 ** 12}}
+    with pytest.raises(ConfigError, match=r"scenarios\[0\].*outside"):
+        parse_config({"scenarios": [huge]})
+    with pytest.raises(ConfigError, match="outside"):
+        run_scenario(scenarios.Scenario("big", "matrix-lab", "replay_suite",
+                                        "", {"truncation": 10 ** 12}))
+    cap = scenarios.TRUNCATION_CAP
+    parse_config({"scenarios": [{**huge, "parameters": {"truncation": cap}}]})
+    with pytest.raises(ConfigError, match="outside"):
+        parse_config({"scenarios": [{**huge,
+                                     "parameters": {"truncation": cap + 1}}]})
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"scenarios": [huge]}))
+    assert main(["--out-dir", str(tmp_path / "out"), "run", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_raising_scenario_keeps_other_outputs(tmp_path, capsys, jobs):
+    cfg = tmp_path / "raise.json"
+    cfg.write_text(json.dumps({"scenarios": [
+        {"id": "ok", "module": "gns", "operation": "gns_construct"},
+        {"id": "boom", "module": "matrix-lab",
+         "operation": "matrix_closability_replay",
+         "parameters": {"family": "no_such_family"}}]}))
+    out_dir = tmp_path / "out"
+    assert main(["--jobs", jobs, "--out-dir", str(out_dir), "run",
+                 str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "ok: pass" in captured.out and "boom: FAIL" in captured.out
+    assert "KeyError" in captured.err
+    assert json.loads((out_dir / "ok.json").read_text())["passed"] is True
+    failed = json.loads((out_dir / "boom.json").read_text())
+    assert failed["passed"] is False
+    assert failed["details"]["error"]["type"] == "KeyError"
+    assert "no_such_family" in failed["details"]["error"]["message"]
