@@ -11,12 +11,16 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import ccr, function_lab as flab, matrix_lab as mlab
-from .algebra import matrix_unit_algebra, normalized_trace_state
+from .algebra import (State, corner_state, cyclic_group_algebra,
+                      group_character_state, group_trace_state,
+                      matrix_unit_algebra, normalized_trace_state,
+                      scalar_algebra)
 from .forms import ProbeFamily, check_lemma24
 from .gns import gns_construct, verify_gns
 from .matrix_lab import NON_CAUCHY_FAMILIES, NULL_FAMILIES
@@ -416,9 +420,25 @@ def _multiplication_extension_suite(params: dict, seed: int) -> ScenarioOutcome:
         tables=tables)
 
 
+# gns_construct: each algebra's builder and the builders of its states.
+GNS_ALGEBRAS = {
+    "m2": (partial(matrix_unit_algebra, 2),
+           {"trace": partial(normalized_trace_state, 2),
+            "corner": partial(corner_state, 2)}),
+    "m3": (partial(matrix_unit_algebra, 3),
+           {"trace": partial(normalized_trace_state, 3),
+            "corner": partial(corner_state, 3)}),
+    "scalar": (scalar_algebra,
+               {"trace": lambda: State(np.ones(1, dtype=complex), name="id")}),
+    "z4": (partial(cyclic_group_algebra, 4),
+           {"trace": partial(group_trace_state, 4),
+            "character": partial(group_character_state, 4)}),
+}
+
+
 def _gns_construct_op(params: dict, seed: int) -> ScenarioOutcome:
-    algebra, state = _resolve_algebra_state(params)
-    rep = gns_construct(algebra, state)
+    build_algebra, states = GNS_ALGEBRAS[params["algebra"]]
+    rep = gns_construct(build_algebra(), states[params["state"]]())
     diag = verify_gns(rep)
     passed = diag.max_residual() < 1e-10 and diag.cyclicity_rank == rep.rank
     details = {"rank": rep.rank, "rep": gnsrep_to_dict(rep),
@@ -469,29 +489,31 @@ def _matrix_shift_suite(n: int) -> list:
             ("band3", band), ("corner_i", cornerj)]
 
 
+# closability_probe: the families each form context offers.
+FORM_FAMILIES = {
+    "matrix-trace": tuple(sorted({**NULL_FAMILIES, **NON_CAUCHY_FAMILIES})),
+    "lp": ("tent", "scaled_one"),
+}
+
+
 def _closability_probe_op(params: dict, seed: int) -> ScenarioOutcome:
     from .forms import closability_probe
 
-    context = params.get("context", "matrix-trace")
+    context, name = params["context"], params["family"]
     n_max = int(params.get("n_max", 256))
-    name = params.get("family", "scaled_corner")
     if context == "matrix-trace":
         truncation = max(int(params.get("truncation", 256)), n_max)
         ctx = mlab.trace_form_context(truncation)
         family = mlab.matrix_family(name, truncation)
-    elif context == "lp":
+    else:  # "lp"
         p = float(params.get("p", 1.0))
         grid = flab.simpson_grid()
         ctx = flab.lp_form_context(p, grid)
         if name == "tent":
             family = flab.tent_family(grid, float(params.get("height_exp", 0.5)), p)
             n_max = min(n_max, 1024)  # keep tents resolvable on the grid
-        elif name == "scaled_one":
+        else:  # "scaled_one"
             family = flab.scaled_one_family(grid)
-        else:
-            raise ConfigError(f"unknown lp family {name!r}")
-    else:
-        raise ConfigError(f"unknown form context {context!r}")
     verdict = closability_probe(ctx, family, n_max)
     header, rows = verdict.table()
     return ScenarioOutcome(
@@ -563,33 +585,6 @@ def _extension_op(params: dict, seed: int) -> ScenarioOutcome:
         tables={"trace": (header, rows)})
 
 
-def _resolve_algebra_state(params: dict):
-    from .algebra import (State, corner_state, cyclic_group_algebra,
-                          group_character_state, group_trace_state,
-                          scalar_algebra)
-
-    algebra_name = params.get("algebra", "m2")
-    state_name = params.get("state", "trace")
-    if algebra_name == "m2":
-        algebra = matrix_unit_algebra(2)
-        states = {"trace": normalized_trace_state(2), "corner": corner_state(2)}
-    elif algebra_name == "m3":
-        algebra = matrix_unit_algebra(3)
-        states = {"trace": normalized_trace_state(3), "corner": corner_state(3)}
-    elif algebra_name == "scalar":
-        algebra = scalar_algebra()
-        states = {"trace": State(np.ones(1, dtype=complex), name="id")}
-    elif algebra_name == "z4":
-        algebra = cyclic_group_algebra(4)
-        states = {"trace": group_trace_state(4),
-                  "character": group_character_state(4)}
-    else:
-        raise ConfigError(f"unknown algebra {algebra_name!r}")
-    if state_name not in states:
-        raise ConfigError(f"unknown state {state_name!r} for {algebra_name!r}")
-    return algebra, states[state_name]
-
-
 # ---------------------------------------------------------------------------
 # Registry and catalog
 
@@ -606,11 +601,16 @@ class Operation:
     allowed_params: frozenset
     choices: dict = field(default_factory=dict)  # parameter -> allowed values
     bounds: dict = field(default_factory=dict)  # integer parameter -> (min, max)
+    # parameter -> (the parameter it depends on, {that one's value: allowed
+    # values}); both are resolved through `defaults` when absent
+    pairs: dict = field(default_factory=dict)
+    defaults: dict = field(default_factory=dict)  # handed to the handler
 
     def check(self, params: dict, where: str) -> None:
         """Raise ConfigError, located at `where`, for an unknown parameter,
-        a value outside the parameter's choices, or an integer parameter
-        that is not an integer or lies outside its bounds."""
+        a value outside the parameter's choices or outside the choices its
+        pair allows, or an integer parameter that is not an integer or lies
+        outside its bounds."""
         unknown = set(params) - self.allowed_params
         if unknown:
             raise ConfigError(f"{where}: unknown parameters {sorted(unknown)}")
@@ -618,6 +618,16 @@ class Operation:
             if name in params and params[name] not in allowed:
                 raise ConfigError(f"{where}: unknown {name} {params[name]!r}; "
                                   f"expected one of {allowed}")
+        for name, (given, table) in self.pairs.items():
+            key = params.get(given, self.defaults[given])
+            if key not in tuple(table):
+                raise ConfigError(f"{where}: unknown {given} {key!r}; "
+                                  f"expected one of {tuple(table)}")
+            value = params.get(name, self.defaults[name])
+            if value not in table[key]:
+                raise ConfigError(f"{where}: unknown {name} {value!r} for "
+                                  f"{given} {key!r}; expected one of "
+                                  f"{table[key]}")
         for name, (low, high) in self.bounds.items():
             if name not in params:
                 continue
@@ -651,7 +661,11 @@ OPERATIONS: dict[tuple[str, str], Operation] = {
     ("op-topologies", "multiplication_extension_suite"):
         Operation(_multiplication_extension_suite, frozenset()),
     ("gns", "gns_construct"):
-        Operation(_gns_construct_op, frozenset({"algebra", "state"})),
+        Operation(_gns_construct_op, frozenset({"algebra", "state"}),
+                  pairs={"state": ("algebra", {
+                      name: tuple(states)
+                      for name, (_, states) in GNS_ALGEBRAS.items()})},
+                  defaults={"algebra": "m2", "state": "trace"}),
     ("forms", "check_lemma24"):
         Operation(_lemma24_op, frozenset({"truncation"}),
                   bounds={"truncation": (3, TRUNCATION_CAP)}),
@@ -660,7 +674,10 @@ OPERATIONS: dict[tuple[str, str], Operation] = {
                   frozenset({"context", "family", "n_max", "truncation", "p",
                              "height_exp"}),
                   bounds={"n_max": (2, TRUNCATION_CAP),
-                          "truncation": (1, TRUNCATION_CAP)}),
+                          "truncation": (1, TRUNCATION_CAP)},
+                  pairs={"family": ("context", FORM_FAMILIES)},
+                  defaults={"context": "matrix-trace",
+                            "family": "scaled_corner"}),
     ("matrix-lab", "matrix_closability_replay"):
         Operation(_matrix_replay_op, frozenset({"family", "truncation"}),
                   bounds={"truncation": (2, TRUNCATION_CAP)}),
@@ -725,7 +742,7 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> ScenarioOutcome:
         raise ConfigError(f"unknown operation {key[0]}/{key[1]}")
     op = OPERATIONS[key]
     op.check(scenario.parameters, f"scenario {scenario.scenario_id}")
-    outcome = op.handler(scenario.parameters, seed)
+    outcome = op.handler({**op.defaults, **scenario.parameters}, seed)
     outcome.scenario_id = scenario.scenario_id
     outcome.output_stem = scenario.output_stem
     return outcome

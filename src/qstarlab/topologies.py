@@ -149,13 +149,16 @@ class BoundedSet:
 
     The vectors are stacked once, on construction, into the read-only
     `rows` matrix (one vector per row) and its conjugate `conj_rows`;
-    `vectors` are the rows of that one array.
+    `vectors` are the rows of that one array.  `is_basis` records whether
+    the rows are exactly the canonical basis (square, rows == I), for
+    which seminorms read operator entries instead of multiplying by I.
     """
 
     vectors: tuple
     name: str = "M"
     rows: np.ndarray = field(init=False, repr=False)
     conj_rows: np.ndarray = field(init=False, repr=False)
+    is_basis: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if not len(self.vectors):
@@ -164,9 +167,12 @@ class BoundedSet:
         rows.flags.writeable = False
         conj_rows = rows.conj()
         conj_rows.flags.writeable = False
+        n = len(rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "conj_rows", conj_rows)
         object.__setattr__(self, "vectors", tuple(rows))
+        object.__setattr__(self, "is_basis", rows.shape == (n, n)
+                           and np.array_equal(rows, np.eye(n)))
 
     def stack(self) -> np.ndarray:
         return np.stack(self.vectors, dtype=complex)
@@ -182,11 +188,19 @@ def seminorm(a: TruncatedOperator, topology: str, m: BoundedSet | None = None,
     """Topology seminorm of one operator.
 
     uniform needs m; strong and strongstar need m and phi; weak needs phi
-    and psi.
+    and psi.  Over the canonical basis (m.is_basis) the pairings are the
+    operator's entries, so uniform is max |A_ij| and strong max |(A phi)_i|,
+    read without the product with I.  For finite entries the values equal
+    the product's bit for bit (each product entry is A_ij * 1 plus exact
+    zeros, and abs drops signed zeros); an inf entry gives inf where the
+    product would give nan (0 * inf).
     """
     if topology == "uniform":
         if m is None:
             raise ValueError("uniform seminorm needs a bounded set")
+        if m.is_basis:
+            entries = a.diag if a.diag is not None else a.matrix
+            return float(np.max(np.abs(entries)))
         d = a._real_diag
         left = m.conj_rows * d if d is not None else m.conj_rows @ a.matrix
         grid = left @ m.rows.T  # [psi index, phi index]
@@ -195,7 +209,9 @@ def seminorm(a: TruncatedOperator, topology: str, m: BoundedSet | None = None,
         if m is None or phi is None:
             raise ValueError("strong seminorm needs a bounded set and a vector")
         img = a.apply(phi)
-        return float(np.max(np.abs(m.conj_rows @ img)))
+        if not m.is_basis:
+            img = m.conj_rows @ img
+        return float(np.max(np.abs(img)))
     if topology == "strongstar":
         if m is None or phi is None:
             raise ValueError("strong* seminorm needs a bounded set and a vector")
@@ -281,11 +297,31 @@ def hilbert_strongstar_suite(phis) -> list:
             for label, f in phis]
 
 
+def _suite_cauchy(suite: Suite, ops, steps):
+    """Suite values of each operator of a ladder, the step residuals, the
+    per-seminorm scales (largest value seen), and whether every seminorm
+    is Cauchy: its residuals end below CAUCHY_REL_TOL times its scale, or
+    clearly decay.  A non-finite value or residual is never Cauchy: an inf
+    would make the threshold infinite, and a nan would leave the verdict
+    to the decaying tail alone."""
+    values = np.array([[fn(op) for _, fn in suite] for op in ops])
+    residuals = np.array([[fn(ops[k] - ops[k - 1]) for _, fn in suite]
+                          for k in range(1, len(ops))])
+    scales = np.maximum(values.max(axis=0), 1e-300)
+    cauchy = (bool(np.isfinite(values).all() and np.isfinite(residuals).all())
+              and all(tends_to_zero(steps[1:], residuals[:, i],
+                                    CAUCHY_REL_TOL * scales[i])
+                      for i in range(len(suite))))
+    return values, residuals, scales, cauchy
+
+
 # ---------------------------------------------------------------------------
 # Extension by closure
 
 @dataclass(frozen=True)
-class MembershipVerdict:
+class ExtensionMembership:
+    """The extension domain a closure run reached, and why."""
+
     ambient_limit: bool
     operator_cauchy: bool
     domain: str  # "A", "Atilde" or "none"
@@ -296,7 +332,7 @@ class ExtensionResult:
     converged: bool
     limit: TruncatedOperator | None
     topology: str
-    membership: MembershipVerdict
+    membership: ExtensionMembership
     seminorm_names: tuple
     residual_trace: np.ndarray   # (steps-1, n_seminorms)
     ambient_residuals: np.ndarray
@@ -349,27 +385,23 @@ def extend_by_closure(ambient_norm, element_seq, rep_seq, topology: str,
         steps = np.arange(1, n_steps + 1)
     steps = np.asarray(steps, dtype=float)
 
-    values = np.array([[fn(op) for _, fn in suite] for op in rep_seq])
-    residuals = np.array([[fn(rep_seq[k] - rep_seq[k - 1]) for _, fn in suite]
-                          for k in range(1, n_steps)])
-    scales = np.maximum(values.max(axis=0), 1e-300)
-
-    converged = n_steps >= 3 and all(
-        tends_to_zero(steps[1:], residuals[:, i], CAUCHY_REL_TOL * scales[i])
-        for i in range(len(suite)))
+    _, residuals, scales, cauchy = _suite_cauchy(suite, rep_seq, steps)
+    converged = n_steps >= 3 and cauchy
 
     ambient_res = np.array([ambient_norm(element_seq[k] - element_seq[k - 1])
                             for k in range(1, n_steps)])
     ambient_scale = max(float(np.max(np.abs(ambient_res))), 1e-300)
-    ambient_cauchy = n_steps >= 3 and tends_to_zero(
-        steps[1:], ambient_res, CAUCHY_REL_TOL * max(ambient_scale, 1.0))
+    ambient_threshold = CAUCHY_REL_TOL * max(ambient_scale, 1.0)
+    ambient_cauchy = (n_steps >= 3 and bool(np.isfinite(ambient_res).all())
+                      and tends_to_zero(steps[1:], ambient_res,
+                                        ambient_threshold))
 
     if converged and ambient_cauchy:
         domain = "A" if space_complete else "Atilde"
     else:
         domain = "none"
-    membership = MembershipVerdict(ambient_limit=ambient_cauchy,
-                                   operator_cauchy=converged, domain=domain)
+    membership = ExtensionMembership(ambient_limit=ambient_cauchy,
+                                     operator_cauchy=converged, domain=domain)
     limit = rep_seq[-1] if converged else None
     return ExtensionResult(converged=converged, limit=limit, topology=topology,
                            membership=membership, seminorm_names=names,
@@ -415,13 +447,7 @@ def closability_check(null_families, rep_map, topology: str | None = None,
         tau_null = tends_to_zero(ns, tau, 1e-6)
 
         ops = [rep_map(x) for x in elements]
-        values = np.array([[fn(op) for _, fn in suite] for op in ops])
-        scales = np.maximum(values.max(axis=0), 1e-300)
-        residuals = np.array([[fn(ops[k] - ops[k - 1]) for _, fn in suite]
-                              for k in range(1, len(ops))])
-        cauchy = all(tends_to_zero(ns[1:], residuals[:, i],
-                                   CAUCHY_REL_TOL * scales[i])
-                     for i in range(len(suite)))
+        values, _, _, cauchy = _suite_cauchy(suite, ops, ns)
         worst = values.max(axis=1)
         fit = fit_trend(ns, worst)
         extrapolated = fit.limit if np.isfinite(fit.limit) else float(worst[-1])
@@ -459,13 +485,7 @@ def quasi_algebra_closure_test(extension_samples, a_o_elements, rep_map,
     ns = geometric_ladder(n_max, points=points)
 
     def _is_cauchy(ops):
-        values = np.array([[fn(op) for _, fn in suite] for op in ops])
-        scales = np.maximum(values.max(axis=0), 1e-300)
-        residuals = np.array([[fn(ops[k] - ops[k - 1]) for _, fn in suite]
-                              for k in range(1, len(ops))])
-        return all(tends_to_zero(ns[1:], residuals[:, i],
-                                 CAUCHY_REL_TOL * scales[i])
-                   for i in range(len(suite)))
+        return _suite_cauchy(suite, ops, ns)[3]
 
     right = []
     for fam in extension_samples:

@@ -117,3 +117,91 @@ def test_bounded_set_stacks_once_read_only():
     assert m.vectors[0][0] == raw[0][0]
     raw[0][0] = 7.0
     assert m.vectors[0][0] != 7.0
+
+
+# The canonical basis (node spikes) reads operator entries; the seminorms
+# must equal the explicit products with the set's rows bit for bit.
+
+SPIKE_TOPOLOGIES = ("uniform", "strong", "strongstar")
+
+
+def product_reference(a, topology, m, phi):
+    """The seminorm computed with explicit products against m's rows."""
+    def strong(mat):
+        return float(np.max(np.abs(m.conj_rows @ (mat @ phi))))
+
+    if topology == "uniform":
+        return float(np.max(np.abs(m.conj_rows @ a.matrix @ m.rows.T)))
+    if topology == "strong":
+        return strong(a.matrix)
+    return max(strong(a.matrix), strong(a.matrix.conj().T))
+
+
+def sample_operators(rng, dim):
+    d = rng.standard_normal(dim)
+    dense = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return {"real-diagonal": TruncatedOperator(diag=d),
+            "complex-diagonal": TruncatedOperator(
+                diag=d + 1j * rng.standard_normal(dim)),
+            "dense": TruncatedOperator(dense)}
+
+
+@pytest.mark.parametrize("n_nodes", [33, 257])
+def test_node_spike_seminorms_equal_products(n_nodes):
+    rng = np.random.default_rng(n_nodes)
+    spikes = flab.node_spike_set(flab.simpson_grid(n_nodes))
+    assert spikes.is_basis
+    for _ in range(2):
+        phi = rng.standard_normal(n_nodes) + 1j * rng.standard_normal(n_nodes)
+        for kind, a in sample_operators(rng, n_nodes).items():
+            for topology in SPIKE_TOPOLOGIES:
+                assert seminorm(a, topology, spikes, phi) == \
+                    product_reference(a, topology, spikes, phi), (kind, topology)
+
+
+def eye_with_eps(dim):
+    rows = np.eye(dim)
+    rows[0, 1] = 1e-3
+    return rows
+
+
+NOT_BASIS = {
+    "permuted": lambda: np.eye(DIM)[np.roll(np.arange(DIM), 1)],
+    "scaled": lambda: 3.0 * np.eye(DIM),
+    "off-diagonal-eps": lambda: eye_with_eps(DIM),
+    "non-square": lambda: np.eye(DIM)[:-1],
+    "smooth-ball": lambda: flab.smooth_ball_set(GRID, 2.0, count=4, seed=3).rows,
+}
+
+
+@pytest.mark.parametrize("set_name", sorted(NOT_BASIS))
+def test_near_basis_sets_keep_the_product_path(set_name):
+    rng = np.random.default_rng(19)
+    m = BoundedSet(tuple(NOT_BASIS[set_name]()), name=set_name)
+    assert not m.is_basis
+    phi = rng.standard_normal(DIM) + 1j * rng.standard_normal(DIM)
+    for kind, a in sample_operators(rng, DIM).items():
+        for topology in SPIKE_TOPOLOGIES:
+            assert seminorm(a, topology, m, phi) == \
+                product_reference(a, topology, m, phi), (kind, topology)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_node_spike_seminorms_of_non_finite_entries():
+    # Read entries give inf for an inf entry, where the product with I
+    # gives nan (0 * inf); a nan entry gives nan either way.
+    spikes = flab.node_spike_set(GRID)
+    phi = np.ones(DIM, dtype=complex)
+    for bad in (np.inf, -np.inf):
+        d = np.ones(DIM)
+        d[5] = bad
+        assert seminorm(TruncatedOperator(np.diag(d)), "uniform", spikes) \
+            == np.inf
+        for topology in SPIKE_TOPOLOGIES:
+            assert seminorm(TruncatedOperator(diag=d), topology, spikes,
+                            phi) == np.inf
+    d = np.ones(DIM)
+    d[5] = np.nan
+    for a in (TruncatedOperator(diag=d), TruncatedOperator(np.diag(d))):
+        for topology in SPIKE_TOPOLOGIES:
+            assert np.isnan(seminorm(a, topology, spikes, phi))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -317,3 +318,72 @@ def test_raising_scenario_keeps_other_outputs(tmp_path, capsys, jobs):
     assert failed["passed"] is False
     assert failed["details"]["error"]["type"] == "KeyError"
     assert "no_such_family" in failed["details"]["error"]["message"]
+
+
+def test_paired_choices_rejected_before_running(tmp_path, capsys, monkeypatch):
+    from qstarlab import scenarios
+
+    def gns(**params):
+        return {"module": "gns", "operation": "gns_construct",
+                "parameters": params}
+
+    def probe(**params):
+        return {"module": "forms", "operation": "closability_probe",
+                "parameters": params}
+
+    bad = [
+        (gns(algebra="m2", state="character"),
+         "unknown state 'character' for algebra 'm2'"),
+        (gns(state="character"), "unknown state 'character' for algebra 'm2'"),
+        (gns(algebra="z4", state="corner"), "unknown state 'corner'"),
+        (gns(algebra="m5"), "unknown algebra 'm5'"),
+        (gns(algebra=["m2"]), "unknown algebra"),
+        (probe(context="nope"), "unknown context 'nope'"),
+        (probe(context="lp", family="nope"),
+         "unknown family 'nope' for context 'lp'"),
+        (probe(context="lp"), "unknown family 'scaled_corner' for context 'lp'"),
+        (probe(family="tent"), "unknown family 'tent' for context 'matrix-trace'"),
+    ]
+    for entry, message in bad:
+        with pytest.raises(ConfigError, match=r"scenarios\[1\]: " + message):
+            parse_config({"scenarios": [gns(), entry]})
+    accepted = parse_config({"scenarios": [
+        {**gns(algebra="scalar"), "id": "a"},
+        {**gns(algebra="z4", state="character"), "id": "b"},
+        {**probe(context="lp", family="scaled_one"), "id": "c"},
+        {**probe(family="moving_bump"), "id": "d"}]})
+    assert len(accepted) == 4
+
+    def refuse(params, seed):
+        raise AssertionError("the handler must not run")
+
+    key = ("gns", "gns_construct")
+    monkeypatch.setitem(scenarios.OPERATIONS, key, dataclasses.replace(
+        scenarios.OPERATIONS[key], handler=refuse))
+    with pytest.raises(ConfigError, match="unknown state 'character'"):
+        run_scenario(scenarios.Scenario("x", "gns", "gns_construct", "",
+                                        {"state": "character"}))
+
+    cfg = tmp_path / "paired.json"
+    cfg.write_text(json.dumps({"scenarios": [
+        gns(algebra="m2", state="trace"), gns(algebra="m2", state="character"),
+        probe(context="nope")]}))
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "scenarios[1]: unknown state 'character'" in err
+    assert not out_dir.exists()
+
+
+def test_operation_defaults_reach_the_handler(monkeypatch):
+    from qstarlab import scenarios
+
+    seen = []
+    key = ("forms", "closability_probe")
+    monkeypatch.setitem(scenarios.OPERATIONS, key, dataclasses.replace(
+        scenarios.OPERATIONS[key], handler=lambda params, seed: seen.append(
+            params) or scenarios.ScenarioOutcome("", True, {}, {})))
+    run_scenario(scenarios.Scenario("x", "forms", "closability_probe", "",
+                                    {"n_max": 8}))
+    assert seen == [{"context": "matrix-trace", "family": "scaled_corner",
+                     "n_max": 8}]

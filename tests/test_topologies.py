@@ -326,3 +326,86 @@ def test_eta_seminorm_monotone_under_refinement():
     assert q_big >= q_small
     assert eta_seminorm(1.0, q_big) >= eta_seminorm(1.0, q_small)
     assert eta_seminorm(2.0, q_small) == pytest.approx(2.0 + q_small)
+
+
+@pytest.fixture(scope="module")
+def clipped_power_ladder():
+    from qstarlab.scenarios import (EXTENSION_GRID_NODES, clipped_power_family,
+                                    multiplication_suite)
+    grid = flab.simpson_grid(EXTENSION_GRID_NODES)
+    fam = clipped_power_family(grid, 0.2, "height")
+    ns = geometric_ladder(4096, points=14)
+    elements = [fam.generate(int(n)) for n in ns]
+    suites = {t: multiplication_suite(grid, t) for t in ("uniform", "strongstar")}
+    return ns, elements, suites
+
+
+def with_bad_entry(op, bad):
+    d = op.diag.copy()
+    d[40] = bad
+    return TruncatedOperator(diag=d)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("topology", ["uniform", "strongstar"])
+def test_non_finite_representative_never_converges(clipped_power_ladder,
+                                                   topology):
+    ns, elements, suites = clipped_power_ladder
+    reps = [flab.mult_operator(f) for f in elements]
+
+    def run(rep_seq):
+        return extend_by_closure(lambda f: flab.lp_norm(f, 1.0), elements,
+                                 rep_seq, topology, suite=suites[topology],
+                                 steps=ns)
+
+    assert len(ns) == 14 and run(reps).converged
+    for position in (5, len(reps) - 1):
+        for bad in (np.inf, np.nan):
+            spoiled = list(reps)
+            spoiled[position] = with_bad_entry(reps[position], bad)
+            result = run(spoiled)
+            assert not result.converged, (position, bad)
+            assert not result.membership.operator_cauchy
+            assert result.membership.domain == "none"
+            assert result.limit is None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_ambient_residual_is_not_cauchy(clipped_power_ladder):
+    ns, elements, suites = clipped_power_ladder
+    reps = [flab.mult_operator(f) for f in elements]
+    for bad in (np.inf, np.nan):
+        norms = iter([0.5 ** k for k in range(len(ns) - 2)] + [bad])
+        result = extend_by_closure(lambda f: next(norms), elements, reps,
+                                   "strongstar", suite=suites["strongstar"],
+                                   steps=ns)
+        assert result.converged and not result.membership.ambient_limit
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_representatives_are_not_cauchy(clipped_power_ladder):
+    _, _, suites = clipped_power_ladder
+    grid = flab.simpson_grid(257)
+    one_op = flab.mult_operator(flab.GridFunction.from_callable(
+        lambda x: np.ones_like(x), grid))
+    for bad in (np.inf, np.nan):
+        for n_bad in (3, 256):  # an early ladder member and the last one
+            fams = [ProbeFamily(name="null-but-constant-rep",
+                                generate=lambda n: n,
+                                tau_norm=lambda n: 1.0 / n)]
+            verdicts = closability_check(
+                fams, suite=suites["uniform"], n_max=256,
+                rep_map=lambda n: (with_bad_entry(one_op, bad)
+                                   if n == n_bad else one_op))
+            assert verdicts[0].tau_null and not verdicts[0].rep_cauchy
+
+            report = quasi_algebra_closure_test(
+                [ProbeFamily(name="spoiled", generate=lambda n: n)],
+                [("one", 1)], suite=suites["strongstar"], n_max=256,
+                rep_map=lambda n: (with_bad_entry(one_op, bad)
+                                   if n == n_bad else one_op),
+                mul=lambda x, b: x, topology="strongstar",
+                star=lambda x: x)
+            assert not report.all_stable
+            assert not any(flag for _, _, flag in report.right_multiplication)
+            assert not any(flag for _, flag in report.involution)
