@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ASSOCIATIVITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 
 
@@ -119,12 +118,6 @@ class StarAlgebra:
         else:
             report["unit_law"] = None
         return report
-
-    def validate(self, tol: float = ASSOCIATIVITY_TOL) -> None:
-        report = self.structure_report()
-        for key, value in report.items():
-            if value is not None and value > tol:
-                raise AlgebraError(f"{key} residual {value:.3e} exceeds {tol:.1e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,13 +259,6 @@ def scalar_algebra() -> StarAlgebra:
     c = np.ones((1, 1, 1), dtype=complex)
     s = np.ones((1, 1), dtype=complex)
     return StarAlgebra(c, s, np.ones(1, dtype=complex), name="C")
-
-
-def nilpotent_line_algebra() -> StarAlgebra:
-    """One self-adjoint generator with e*e = 0; a *-algebra without unit."""
-    c = np.zeros((1, 1, 1), dtype=complex)
-    s = np.ones((1, 1), dtype=complex)
-    return StarAlgebra(c, s, None, name="nil")
 
 
 def normalized_trace_state(n: int) -> State:

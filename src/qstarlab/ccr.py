@@ -191,9 +191,6 @@ class TrigPoly(_Coefficients):
     def max_freq(self) -> int:
         return self._c.shape[0] // 2
 
-    def is_real(self) -> bool:
-        return self.conj() == self
-
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
         """Pointwise product, summed over the left factor's frequencies in
         ascending order (then over its powers of 2*pi)."""
@@ -357,11 +354,6 @@ def _band_matrices(values: np.ndarray, n_trunc: int) -> np.ndarray:
     full[..., dim - 1 - f:dim + f] = values
     return np.lib.stride_tricks.sliding_window_view(
         full[..., ::-1], dim, axis=-1)[..., ::-1, :]
-
-
-def convolution_matrix(phi: TrigPoly, n_trunc: int) -> np.ndarray:
-    """Multiplication by phi as the banded shift matrix on the window."""
-    return np.array(_band_matrices(_evaluate(phi._c), n_trunc))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,13 +18,10 @@ from typing import Any, Callable
 import numpy as np
 
 from .algebra import StarAlgebra, State
-from .rates import fit_trend, geometric_ladder, tends_to_zero
+from .rates import geometric_ladder, ladder_probe
 
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
-OMEGA_CAUCHY_TOL = 1e-8
-TAU_NULL_TOL = 1e-6
-COUNTEREXAMPLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,17 +66,12 @@ class SequenceVerdict:
     tau_null: bool
     omega_cauchy: bool
     omega_limit: float | None  # present only when omega_cauchy
+    counterexample: bool
     rates: dict
     ns: np.ndarray
     tau_values: np.ndarray
     omega_diag: np.ndarray
     omega_steps: np.ndarray  # successive ladder-pair distances, first entry 0
-
-    @property
-    def counterexample(self) -> bool:
-        return (self.tau_null and self.omega_cauchy
-                and self.omega_limit is not None
-                and self.omega_limit > COUNTEREXAMPLE_TOL)
 
     def table(self) -> tuple[list[str], list[list[float]]]:
         header = ["n", "tau_norm", "omega_diag", "omega_pairwise"]
@@ -148,7 +140,7 @@ def cauchy_schwarz_residual(ctx: FormContext, pairs) -> float:
     return worst
 
 
-def closability_probe(ctx: FormContext, family, n_max: int,
+def closability_probe(ctx: FormContext, family: ProbeFamily, n_max: int,
                       *, points: int = 24) -> SequenceVerdict:
     """Probe one family for a closability counterexample.
 
@@ -156,9 +148,6 @@ def closability_probe(ctx: FormContext, family, n_max: int,
     compare members at a fixed index ratio; consecutive-index distances can
     vanish on families whose dyadic separations stay bounded below.
     """
-    if not isinstance(family, ProbeFamily):
-        family = ProbeFamily(name=getattr(family, "__name__", "family"),
-                             generate=family)
     ns = geometric_ladder(n_max, points=points)
     elements = [family.generate(int(n)) for n in ns]
 
@@ -167,23 +156,17 @@ def closability_probe(ctx: FormContext, family, n_max: int,
     else:
         tau = np.array([ctx.ambient_norm(x) for x in elements], dtype=float)
     diag = np.array([ctx.diag(x) for x in elements], dtype=float)
-    steps = np.zeros(len(ns))
-    for k in range(1, len(ns)):
-        steps[k] = max(ctx.diag(elements[k] - elements[k - 1]), 0.0)
+    steps = np.array([0.0] + [max(ctx.diag(b - a), 0.0)
+                              for a, b in zip(elements, elements[1:])])
 
-    tau_null = tends_to_zero(ns, tau, TAU_NULL_TOL)
-    omega_cauchy = tends_to_zero(ns[1:], steps[1:], OMEGA_CAUCHY_TOL)
-    diag_fit = fit_trend(ns, diag)
-    tau_fit = fit_trend(ns, tau)
-    step_fit = fit_trend(ns[1:], steps[1:])
-
-    omega_limit = None
-    if omega_cauchy:
-        omega_limit = diag_fit.limit if np.isfinite(diag_fit.limit) else None
-    rates = {"tau_slope": tau_fit.slope, "omega_diag_slope": diag_fit.slope,
-             "omega_step_slope": step_fit.slope}
-    return SequenceVerdict(family=family.name, tau_null=tau_null,
-                           omega_cauchy=omega_cauchy, omega_limit=omega_limit,
+    probe = ladder_probe(ns, tau, diag, steps[1:], names=("omega",))
+    rates = {"tau_slope": probe.ambient_slope,
+             "omega_diag_slope": probe.value_slopes[0],
+             "omega_step_slope": probe.step_slopes[0]}
+    return SequenceVerdict(family=family.name, tau_null=probe.null,
+                           omega_cauchy=probe.cauchy,
+                           omega_limit=probe.limits[0] if probe.cauchy else None,
+                           counterexample=probe.counterexample,
                            rates=rates, ns=ns, tau_values=tau,
                            omega_diag=diag, omega_steps=steps)
 
@@ -213,9 +196,7 @@ def check_lemma24(ctx: FormContext, families, shifts, n_max: int,
     shifted = [(label, b_shifted_form(ctx, b)) for label, b in shifts]
     rows = []
     counterexamples = []
-    for family in families:
-        fam = family if isinstance(family, ProbeFamily) else ProbeFamily(
-            name=getattr(family, "__name__", "family"), generate=family)
+    for fam in families:
         verdicts = {"omega": closability_probe(ctx, fam, n_max, points=points),
                     "omega_star": closability_probe(starred, fam, n_max,
                                                     points=points)}

@@ -15,14 +15,12 @@ from typing import Callable
 import numpy as np
 
 from .forms import FormContext, ProbeFamily
-from .rates import fit_trend, geometric_ladder, increment_growth_ratio, tends_to_zero
+from .rates import fit_trend, geometric_ladder, increments_shrink, ladder_probe
 from .topologies import BoundedSet, TruncatedOperator
 
 MIN_NODES = 32
 DEFAULT_SIMPSON_NODES = 4097
 DEFAULT_HERMITE_NODES = 128
-# Increment-growth ratio below which a doubling ladder counts as convergent.
-STABLE_RATIO = 1.0
 MEMBERSHIP_LADDER = (1025, 2049, 4097, 8193, 16385)
 
 
@@ -46,9 +44,6 @@ class Grid:
     def cell(self) -> float:
         """Spacing proxy: the minimal node gap."""
         return float(np.min(np.diff(self.nodes)))
-
-    def quad(self, values) -> complex:
-        return complex(np.dot(self.weights, values))
 
 
 def simpson_grid(n_nodes: int = DEFAULT_SIMPSON_NODES) -> Grid:
@@ -193,11 +188,6 @@ def power_builder(beta: float) -> Callable[[Grid], GridFunction]:
     return lambda grid: power_function(grid, beta)
 
 
-def constant_builder(value: float = 1.0) -> Callable[[Grid], GridFunction]:
-    return lambda grid: GridFunction.from_callable(
-        lambda x: np.full_like(x, value), grid)
-
-
 def tent_family(grid: Grid, height_exp: float, p: float,
                 center: float = 0.5) -> ProbeFamily:
     """Tent probe family with its closed-form L^p norms as tau-norms."""
@@ -267,9 +257,7 @@ def unboundedness_witness(p: float, n_max: int = 256,
 @dataclass(frozen=True)
 class MembershipVerdict:
     member: bool
-    exponent: float | None  # the L^q exponent the verdict concerns
     growth_ratio: float
-    quadrature_sums: tuple
 
 
 def _refinement_verdict(builder: Callable[[Grid], GridFunction], q: float,
@@ -279,14 +267,10 @@ def _refinement_verdict(builder: Callable[[Grid], GridFunction], q: float,
     Shrinking increments (growth ratio < 1) mean the integral converges;
     steady or growing increments mean divergence under refinement.
     """
-    sums = []
-    for n in node_counts:
-        grid = simpson_grid(n)
-        f = builder(grid)
-        sums.append(float(np.dot(grid.weights, np.abs(f.values) ** q)))
-    ratio = increment_growth_ratio(sums)
-    return MembershipVerdict(member=ratio < STABLE_RATIO, exponent=q,
-                             growth_ratio=ratio, quadrature_sums=tuple(sums))
+    sums = [float(np.dot(grid.weights, np.abs(builder(grid).values) ** q))
+            for grid in map(simpson_grid, node_counts)]
+    return MembershipVerdict(*increments_shrink(node_counts, sums,
+                                                f"L^{q:g} sums"))
 
 
 def a_omega_membership(builder: Callable[[Grid], GridFunction], p: float,
@@ -394,29 +378,20 @@ def gaussian_poly_probe(families: dict, n_max: int = 24,
     verdicts = []
     for name, gen in families.items():
         coeff_seq = [np.asarray(gen(int(n)), dtype=float) for n in ns]
-        for coeffs in coeff_seq:
-            if len(coeffs) - 1 > grid.n_nodes // 2:
-                raise ValueError(
-                    f"family {name}: degree {len(coeffs) - 1} exceeds grid "
-                    f"resolution {grid.n_nodes // 2}")
+        degree = max(len(c) for c in coeff_seq) - 1
+        if degree > grid.n_nodes // 2:
+            raise ValueError(f"family {name}: degree {degree} exceeds grid "
+                             f"resolution {grid.n_nodes // 2}")
         l1 = np.array([gaussian_l1_norm(c, grid) for c in coeff_seq])
-        applicable = tends_to_zero(ns, l1, 1e-6)
-        limits = []
-        convergent = True
-        for j in SANDWICH_DECAY_ORDERS:
-            vals = np.array([sandwich_seminorm(c, grid, j) for c in coeff_seq])
-            steps = np.abs(np.diff(vals))
-            scale = max(float(np.max(vals)), 1e-300)
-            convergent = convergent and tends_to_zero(
-                ns[1:], steps, 1e-8 * max(scale, 1.0))
-            fit = fit_trend(ns, vals)
-            limits.append(fit.limit if np.isfinite(fit.limit) else float(vals[-1]))
-        consistent = (not applicable) or (not convergent) or \
-            all(lim <= 1e-6 for lim in limits)
+        vals = np.array([[sandwich_seminorm(c, grid, j)
+                          for j in SANDWICH_DECAY_ORDERS] for c in coeff_seq])
+        probe = ladder_probe(ns, l1, vals, np.abs(np.diff(vals, axis=0)),
+                             names=[f"{name} sandwich j={j}"
+                                    for j in SANDWICH_DECAY_ORDERS])
         verdicts.append(GaussianProbeVerdict(
-            family=name, applicable=bool(applicable),
-            seminorms_convergent=bool(convergent),
-            seminorm_limits=tuple(limits), consistent=bool(consistent)))
+            family=name, applicable=probe.null,
+            seminorms_convergent=probe.cauchy, seminorm_limits=probe.limits,
+            consistent=not probe.counterexample))
     return verdicts
 
 

@@ -168,16 +168,3 @@ def verify_gns(rep: GNSRep) -> GNSDiagnostics:
     return GNSDiagnostics(homomorphism_residual=hom, adjoint_residual=adj,
                           inner_product_residual=ip, state_residual=st,
                           cyclicity_rank=cyc_rank, rank=r, kernel_dim=d - r)
-
-
-def state_map(rep: GNSRep) -> np.ndarray:
-    """The vector i -> <class(I), pi(e_i) class(I)>; a unitary invariant."""
-    return np.array([complex(np.vdot(rep.cyclic_vector,
-                                     rep.rep_matrices[i] @ rep.cyclic_vector))
-                     for i in range(rep.algebra.dim)])
-
-
-def representation_kernel_dim(rep: GNSRep, tol: float = 1e-10) -> int:
-    """Dimension of {a : pi(a) = 0}, computed from the stacked matrices."""
-    flat = rep.rep_matrices.reshape(rep.algebra.dim, -1)
-    return rep.algebra.dim - int(np.linalg.matrix_rank(flat, tol=tol))

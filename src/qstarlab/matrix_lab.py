@@ -3,8 +3,8 @@
 The ambient norm is the weighted two-norm; the trace state induces the
 Hilbert-Schmidt inner product as its sesquilinear form.  Finitely supported
 matrices play the dense *-algebra, which has no unit (the identity fails
-the finite-support condition), so requesting one raises.  Truncation growth
-stands in for the infinite setting everywhere.
+the finite-support condition), so the trace-form context carries none.
+Truncation growth stands in for the infinite setting everywhere.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MissingUnitError
-from .forms import FormContext, ProbeFamily
-from .rates import fit_trend, geometric_ladder, increment_growth_ratio, tends_to_zero
+from .forms import FormContext, ProbeFamily, closability_probe
+from .rates import increments_shrink, series_limit
 
-STABLE_RATIO = 1.0
 DEFAULT_TRUNCATION = 256
 MEMBERSHIP_LADDER = (16, 32, 64, 128, 256)
 
@@ -66,13 +64,6 @@ def trace_form(a, b) -> complex:
     if ea.shape != eb.shape:
         raise ValueError(f"truncation mismatch: {ea.shape} vs {eb.shape}")
     return complex(np.vdot(eb, ea))
-
-
-def unit_matrix(n: int = DEFAULT_TRUNCATION):
-    """The identity is not finitely supported as an infinite matrix."""
-    raise MissingUnitError(
-        "the finite-support matrix algebra is a quasi *-algebra without unit; "
-        "the identity lies outside the dense *-algebra")
 
 
 def m_constant(n: int) -> tuple[float, float]:
@@ -195,36 +186,28 @@ def matrix_closability_replay(family, n: int = DEFAULT_TRUNCATION,
     """
     if isinstance(family, str):
         family = matrix_family(family, n)
-    k_max = k_max or n
-    ks = geometric_ladder(k_max, points=points)
-    mats = [family.generate(int(k)) for k in ks]
+    mats = []  # the members the probe generates, kept for the entry-sup fit
 
-    weighted = np.array([weighted_norm(m) for m in mats])
-    diag = np.array([float(np.real(trace_form(m, m))) for m in mats])
-    steps = np.zeros(len(ks))
-    for i in range(1, len(ks)):
-        d = mats[i] - mats[i - 1]
-        steps[i] = float(np.real(trace_form(d, d)))
+    def generate(k: int) -> np.ndarray:
+        mats.append(family.generate(k))
+        return mats[-1]
 
-    weighted_null = tends_to_zero(ks, weighted, 1e-6)
-    cauchy = tends_to_zero(ks[1:], steps[1:], 1e-8)
-    a = None
+    verdict = closability_probe(trace_form_context(n),
+                                ProbeFamily(family.name, generate),
+                                k_max or n, points=points)
+    a = verdict.omega_limit
     entry_limit = None
-    if cauchy:
-        fit = fit_trend(ks, diag)
-        a = fit.limit if np.isfinite(fit.limit) else float(diag[-1])
-        sup = np.array([float(np.max(np.abs(m))) for m in mats])
-        sup_fit = fit_trend(ks, sup)
-        entry_limit = sup_fit.limit if np.isfinite(sup_fit.limit) else float(sup[-1])
-    rows = []
-    for i, k in enumerate(ks):
-        eq6 = abs(diag[i] - (a if a is not None else diag[-1]))
-        rows.append((int(k), weighted[i], diag[i], steps[i], eq6))
-    counterexample = bool(weighted_null and cauchy and a is not None and a > 1e-6)
-    return ReplayVerdict(family=family.name, weighted_null=bool(weighted_null),
-                         hs_cauchy=bool(cauchy), a=a,
+    if verdict.omega_cauchy:
+        sup = [float(np.max(np.abs(m))) for m in mats]
+        entry_limit = series_limit(verdict.ns, sup, "entry sup")[0]
+    eq6 = np.abs(verdict.omega_diag
+                 - (a if a is not None else verdict.omega_diag[-1]))
+    rows = list(zip(verdict.ns, verdict.tau_values, verdict.omega_diag,
+                    verdict.omega_steps, eq6))
+    return ReplayVerdict(family=family.name, weighted_null=verdict.tau_null,
+                         hs_cauchy=verdict.omega_cauchy, a=a,
                          entry_sup_limit=entry_limit,
-                         counterexample=counterexample, rows=rows)
+                         counterexample=verdict.counterexample, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +257,8 @@ def d_omega_identification(rules: dict | None = None,
     for name, (rule, oracle) in rules.items():
         sums = [float(np.sum(np.abs(_rule_matrix(rule, n)) ** 2))
                 for n in truncations]
-        ratio = increment_growth_ratio(sums)
-        verdicts.append(DomainVerdict(rule=name, member=ratio < STABLE_RATIO,
+        member, ratio = increments_shrink(truncations, sums, f"{name} HS sums")
+        verdicts.append(DomainVerdict(rule=name, member=member,
                                       oracle_member=oracle,
                                       growth_ratio=ratio))
     return verdicts

@@ -5,7 +5,8 @@ evaluated on a geometric ladder of indices.  A sequence of nonnegative
 values is accepted as null either because it sits below a hard floor at
 the tail, or because a log-log fit over the trailing decade shows clear
 power-law decay.  The fitted slope doubles as the observed convergence
-rate reported by the probes.
+rate reported by the probes.  Every closability probe is one
+`ladder_probe`, and a NaN or inf in any of its series raises.
 """
 
 from __future__ import annotations
@@ -26,6 +27,26 @@ GROWTH_RATIO = 1.3
 VALUE_FLOOR = 1e-14
 # Tail window used for hard-threshold checks and limit medians.
 TAIL_WINDOW = 5
+NULL_TOL = 1e-6
+CAUCHY_REL_TOL = 1e-8
+COUNTEREXAMPLE_TOL = 1e-6
+STABLE_RATIO = 1.0
+
+
+class NonFiniteSeriesError(ValueError):
+    """A probe series holds a NaN or an inf."""
+
+
+def _finite(ns, series, names, first: int = 0) -> np.ndarray:
+    """series as float columns, one per name, rows following ns[first:]."""
+    series = np.asarray(series, dtype=float).reshape(len(ns) - first, -1)
+    bad = np.argwhere(~np.isfinite(series))
+    if len(bad):
+        i, j = bad[0]
+        raise NonFiniteSeriesError(
+            f"series {names[j]!r} is {series[i, j]} at ladder position "
+            f"{first + i} (n={ns[first + i]})")
+    return series
 
 
 @dataclass(frozen=True)
@@ -88,8 +109,9 @@ def fit_trend(ns, values) -> TrendFit:
 
     window = values[mask]
     slope = float(np.polyfit(np.log(ns[mask]), np.log(window), 1)[0])
-    head = float(np.median(window[:3]))
-    foot = float(np.median(window[-3:]))
+    k = min(3, len(window) // 2)  # ends that do not overlap
+    head = float(np.median(window[:k]))
+    foot = float(np.median(window[-k:]))
     if slope <= -SLOPE_TOL and foot <= DECAY_RATIO * head:
         limit = 0.0
     elif slope >= SLOPE_TOL and foot >= GROWTH_RATIO * head:
@@ -100,10 +122,61 @@ def fit_trend(ns, values) -> TrendFit:
                     n_fit=int(np.count_nonzero(mask)))
 
 
+def _vanishes(fit: TrendFit, hard_threshold: float) -> bool:
+    return fit.tail_max <= hard_threshold or fit.limit == 0.0
+
+
 def tends_to_zero(ns, values, hard_threshold: float) -> bool:
     """True when the tail is below the threshold or the trend decays to 0."""
+    return _vanishes(fit_trend(ns, values), hard_threshold)
+
+
+def series_limit(ns, values, name: str = "values") -> tuple[float, TrendFit]:
+    """The fitted limit (the last value if the fit diverges), and the fit."""
+    values = _finite(ns, values, [name])[:, 0]
     fit = fit_trend(ns, values)
-    return fit.tail_max <= hard_threshold or fit.limit == 0.0
+    return (fit.limit if math.isfinite(fit.limit) else float(values[-1])), fit
+
+
+def ladder_cauchy(ns, values, steps, names=("values",)) -> tuple[bool, list]:
+    """Whether each value series (column; rows follow ns) has step residuals
+    (rows follow ns[1:]) below CAUCHY_REL_TOL * max(its largest value, 1)
+    at the tail or clearly decaying; with the residual fits."""
+    scales = np.maximum(_finite(ns, values, names).max(axis=0), 1.0)
+    steps = _finite(ns, steps, [f"{name} step" for name in names], first=1)
+    fits = [fit_trend(ns[1:], column) for column in steps.T]
+    return all(_vanishes(f, CAUCHY_REL_TOL * s)
+               for f, s in zip(fits, scales)), fits
+
+
+@dataclass(frozen=True)
+class LadderProbe:
+    """Verdict of ladder_probe; limits and slopes follow the value series."""
+
+    null: bool
+    cauchy: bool
+    limits: tuple
+    counterexample: bool  # null, Cauchy and a limit above COUNTEREXAMPLE_TOL
+    ambient_slope: float
+    value_slopes: tuple
+    step_slopes: tuple
+
+
+def ladder_probe(ns, ambient, values, steps, names=("values",)) -> LadderProbe:
+    """Probe a family on the ladder ns: null by tends_to_zero(ns, ambient,
+    NULL_TOL), Cauchy by ladder_cauchy, limits by series_limit."""
+    ambient = _finite(ns, ambient, ["ambient"])[:, 0]
+    cauchy, step_fits = ladder_cauchy(ns, values, steps, names)
+    columns = np.reshape(values, (len(ns), len(names))).T
+    limits, value_fits = zip(*(series_limit(ns, column, name)
+                               for column, name in zip(columns, names)))
+    null = tends_to_zero(ns, ambient, NULL_TOL)
+    return LadderProbe(null=null, cauchy=cauchy, limits=limits,
+                       counterexample=(null and cauchy
+                                       and max(limits) > COUNTEREXAMPLE_TOL),
+                       ambient_slope=fit_trend(ns, ambient).slope,
+                       value_slopes=tuple(f.slope for f in value_fits),
+                       step_slopes=tuple(f.slope for f in step_fits))
 
 
 def increment_growth_ratio(values) -> float:
@@ -124,3 +197,9 @@ def increment_growth_ratio(values) -> float:
     inc = np.maximum(inc, 1e-300)
     ratios = inc[1:] / inc[:-1]
     return float(np.exp(np.mean(np.log(ratios))))
+
+
+def increments_shrink(ns, values, name: str) -> tuple[bool, float]:
+    """Whether increments on a refinement ladder shrink, and their ratio."""
+    ratio = increment_growth_ratio(_finite(ns, values, [name])[:, 0])
+    return ratio < STABLE_RATIO, ratio

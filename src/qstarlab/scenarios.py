@@ -220,22 +220,15 @@ def _matrix_replay_suite(params: dict, seed: int) -> ScenarioOutcome:
     tables = {}
     null_ok = True
     rows = []
-    for name in sorted(NULL_FAMILIES):
+    for name in sorted(NULL_FAMILIES) + sorted(NON_CAUCHY_FAMILIES):
         verdict = mlab.matrix_closability_replay(name, n)
-        header, table_rows = verdict.table()
-        tables[f"replay_{name}"] = (header, table_rows)
-        ok = (verdict.weighted_null and verdict.hs_cauchy
-              and verdict.a is not None and verdict.a <= 1e-6
-              and not verdict.counterexample)
-        null_ok = null_ok and ok
-        rows.append([name, int(verdict.weighted_null), int(verdict.hs_cauchy),
-                     -1.0 if verdict.a is None else verdict.a,
-                     int(verdict.counterexample)])
-    for name in sorted(NON_CAUCHY_FAMILIES):
-        verdict = mlab.matrix_closability_replay(name, n)
-        ok = verdict.weighted_null and not verdict.hs_cauchy \
-            and not verdict.counterexample
-        null_ok = null_ok and ok
+        if name in NULL_FAMILIES:
+            tables[f"replay_{name}"] = verdict.table()
+        # Null families must be Cauchy (so, with no counterexample, their
+        # limit is 0); the others must not be.
+        null_ok = (null_ok and verdict.weighted_null
+                   and verdict.hs_cauchy == (name in NULL_FAMILIES)
+                   and not verdict.counterexample)
         rows.append([name, int(verdict.weighted_null), int(verdict.hs_cauchy),
                      -1.0 if verdict.a is None else verdict.a,
                      int(verdict.counterexample)])
@@ -680,6 +673,7 @@ OPERATIONS: dict[tuple[str, str], Operation] = {
                             "family": "scaled_corner"}),
     ("matrix-lab", "matrix_closability_replay"):
         Operation(_matrix_replay_op, frozenset({"family", "truncation"}),
+                  choices={"family": FORM_FAMILIES["matrix-trace"]},
                   bounds={"truncation": (2, TRUNCATION_CAP)}),
     ("function-lab", "unboundedness_witness"):
         Operation(_witness_op, frozenset({"p", "n_max"}),

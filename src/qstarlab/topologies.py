@@ -17,12 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .forms import ProbeFamily
-from .rates import fit_trend, geometric_ladder, tends_to_zero
+from .rates import geometric_ladder, ladder_cauchy, ladder_probe
 
 TOPOLOGIES = ("uniform", "strong", "strongstar", "weak")
-CAUCHY_REL_TOL = 1e-8
-LIMIT_SEMINORM_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +62,6 @@ class TruncatedTriple:
 
     def graph_norm(self, v, k: int) -> float:
         return self.norm(self.graph_weights ** k * np.asarray(v))
-
-    def dual_norm(self, u, k: int) -> float:
-        return self.norm(np.asarray(u) / self.graph_weights ** k)
 
 
 class TruncatedOperator:
@@ -231,31 +225,10 @@ def strongstar_hilbert_seminorm(a: TruncatedOperator, f) -> float:
                float(np.linalg.norm(a.adjoint().apply(f))))
 
 
-def eta_seminorm(ambient_value: float, operator_value: float) -> float:
-    """Seminorm of the extension domain: ambient seminorm plus operator
-    seminorm of the image; monotone under refinement of either family."""
-    return float(ambient_value) + float(operator_value)
-
-
 # ---------------------------------------------------------------------------
 # Seminorm suites
 
 Suite = Sequence[tuple[str, Callable[[TruncatedOperator], float]]]
-
-
-def default_bounded_sets(triple: TruncatedTriple, ks=(0, 1, 2),
-                         n_vectors: int = 8, seed: int = 0) -> list[BoundedSet]:
-    """Sampled graph-norm balls: n_vectors random vectors scaled onto the
-    unit sphere of each graph seminorm."""
-    rng = np.random.default_rng(seed)
-    sets = []
-    for k in ks:
-        vecs = []
-        for _ in range(n_vectors):
-            v = rng.standard_normal(triple.dim) + 1j * rng.standard_normal(triple.dim)
-            vecs.append(v / triple.graph_norm(v, k))
-        sets.append(BoundedSet(tuple(vecs), name=f"ball-k{k}"))
-    return sets
 
 
 def suite_from_bounded_sets(topology: str, bounded_sets,
@@ -290,29 +263,14 @@ def suite_from_bounded_sets(topology: str, bounded_sets,
     return suite
 
 
-def hilbert_strongstar_suite(phis) -> list:
-    """Strong* seminorms against the Hilbert norm for each test vector."""
-    return [(f"ss|{label}",
-             lambda a, f=f: strongstar_hilbert_seminorm(a, f))
-            for label, f in phis]
-
-
-def _suite_cauchy(suite: Suite, ops, steps):
-    """Suite values of each operator of a ladder, the step residuals, the
-    per-seminorm scales (largest value seen), and whether every seminorm
-    is Cauchy: its residuals end below CAUCHY_REL_TOL times its scale, or
-    clearly decay.  A non-finite value or residual is never Cauchy: an inf
-    would make the threshold infinite, and a nan would leave the verdict
-    to the decaying tail alone."""
+def _suite_series(suite: Suite, ops) -> tuple[np.ndarray, np.ndarray, list]:
+    """Suite values of each operator of a ladder (one column per seminorm),
+    the residuals between consecutive operators, and the seminorm names."""
     values = np.array([[fn(op) for _, fn in suite] for op in ops])
     residuals = np.array([[fn(ops[k] - ops[k - 1]) for _, fn in suite]
                           for k in range(1, len(ops))])
-    scales = np.maximum(values.max(axis=0), 1e-300)
-    cauchy = (bool(np.isfinite(values).all() and np.isfinite(residuals).all())
-              and all(tends_to_zero(steps[1:], residuals[:, i],
-                                    CAUCHY_REL_TOL * scales[i])
-                      for i in range(len(suite))))
-    return values, residuals, scales, cauchy
+    return (values, residuals.reshape(len(ops) - 1, len(suite)),
+            [name for name, _ in suite])
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +294,6 @@ class ExtensionResult:
     seminorm_names: tuple
     residual_trace: np.ndarray   # (steps-1, n_seminorms)
     ambient_residuals: np.ndarray
-    scales: np.ndarray
 
     def trace_table(self) -> tuple[list[str], list[list[float]]]:
         header = ["step"] + list(self.seminorm_names) + ["ambient"]
@@ -357,7 +314,8 @@ def extend_by_closure(ambient_norm, element_seq, rep_seq, topology: str,
     element_seq are ambient elements carrying the tau-norms, rep_seq their
     representatives at a common truncation.  The run converges when every
     seminorm in the suite has Cauchy residuals that vanish (hard threshold
-    relative to the largest seminorm seen, or clear power-law decay).  The
+    relative to the largest seminorm seen, or clear power-law decay); the
+    ambient residuals are judged the same way against the ambient norms.  The
     membership verdict distinguishes the extension domain reached: the
     Cauchy domain when the operator space is not complete for the chosen
     topology, the full extension domain when it is.
@@ -372,29 +330,23 @@ def extend_by_closure(ambient_norm, element_seq, rep_seq, topology: str,
     if len(dims) != 1:
         raise ValueError(f"inconsistent truncation dims {sorted(dims)}")
     if suite is None:
-        if topology == "weak":
-            suite = suite_from_bounded_sets(topology, [], weak_pairs=weak_pairs)
-        else:
-            suite = suite_from_bounded_sets(topology, m_suite or [], phis=phis)
+        suite = suite_from_bounded_sets(topology, m_suite or [], phis=phis,
+                                        weak_pairs=weak_pairs)
     if not suite:
         raise ValueError("empty seminorm suite")
 
-    names = tuple(name for name, _ in suite)
     n_steps = len(rep_seq)
-    if steps is None:
-        steps = np.arange(1, n_steps + 1)
-    steps = np.asarray(steps, dtype=float)
+    steps = np.arange(1, n_steps + 1) if steps is None else np.asarray(steps)
 
-    _, residuals, scales, cauchy = _suite_cauchy(suite, rep_seq, steps)
-    converged = n_steps >= 3 and cauchy
+    values, residuals, names = _suite_series(suite, rep_seq)
+    converged = n_steps >= 3 and ladder_cauchy(steps, values, residuals,
+                                               names)[0]
 
     ambient_res = np.array([ambient_norm(element_seq[k] - element_seq[k - 1])
                             for k in range(1, n_steps)])
-    ambient_scale = max(float(np.max(np.abs(ambient_res))), 1e-300)
-    ambient_threshold = CAUCHY_REL_TOL * max(ambient_scale, 1.0)
-    ambient_cauchy = (n_steps >= 3 and bool(np.isfinite(ambient_res).all())
-                      and tends_to_zero(steps[1:], ambient_res,
-                                        ambient_threshold))
+    ambient_cauchy = n_steps >= 3 and ladder_cauchy(
+        steps, [ambient_norm(x) for x in element_seq], ambient_res,
+        ("ambient",))[0]
 
     if converged and ambient_cauchy:
         domain = "A" if space_complete else "Atilde"
@@ -404,9 +356,9 @@ def extend_by_closure(ambient_norm, element_seq, rep_seq, topology: str,
                                      operator_cauchy=converged, domain=domain)
     limit = rep_seq[-1] if converged else None
     return ExtensionResult(converged=converged, limit=limit, topology=topology,
-                           membership=membership, seminorm_names=names,
+                           membership=membership, seminorm_names=tuple(names),
                            residual_trace=residuals,
-                           ambient_residuals=ambient_res, scales=scales)
+                           ambient_residuals=ambient_res)
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +369,13 @@ class ClosabilityVerdict:
     family: str
     tau_null: bool
     rep_cauchy: bool
-    limit_seminorm: float
     limit_extrapolated: float
     counterexample: bool
 
 
-def closability_check(null_families, rep_map, topology: str | None = None,
-                      *, suite: Suite, ambient_norm=None, n_max: int = 256,
-                      points: int = 16,
-                      limit_tol: float = LIMIT_SEMINORM_TOL) -> list:
+def closability_check(null_families, rep_map, *, suite: Suite,
+                      ambient_norm=None, n_max: int = 256,
+                      points: int = 16) -> list:
     """Hunt for families that are ambient-null with a nonzero operator limit.
 
     Each family must tau-converge to 0 (closed-form norms preferred).  A
@@ -433,9 +383,7 @@ def closability_check(null_families, rep_map, topology: str | None = None,
     has a seminorm bounded away from 0 is a closability counterexample.
     """
     verdicts = []
-    for family in null_families:
-        fam = family if isinstance(family, ProbeFamily) else ProbeFamily(
-            name=getattr(family, "__name__", "family"), generate=family)
+    for fam in null_families:
         ns = geometric_ladder(n_max, points=points)
         elements = [fam.generate(int(n)) for n in ns]
         if fam.tau_norm is not None:
@@ -444,17 +392,13 @@ def closability_check(null_families, rep_map, topology: str | None = None,
             tau = np.array([ambient_norm(x) for x in elements])
         else:
             raise ValueError(f"family {fam.name} carries no ambient norm")
-        tau_null = tends_to_zero(ns, tau, 1e-6)
-
-        ops = [rep_map(x) for x in elements]
-        values, _, _, cauchy = _suite_cauchy(suite, ops, ns)
-        worst = values.max(axis=1)
-        fit = fit_trend(ns, worst)
-        extrapolated = fit.limit if np.isfinite(fit.limit) else float(worst[-1])
+        values, residuals, names = _suite_series(
+            suite, [rep_map(x) for x in elements])
+        probe = ladder_probe(ns, tau, values, residuals, names)
         verdicts.append(ClosabilityVerdict(
-            family=fam.name, tau_null=tau_null, rep_cauchy=cauchy,
-            limit_seminorm=float(worst[-1]), limit_extrapolated=extrapolated,
-            counterexample=bool(tau_null and cauchy and extrapolated > limit_tol)))
+            family=fam.name, tau_null=probe.null, rep_cauchy=probe.cauchy,
+            limit_extrapolated=max(probe.limits),
+            counterexample=probe.counterexample))
     return verdicts
 
 
@@ -483,16 +427,13 @@ def quasi_algebra_closure_test(extension_samples, a_o_elements, rep_map,
     the involution is not continuous and the check is skipped and flagged.
     """
     ns = geometric_ladder(n_max, points=points)
-
-    def _is_cauchy(ops):
-        return _suite_cauchy(suite, ops, ns)[3]
-
     right = []
     for fam in extension_samples:
         elements = [fam.generate(int(n)) for n in ns]
         for label, b in a_o_elements:
             shifted_ops = [rep_map(mul(x, b)) for x in elements]
-            right.append((fam.name, label, _is_cauchy(shifted_ops)))
+            right.append((fam.name, label, ladder_cauchy(
+                ns, *_suite_series(suite, shifted_ops))[0]))
 
     involution = []
     skipped = topology == "strong"
@@ -501,12 +442,11 @@ def quasi_algebra_closure_test(extension_samples, a_o_elements, rep_map,
             raise ValueError("involution check needs a star operation")
         for fam in extension_samples:
             starred_ops = [rep_map(star(fam.generate(int(n)))) for n in ns]
-            involution.append((fam.name, _is_cauchy(starred_ops)))
+            involution.append((fam.name, ladder_cauchy(
+                ns, *_suite_series(suite, starred_ops))[0]))
 
-    bounded = None
-    if a_o_elements:
-        bounded = max(float(np.linalg.norm(rep_map(b).matrix, 2))
-                      for _, b in a_o_elements)
+    bounded = max((float(np.linalg.norm(rep_map(b).matrix, 2))
+                   for _, b in a_o_elements), default=None)
 
     all_stable = (all(flag for _, _, flag in right)
                   and all(flag for _, flag in involution))

@@ -9,7 +9,7 @@ from qstarlab.algebra import matrix_unit_algebra, normalized_trace_state
 from qstarlab.forms import ProbeFamily, closability_probe, form_from_state
 from qstarlab.gns import gns_construct
 from qstarlab.topologies import (TruncatedOperator, closability_check,
-                                 hilbert_strongstar_suite)
+                                 strongstar_hilbert_seminorm)
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +36,8 @@ def test_form_closability_implies_operator_closability(m2_setup):
     # none on the same family.
     m2, state, ctx, rep = m2_setup
     dim = rep.rank
-    suite = hilbert_strongstar_suite(
-        [(f"e{i}", np.eye(dim, dtype=complex)[i]) for i in range(dim)])
+    suite = [(f"ss|e{i}", lambda a, f=f: strongstar_hilbert_seminorm(a, f))
+             for i, f in enumerate(np.eye(dim, dtype=complex))]
 
     def rep_map(coeffs):
         return TruncatedOperator(rep.represent(m2.element(coeffs)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qstarlab.ccr import (CCRPolynomial, TrigPoly, TwoPiScalar, adjoint_check,
                           ccr_mul, ccr_polynomial_from_literal,
                           ccr_polynomial_to_literal, ccr_represent, ccr_star,
-                          convolution_matrix, faithfulness_defect, freqs,
+                          faithfulness_defect, freqs,
                           graph_seminorm, graph_seminorm_poly, graph_weights,
                           homomorphism_check, momentum_matrix,
                           random_ccr_polynomial, safe_indices,
@@ -38,9 +38,6 @@ def test_trig_poly_product_and_derivative():
     d = e1.derivative()
     assert abs(d.coeffs[1].to_complex() - 2j * math.pi) == 0.0
     assert TrigPoly.mode(0, 5).derivative().is_zero()
-    real_poly = TrigPoly({1: 1 - 2j, -1: 1 + 2j, 0: 3})
-    assert real_poly.is_real()
-    assert not TrigPoly({1: 1}).is_real()
 
 
 def test_trig_poly_vector_window():
@@ -156,14 +153,6 @@ def test_represent_truncation_too_small():
     q = CCRPolynomial.multiplication(TrigPoly.mode(3))
     with pytest.raises(ValueError, match="truncation too small"):
         ccr_represent(q, 3)
-
-
-def test_convolution_matrix_matches_poly_product():
-    phi = TrigPoly({1: 2.0, -2: 1j})
-    psi = TrigPoly({1: 1.0, 0: -0.5})
-    lhs = convolution_matrix(phi, 8) @ psi.to_vector(8)
-    rhs = (phi * psi).to_vector(8)
-    assert np.allclose(lhs, rhs)
 
 
 def test_commutation_relation_residual():

@@ -129,6 +129,17 @@ def test_probe_weighted_form_context(grid):
         flab.omega_form(tent, tent, weight))
 
 
+def test_probe_refuses_a_nan_form(grid):
+    # A form that returns NaN used to read as "no counterexample".
+    from qstarlab.rates import NonFiniteSeriesError
+
+    ctx = FormContext(name="nan", form=lambda f, g: complex("nan"),
+                      ambient_norm=lambda f: flab.lp_norm(f, 1.0))
+    with pytest.raises(NonFiniteSeriesError,
+                       match="'omega' is nan at ladder position 0 "):
+        closability_probe(ctx, flab.tent_family(grid, 0.25, 1.0), 64)
+
+
 def test_verdict_table_shape(grid):
     ctx = flab.lp_form_context(1.0, grid)
     verdict = closability_probe(ctx, flab.scaled_one_family(grid), 64)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from qstarlab.algebra import MissingUnitError
 from qstarlab.matrix_lab import (ENTRY_RULES, NON_CAUCHY_FAMILIES,
                                  NULL_FAMILIES, WeightedMatrix,
                                  d_omega_identification, hs_norm, m_constant,
                                  matrix_closability_replay, matrix_family,
-                                 trace_form, trace_form_context, unit_matrix,
+                                 trace_form, trace_form_context,
                                  weight_matrix, weighted_norm)
 
 
@@ -67,11 +66,6 @@ def test_weighted_below_hs_strict_off_corner():
     assert weighted_norm(off) < hs_norm(off)
     corner = unit_entry(4, 0, 0)
     assert weighted_norm(corner) == pytest.approx(hs_norm(corner))
-
-
-def test_unit_request_fails():
-    with pytest.raises(MissingUnitError, match="without unit"):
-        unit_matrix(8)
 
 
 def test_weighted_matrix_wrapper():

@@ -1,0 +1,60 @@
+"""Behaviour oracle: `qstarlab replicate --seed 0` against its recorded output.
+
+tests/data/replicate_seed0 holds every file one replicate run writes (the
+seven `<id>.json` verdicts and their CSV tables).  A rerun must write the
+same files with the same booleans, integers and strings, and floats equal
+to 1e-12 relative.
+"""
+
+import csv
+import json
+import math
+import os
+
+from qstarlab.cli import main
+
+ORACLE_DIR = os.path.join(os.path.dirname(__file__), "data", "replicate_seed0")
+REL_TOL = 1e-12
+
+
+def _cell(text: str):
+    """A CSV cell as int, float or str."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _assert_same(got, want, where: str) -> None:
+    if isinstance(want, float) and isinstance(got, (int, float)) \
+            and not isinstance(got, bool):
+        assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0), \
+            (where, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+def _load(path: str):
+    with open(path, encoding="utf-8", newline="") as fh:
+        if path.endswith(".json"):
+            return json.load(fh)
+        return [[_cell(c) for c in row] for row in csv.reader(fh)]
+
+
+def test_replicate_seed0_matches_recorded_output(tmp_path):
+    assert main(["--seed", "0", "--out-dir", str(tmp_path), "replicate"]) == 0
+    names = sorted(os.listdir(ORACLE_DIR))
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        _assert_same(_load(str(tmp_path / name)),
+                     _load(os.path.join(ORACLE_DIR, name)), name)

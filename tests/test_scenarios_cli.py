@@ -27,8 +27,6 @@ def test_every_scenario_passes():
 
 
 def test_config_operation_parameter_errors(tmp_path):
-    from qstarlab.serialize import nested_to_complex
-
     bad_cases = [
         {"module": "forms", "operation": "closability_probe",
          "parameters": {"context": "nowhere"}},
@@ -42,13 +40,13 @@ def test_config_operation_parameter_errors(tmp_path):
          "parameters": {"algebra": "m5"}},
         {"module": "gns", "operation": "gns_construct",
          "parameters": {"algebra": "z4", "state": "corner"}},
+        {"module": "matrix-lab", "operation": "matrix_closability_replay",
+         "parameters": {"family": "no_such_family"}},
     ]
     for entry in bad_cases:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"scenarios": [entry]}))
         assert main(["--out-dir", str(tmp_path / "o"), "run", str(cfg)]) == 2
-    with pytest.raises(ValueError, match="leaves"):
-        nested_to_complex([1.0, 2.0, 3.0])
 
 
 def test_parse_config_validation():
@@ -299,25 +297,86 @@ def test_integer_parameter_cap_rejects_before_running(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_raising_scenario_keeps_other_outputs(tmp_path, capsys, jobs):
+def _stub_operation(monkeypatch, handler):
+    """Replace the matrix_closability_replay handler, keeping its
+    parameter validation."""
+    from qstarlab import scenarios
+
+    key = ("matrix-lab", "matrix_closability_replay")
+    monkeypatch.setitem(scenarios.OPERATIONS, key, dataclasses.replace(
+        scenarios.OPERATIONS[key], handler=handler))
+    return {"module": key[0], "operation": key[1]}
+
+
+def _run_with_failing(tmp_path, jobs, entry):
+    """Run a config of one passing scenario and `entry` (id "boom"); return
+    the exit code and boom's outcome."""
     cfg = tmp_path / "raise.json"
     cfg.write_text(json.dumps({"scenarios": [
         {"id": "ok", "module": "gns", "operation": "gns_construct"},
-        {"id": "boom", "module": "matrix-lab",
-         "operation": "matrix_closability_replay",
-         "parameters": {"family": "no_such_family"}}]}))
+        {"id": "boom", **entry}]}))
     out_dir = tmp_path / "out"
-    assert main(["--jobs", jobs, "--out-dir", str(out_dir), "run",
-                 str(cfg)]) == 1
+    code = main(["--jobs", jobs, "--out-dir", str(out_dir), "run", str(cfg)])
+    assert json.loads((out_dir / "ok.json").read_text())["passed"] is True
+    return code, json.loads((out_dir / "boom.json").read_text())
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_raising_scenario_keeps_other_outputs(tmp_path, capsys, monkeypatch,
+                                              jobs):
+    def handler(params, seed):
+        raise KeyError("no_such_family")
+
+    entry = _stub_operation(monkeypatch, handler)
+    code, failed = _run_with_failing(tmp_path, jobs, entry)
+    assert code == 1
     captured = capsys.readouterr()
     assert "ok: pass" in captured.out and "boom: FAIL" in captured.out
     assert "KeyError" in captured.err
-    assert json.loads((out_dir / "ok.json").read_text())["passed"] is True
-    failed = json.loads((out_dir / "boom.json").read_text())
     assert failed["passed"] is False
     assert failed["details"]["error"]["type"] == "KeyError"
     assert "no_such_family" in failed["details"]["error"]["message"]
+
+
+def test_non_finite_series_fail_the_scenario(tmp_path, monkeypatch):
+    # A NaN form value and an inf representative used to read as "no
+    # counterexample"; now the scenario fails and names the series.
+    import numpy as np
+
+    from qstarlab import function_lab as flab, matrix_lab as mlab
+    from qstarlab.forms import FormContext, ProbeFamily, closability_probe
+    from qstarlab.scenarios import ScenarioOutcome
+    from qstarlab.topologies import (TruncatedOperator, closability_check,
+                                     suite_from_bounded_sets)
+
+    def nan_form(params, seed):
+        base = mlab.trace_form_context(8)
+        ctx = FormContext("nan", lambda a, b: complex("nan"),
+                          base.ambient_norm)
+        verdict = closability_probe(ctx, mlab.matrix_family("scaled_corner", 8), 8)
+        return ScenarioOutcome("", not verdict.counterexample, {}, {})
+
+    def inf_rep(params, seed):
+        grid = flab.simpson_grid(33)
+        one = TruncatedOperator(diag=np.ones(33))
+        spoiled = TruncatedOperator(diag=np.r_[np.ones(32), np.inf])
+        verdicts = closability_check(
+            [ProbeFamily("null-but-constant-rep", lambda n: n,
+                         tau_norm=lambda n: 1.0 / n)],
+            rep_map=lambda n: spoiled if n == 4 else one,
+            suite=suite_from_bounded_sets("uniform",
+                                          [flab.node_spike_set(grid)]),
+            n_max=64)
+        return ScenarioOutcome("", not verdicts[0].counterexample, {}, {})
+
+    for handler, message in ((nan_form, "'omega' is nan at ladder position 0 "),
+                             (inf_rep, "'uniform|node-spikes' is inf at "
+                                       "ladder position 3 (n=4)")):
+        code, failed = _run_with_failing(
+            tmp_path, "1", _stub_operation(monkeypatch, handler))
+        assert code == 1 and failed["passed"] is False
+        assert failed["details"]["error"]["type"] == "NonFiniteSeriesError"
+        assert message in failed["details"]["error"]["message"]
 
 
 def test_paired_choices_rejected_before_running(tmp_path, capsys, monkeypatch):
