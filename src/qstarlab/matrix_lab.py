@@ -4,11 +4,14 @@ The ambient norm is the weighted two-norm; the trace state induces the
 Hilbert-Schmidt inner product as its sesquilinear form.  Finitely supported
 matrices play the dense *-algebra, which has no unit (the identity fails
 the finite-support condition), so the trace-form context carries none.
-Truncation growth stands in for the infinite setting everywhere.
+Each element is stored and evaluated as the top-left block that holds its
+support (`WeightedMatrix`).  Truncation growth stands in for the infinite
+setting everywhere.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,50 +23,125 @@ DEFAULT_TRUNCATION = 256
 MEMBERSHIP_LADDER = (16, 32, 64, 128, 256)
 
 
+@functools.lru_cache(maxsize=8)
 def weight_matrix(n: int) -> np.ndarray:
-    """w[m, n] = 1/(m^2 n^2) with 1-based indices."""
+    """w[m, n] = 1/(m^2 n^2) with 1-based indices; cached and read-only."""
     inv_sq = 1.0 / np.arange(1, n + 1, dtype=float) ** 2
-    return np.outer(inv_sq, inv_sq)
+    w = np.outer(inv_sq, inv_sq)
+    w.flags.writeable = False
+    return w
 
 
-@dataclass(frozen=True, eq=False)
 class WeightedMatrix:
-    """Truncated element of the weighted matrix space."""
+    """Truncated element of the weighted matrix space, held as its support.
 
-    entries: np.ndarray
+    entries is the top-left r x c block of an N x N truncation (N is
+    `truncation`); every entry outside the block is zero.  Real blocks are
+    float64.  Without a truncation the block must be square and is the
+    whole truncation, so a plain square ndarray is a full block.  Sums and
+    differences pad to the larger block; `np.asarray` gives the dense
+    N x N embedding.
+    """
 
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
-            raise ValueError(f"need a square matrix of size >= 2, got {a.shape}")
-        object.__setattr__(self, "entries", a)
+    __slots__ = ("entries", "truncation")
+    __array_ufunc__ = None  # ndarray - block defers to __rsub__
 
-    @property
-    def truncation(self) -> int:
-        return self.entries.shape[0]
+    def __init__(self, entries, truncation: int | None = None):
+        a = np.asarray(entries)
+        if not np.iscomplexobj(a):
+            a = a.astype(float, copy=False)
+        if a.ndim != 2:
+            raise ValueError(f"need a two-dimensional block, got {a.shape}")
+        if truncation is None:
+            if a.shape[0] != a.shape[1]:
+                raise ValueError(f"need a square matrix without a truncation, "
+                                 f"got {a.shape}")
+            truncation = a.shape[0]
+        if truncation < 2 or min(a.shape) < 1 or max(a.shape) > truncation:
+            raise ValueError(f"block {a.shape} does not fit truncation "
+                             f"{truncation} (>= 2)")
+        self.entries = a
+        self.truncation = int(truncation)
+
+    def __array__(self, dtype=None, copy=None):
+        n = self.truncation
+        dense = np.zeros((n, n), self.entries.dtype if dtype is None else dtype)
+        r, c = self.entries.shape
+        dense[:r, :c] = self.entries
+        return dense
+
+    def __add__(self, other):
+        return _padded(np.add, self, other)
+
+    def __radd__(self, other):
+        return _padded(np.add, other, self)
+
+    def __sub__(self, other):
+        return _padded(np.subtract, self, other)
+
+    def __rsub__(self, other):
+        return _padded(np.subtract, other, self)
 
 
-def _entries(a) -> np.ndarray:
-    return a.entries if isinstance(a, WeightedMatrix) else np.asarray(a, dtype=complex)
+def _block(a) -> WeightedMatrix:
+    return a if isinstance(a, WeightedMatrix) else WeightedMatrix(a)
+
+
+def _common_truncation(a: WeightedMatrix, b: WeightedMatrix) -> int:
+    if a.truncation != b.truncation:
+        raise ValueError(f"truncation mismatch: {a.truncation} vs "
+                         f"{b.truncation}")
+    return a.truncation
+
+
+def _padded(op, a, b) -> WeightedMatrix:
+    """op(a, b) entrywise over the larger of the two blocks."""
+    a, b = _block(a), _block(b)
+    n = _common_truncation(a, b)
+    ea, eb = a.entries, b.entries
+    if ea.shape == eb.shape:
+        return WeightedMatrix(op(ea, eb), n)
+    out = np.zeros((max(ea.shape[0], eb.shape[0]), max(ea.shape[1], eb.shape[1])),
+                   dtype=np.result_type(ea, eb))
+    out[:ea.shape[0], :ea.shape[1]] = ea
+    head = out[:eb.shape[0], :eb.shape[1]]
+    op(head, eb, out=head)
+    return WeightedMatrix(out, n)
+
+
+def _star(a) -> WeightedMatrix:
+    a = _block(a)
+    return WeightedMatrix(a.entries.conj().T, a.truncation)
+
+
+def _mul(a, b) -> WeightedMatrix:
+    """The matrix product over the common inner extent of the two blocks."""
+    a, b = _block(a), _block(b)
+    n = _common_truncation(a, b)
+    k = min(a.entries.shape[1], b.entries.shape[0])
+    return WeightedMatrix(a.entries[:, :k] @ b.entries[:k, :], n)
 
 
 def weighted_norm(a) -> float:
-    """sqrt of sum 1/(m^2 n^2) |a_mn|^2."""
-    m = _entries(a)
-    return float(np.sqrt(np.sum(weight_matrix(m.shape[0]) * np.abs(m) ** 2)))
+    """sqrt of sum 1/(m^2 n^2) |a_mn|^2 over the block."""
+    a = _block(a)
+    r, c = a.entries.shape
+    w = weight_matrix(a.truncation)[:r, :c]
+    return float(np.sqrt(np.sum(w * np.abs(a.entries) ** 2)))
 
 
 def hs_norm(a) -> float:
     """Plain Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(_entries(a)))
+    return float(np.linalg.norm(_block(a).entries))
 
 
 def trace_form(a, b) -> complex:
-    """The trace-state form: sum conj(b_mn) a_mn."""
-    ea, eb = _entries(a), _entries(b)
-    if ea.shape != eb.shape:
-        raise ValueError(f"truncation mismatch: {ea.shape} vs {eb.shape}")
-    return complex(np.vdot(eb, ea))
+    """The trace-state form: sum conj(b_mn) a_mn over the common block."""
+    a, b = _block(a), _block(b)
+    _common_truncation(a, b)
+    r = min(a.entries.shape[0], b.entries.shape[0])
+    c = min(a.entries.shape[1], b.entries.shape[1])
+    return complex(np.vdot(b.entries[:r, :c], a.entries[:r, :c]))
 
 
 def m_constant(n: int) -> tuple[float, float]:
@@ -84,50 +162,53 @@ def trace_form_context(n: int = DEFAULT_TRUNCATION) -> FormContext:
         name=f"matrix-trace[N={n}]",
         form=trace_form,
         ambient_norm=weighted_norm,
-        star=lambda a: _entries(a).conj().T,
-        mul=lambda a, b: _entries(a) @ _entries(b),
+        star=_star,
+        mul=_mul,
         unit=None)
 
 
 # ---------------------------------------------------------------------------
 # Probe families
 
-def _corner(k: int, n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=complex)
-    a[0, 0] = 1.0 / k
-    return a
+def _corner(k: int, n: int) -> WeightedMatrix:
+    return WeightedMatrix([[1.0 / k]], n)
 
 
-def _rank_one_decay(k: int, n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _harmonic_outer(n: int) -> np.ndarray:
+    """u[m, n] = 1/(m n) with 1-based indices; cached and read-only."""
     inv = 1.0 / np.arange(1, n + 1, dtype=float)
-    return (2.0 ** -float(k)) * np.outer(inv, inv).astype(complex)
+    u = np.outer(inv, inv)
+    u.flags.writeable = False
+    return u
 
 
-def _shrinking_block(k: int, n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=complex)
-    side = min(int(np.ceil(np.sqrt(k))), n)
-    a[:side, :side] = 1.0 / k ** 2
-    return a
+def _rank_one_decay(k: int, n: int) -> WeightedMatrix:
+    return WeightedMatrix((2.0 ** -float(k)) * _harmonic_outer(n), n)
 
 
-def _decaying_column(k: int, n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=complex)
-    a[:, 0] = 1.0 / (k * np.arange(1, n + 1, dtype=float) ** 2)
-    return a
+def _constant_block(side: int, value: float, n: int) -> WeightedMatrix:
+    return WeightedMatrix(np.full((side, side), value), n)
 
 
-def _moving_bump(k: int, n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=complex)
+def _shrinking_block(k: int, n: int) -> WeightedMatrix:
+    return _constant_block(min(int(np.ceil(np.sqrt(k))), n), 1.0 / k ** 2, n)
+
+
+def _decaying_column(k: int, n: int) -> WeightedMatrix:
+    column = 1.0 / (k * np.arange(1, n + 1, dtype=float) ** 2)
+    return WeightedMatrix(column[:, None], n)
+
+
+def _moving_bump(k: int, n: int) -> WeightedMatrix:
     idx = min(k, n) - 1
+    a = np.zeros((idx + 1, idx + 1))
     a[idx, idx] = 1.0
-    return a
+    return WeightedMatrix(a, n)
 
 
-def _spreading_block(k: int, n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=complex)
-    side = min(k, n)
-    a[:side, :side] = 1.0 / k
-    return a
+def _spreading_block(k: int, n: int) -> WeightedMatrix:
+    return _constant_block(min(k, n), 1.0 / k, n)
 
 
 # Families that are weighted-null and trace-form Cauchy: the replay must
@@ -188,7 +269,7 @@ def matrix_closability_replay(family, n: int = DEFAULT_TRUNCATION,
         family = matrix_family(family, n)
     mats = []  # the members the probe generates, kept for the entry-sup fit
 
-    def generate(k: int) -> np.ndarray:
+    def generate(k: int) -> WeightedMatrix:
         mats.append(family.generate(k))
         return mats[-1]
 
@@ -198,7 +279,7 @@ def matrix_closability_replay(family, n: int = DEFAULT_TRUNCATION,
     a = verdict.omega_limit
     entry_limit = None
     if verdict.omega_cauchy:
-        sup = [float(np.max(np.abs(m))) for m in mats]
+        sup = [float(np.max(np.abs(m.entries))) for m in mats]
         entry_limit = series_limit(verdict.ns, sup, "entry sup")[0]
     eq6 = np.abs(verdict.omega_diag
                  - (a if a is not None else verdict.omega_diag[-1]))
@@ -241,7 +322,7 @@ class DomainVerdict:
 
 def _rule_matrix(rule, n: int) -> np.ndarray:
     idx = np.arange(1, n + 1, dtype=float)
-    return np.asarray(rule(idx[:, None], idx[None, :]), dtype=complex)
+    return np.asarray(rule(idx[:, None], idx[None, :]), dtype=float)
 
 
 def d_omega_identification(rules: dict | None = None,

@@ -466,20 +466,12 @@ def _lemma24_op(params: dict, seed: int) -> ScenarioOutcome:
 
 
 def _matrix_shift_suite(n: int) -> list:
-    e11 = np.zeros((n, n), dtype=complex)
-    e11[0, 0] = 1.0
-    swap = np.zeros((n, n), dtype=complex)
-    swap[0, 1] = swap[1, 0] = 1.0
-    diag3 = np.zeros((n, n), dtype=complex)
-    diag3[:3, :3] = np.diag([1.0, 1.0, 1.0])
-    band = np.zeros((n, n), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            band[i, j] = 1.0 / (i + j + 1)
-    cornerj = np.zeros((n, n), dtype=complex)
-    cornerj[0, 2] = 1.0j
-    return [("E11", e11), ("swap12", swap), ("diag3", diag3),
-            ("band3", band), ("corner_i", cornerj)]
+    """The five right shifts of check_lemma24, as support blocks."""
+    band = 1.0 / (np.arange(3)[:, None] + np.arange(3)[None, :] + 1.0)
+    blocks = [("E11", [[1.0]]), ("swap12", [[0.0, 1.0], [1.0, 0.0]]),
+              ("diag3", np.eye(3)), ("band3", band),
+              ("corner_i", [[0.0, 0.0, 1.0j]])]
+    return [(label, mlab.WeightedMatrix(b, n)) for label, b in blocks]
 
 
 # closability_probe: the families each form context offers.
