@@ -199,15 +199,15 @@ class State:
         s, c = algebra.involution, algebra.structure
         return np.einsum("ik,kjl,l->ij", s, c, self.values)
 
-    def check_positive(self, algebra: StarAlgebra,
-                       tol: float = POSITIVITY_TOL) -> np.ndarray:
-        """Return the Gram matrix, raising if it is not Hermitian PSD."""
+    def check_positive(self, algebra: StarAlgebra) -> np.ndarray:
+        """Return the Gram matrix, raising if it is not Hermitian PSD to
+        within POSITIVITY_TOL."""
         g = self.gram(algebra)
         herm = float(np.max(np.abs(g - g.conj().T)))
-        if herm > tol:
+        if herm > POSITIVITY_TOL:
             raise NonPositiveStateError(herm)
         eigs = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-        if eigs[0] < -tol:
+        if eigs[0] < -POSITIVITY_TOL:
             raise NonPositiveStateError(float(eigs[0]))
         return g
 

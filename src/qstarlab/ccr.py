@@ -435,32 +435,37 @@ class SubmultReport:
         return self.max_ratio <= 2.0 * max(self.half_sample_ratio, 1.0)
 
 
-def _random_coefficients(rng, shape: tuple, scale: int,
-                         integer: bool) -> np.ndarray:
+# Integer random coefficients have real and imaginary parts in
+# [-RANDOM_SCALE, RANDOM_SCALE]; submultiplicativity_probe draws trigonometric
+# polynomials up to frequency SUBMULT_MAX_FREQ.
+RANDOM_SCALE = 2
+SUBMULT_MAX_FREQ = 8
+
+
+def _random_coefficients(rng, shape: tuple, integer: bool) -> np.ndarray:
     """Complex draws in C order, each real part drawn before its imaginary
     part, as the array C[..., n + F, 0]."""
     if integer:
-        draws = rng.integers(-scale, scale + 1, size=(*shape, 2)).astype(float)
+        draws = rng.integers(-RANDOM_SCALE, RANDOM_SCALE + 1,
+                             size=(*shape, 2)).astype(float)
     else:
         draws = rng.standard_normal((*shape, 2))
     return draws.view(complex)
 
 
-def random_trig_poly(rng, max_freq: int, scale: int = 2,
-                     integer: bool = True) -> TrigPoly:
+def random_trig_poly(rng, max_freq: int, integer: bool = True) -> TrigPoly:
     """Random trigonometric polynomial; integer mode keeps coefficients
     Gaussian-integer so symbolic identities stay exact."""
     return TrigPoly._from_array(
-        _random_coefficients(rng, (2 * max_freq + 1,), scale, integer))
+        _random_coefficients(rng, (2 * max_freq + 1,), integer))
 
 
-def random_ccr_polynomial(rng, degree: int, max_freq: int,
-                          scale: int = 2) -> CCRPolynomial:
+def random_ccr_polynomial(rng, degree: int, max_freq: int) -> CCRPolynomial:
     return CCRPolynomial._from_array(_random_coefficients(
-        rng, (degree + 1, 2 * max_freq + 1), scale, True))
+        rng, (degree + 1, 2 * max_freq + 1), True))
 
 
-def submultiplicativity_probe(k: int, n_pairs: int = 40, max_freq: int = 8,
+def submultiplicativity_probe(k: int, n_pairs: int = 40,
                               seed: int = 0) -> SubmultReport:
     """Empirical constant in |phi chi|_k <= c_k |phi|_k |chi|_k.
 
@@ -470,8 +475,8 @@ def submultiplicativity_probe(k: int, n_pairs: int = 40, max_freq: int = 8,
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(n_pairs):
-        phi = random_trig_poly(rng, max_freq, integer=False)
-        chi = random_trig_poly(rng, max_freq, integer=False)
+        phi = random_trig_poly(rng, SUBMULT_MAX_FREQ, integer=False)
+        chi = random_trig_poly(rng, SUBMULT_MAX_FREQ, integer=False)
         denom = graph_seminorm_poly(phi, k) * graph_seminorm_poly(chi, k)
         if denom == 0:
             continue

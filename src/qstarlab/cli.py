@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 from .scenarios import (ConfigError, SCENARIOS, ScenarioOutcome, list_catalog,
                         parse_config, run_scenario, write_outcome)
@@ -29,7 +28,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="emit tables as CSV files or embed them in JSON")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="scenario-level parallelism bound")
+                        help="accepted and ignored: scenarios run serially; "
+                        "kept until the benchmark argvs stop passing it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run scenarios from a JSON config")
@@ -49,12 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_one(scenario, seed: int) -> ScenarioOutcome:
-    """run_scenario, except that an exception raised inside the scenario,
-    other than a config error, becomes a FAIL outcome recording it."""
+    """run_scenario, except that an exception raised inside the scenario
+    becomes a FAIL outcome recording it."""
     try:
         return run_scenario(scenario, seed)
-    except ConfigError:
-        raise
     except Exception as exc:
         print(f"error: scenario {scenario.scenario_id} raised:",
               file=sys.stderr)
@@ -66,18 +64,9 @@ def _run_one(scenario, seed: int) -> ScenarioOutcome:
             tables={}, output_stem=scenario.output_stem)
 
 
-def _run_all(scenarios, seed: int, jobs: int, out_dir: str, fmt: str) -> int:
-    outcomes: list[ScenarioOutcome] = []
-    try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_run_one, sc, seed) for sc in scenarios]
-                outcomes = [f.result() for f in futures]
-        else:
-            outcomes = [_run_one(sc, seed) for sc in scenarios]
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _run_all(scenarios, seed: int, out_dir: str, fmt: str) -> int:
+    """Run every scenario in turn, then write the outcomes in id order."""
+    outcomes = [_run_one(sc, seed) for sc in scenarios]
     failed = 0
     for outcome in sorted(outcomes, key=lambda o: o.scenario_id):
         write_outcome(outcome, out_dir, fmt)
@@ -119,8 +108,7 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        return _run_all(scenarios, args.seed, args.jobs, args.out_dir,
-                        args.format)
+        return _run_all(scenarios, args.seed, args.out_dir, args.format)
 
     if args.command == "replicate":
         if args.example is not None:
@@ -131,7 +119,7 @@ def main(argv=None) -> int:
             picked = [SCENARIOS[args.example]]
         else:
             picked = list_catalog()
-        return _run_all(picked, args.seed, args.jobs, args.out_dir, args.format)
+        return _run_all(picked, args.seed, args.out_dir, args.format)
 
     parser.error(f"unknown command {args.command!r}")
     return 2

@@ -20,8 +20,9 @@ import numpy as np
 from .algebra import StarAlgebra, State
 from .rates import geometric_ladder, ladder_probe
 
-HERMITICITY_TOL = 1e-10
-POSITIVITY_TOL = 1e-10
+# check_ips_conditions treats x as degenerate when form(x, x) is at most
+# this fraction of the largest diagonal value (or of 1).
+DEGENERATE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,8 @@ class Lemma24Report:
     notes: str = ""
 
 
-def check_lemma24(ctx: FormContext, families, shifts, n_max: int,
-                  *, points: int = 24) -> Lemma24Report:
+def check_lemma24(ctx: FormContext, families, shifts,
+                  n_max: int) -> Lemma24Report:
     """Run every family against the form, its star form and each shift.
 
     shifts is a list of (label, element) pairs; pass the unit among them
@@ -197,12 +198,10 @@ def check_lemma24(ctx: FormContext, families, shifts, n_max: int,
     rows = []
     counterexamples = []
     for fam in families:
-        verdicts = {"omega": closability_probe(ctx, fam, n_max, points=points),
-                    "omega_star": closability_probe(starred, fam, n_max,
-                                                    points=points)}
+        verdicts = {"omega": closability_probe(ctx, fam, n_max),
+                    "omega_star": closability_probe(starred, fam, n_max)}
         for label, sctx in shifted:
-            verdicts[f"omega_B[{label}]"] = closability_probe(
-                sctx, fam, n_max, points=points)
+            verdicts[f"omega_B[{label}]"] = closability_probe(sctx, fam, n_max)
         flags = {key: v.counterexample for key, v in verdicts.items()}
         rows.append({"family": fam.name, "flags": flags, "verdicts": verdicts})
         counterexamples.extend(f"{fam.name}:{key}"
@@ -233,11 +232,11 @@ class IPSReport:
     invariance_residual: float
     degeneracy_residual: float
     pairs_checked: int
-    structural: tuple[str, str] = ("by-construction", "by-construction")
+    # a class constant, not a constructor field: both always hold
+    structural = ("by-construction", "by-construction")
 
 
-def check_ips_conditions(ctx: FormContext, xs, bs, *,
-                         degenerate_tol: float = 1e-10) -> IPSReport:
+def check_ips_conditions(ctx: FormContext, xs, bs) -> IPSReport:
     """Check form(x b1, b2) = form(b1, x* b2) and the degeneracy implication.
 
     xs are extension-domain elements (limits of domain sequences are fine,
@@ -257,7 +256,7 @@ def check_ips_conditions(ctx: FormContext, xs, bs, *,
     scale = max((abs(ctx.diag(x)) for x in xs), default=1.0)
     deg = 0.0
     for x in xs:
-        if abs(ctx.diag(x)) <= degenerate_tol * max(scale, 1.0):
+        if abs(ctx.diag(x)) <= DEGENERATE_TOL * max(scale, 1.0):
             for y in list(xs) + list(bs):
                 deg = max(deg, abs(ctx.form(x, y)))
     return IPSReport(invariance_residual=inv, degeneracy_residual=deg,

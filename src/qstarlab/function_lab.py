@@ -22,6 +22,8 @@ MIN_NODES = 32
 DEFAULT_SIMPSON_NODES = 4097
 DEFAULT_HERMITE_NODES = 128
 MEMBERSHIP_LADDER = (1025, 2049, 4097, 8193, 16385)
+# ls_membership's cross-check weight x^(-alpha) has alpha = 1/p - this.
+ALPHA_MARGIN = 0.02
 
 
 class GridMismatchError(ValueError):
@@ -162,15 +164,15 @@ def boundedness_classifier(p: float, r: float | None = None) -> FormClass:
 # ---------------------------------------------------------------------------
 # Test families
 
-def tent_values(x: np.ndarray, n: int, height: float, center: float = 0.5):
-    """Piecewise-linear bump of the given height with support width 1/n."""
-    return height * np.maximum(0.0, 1.0 - 2.0 * n * np.abs(x - center))
+def tent_values(x: np.ndarray, n: int, height: float):
+    """Piecewise-linear bump of the given height around 1/2 with support
+    width 1/n."""
+    return height * np.maximum(0.0, 1.0 - 2.0 * n * np.abs(x - 0.5))
 
 
-def tent_function(grid: Grid, n: int, height_exp: float,
-                  center: float = 0.5) -> GridFunction:
+def tent_function(grid: Grid, n: int, height_exp: float) -> GridFunction:
     h = float(n) ** height_exp
-    return GridFunction(tent_values(grid.nodes, n, h, center), grid)
+    return GridFunction(tent_values(grid.nodes, n, h), grid)
 
 
 def tent_lp_norm(n: int, height_exp: float, p: float) -> float:
@@ -188,12 +190,11 @@ def power_builder(beta: float) -> Callable[[Grid], GridFunction]:
     return lambda grid: power_function(grid, beta)
 
 
-def tent_family(grid: Grid, height_exp: float, p: float,
-                center: float = 0.5) -> ProbeFamily:
+def tent_family(grid: Grid, height_exp: float, p: float) -> ProbeFamily:
     """Tent probe family with its closed-form L^p norms as tau-norms."""
     return ProbeFamily(
         name=f"tent[h=n^{height_exp:g}]",
-        generate=lambda n: tent_function(grid, n, height_exp, center),
+        generate=lambda n: tent_function(grid, n, height_exp),
         tau_norm=lambda n: tent_lp_norm(n, height_exp, p))
 
 
@@ -260,27 +261,27 @@ class MembershipVerdict:
     growth_ratio: float
 
 
-def _refinement_verdict(builder: Callable[[Grid], GridFunction], q: float,
-                        node_counts=MEMBERSHIP_LADDER) -> MembershipVerdict:
-    """Track the quadrature sum of |f|^q over a doubling node ladder.
+def _refinement_verdict(builder: Callable[[Grid], GridFunction],
+                        q: float) -> MembershipVerdict:
+    """Track the quadrature sum of |f|^q over the doubling MEMBERSHIP_LADDER.
 
     Shrinking increments (growth ratio < 1) mean the integral converges;
     steady or growing increments mean divergence under refinement.
     """
     sums = [float(np.dot(grid.weights, np.abs(builder(grid).values) ** q))
-            for grid in map(simpson_grid, node_counts)]
-    return MembershipVerdict(*increments_shrink(node_counts, sums,
+            for grid in map(simpson_grid, MEMBERSHIP_LADDER)]
+    return MembershipVerdict(*increments_shrink(MEMBERSHIP_LADDER, sums,
                                                 f"L^{q:g} sums"))
 
 
-def a_omega_membership(builder: Callable[[Grid], GridFunction], p: float,
-                       node_counts=MEMBERSHIP_LADDER) -> MembershipVerdict:
+def a_omega_membership(builder: Callable[[Grid], GridFunction],
+                       p: float) -> MembershipVerdict:
     """Membership of the closed-form domain for the unweighted integral
     form: a refinement-stable L^2 norm.  The verdict does not depend on p
     (which only has to be in the closable range)."""
     if not 1 <= p < 2:
         raise ValueError(f"the unbounded regime needs 1 <= p < 2, got {p}")
-    return _refinement_verdict(builder, 2.0, node_counts)
+    return _refinement_verdict(builder, 2.0)
 
 
 @dataclass(frozen=True)
@@ -292,22 +293,21 @@ class LsMembershipVerdict:
     agrees: bool
 
 
-def ls_membership(builder: Callable[[Grid], GridFunction], p: float,
-                  node_counts=MEMBERSHIP_LADDER,
-                  alpha_margin: float = 0.02) -> LsMembershipVerdict:
+def ls_membership(builder: Callable[[Grid], GridFunction],
+                  p: float) -> LsMembershipVerdict:
     """Membership of L^s, s = 2p/(p-2): refinement-stable L^s norm,
     cross-validated by multiplying against the worst-case power x^(-alpha)
     with alpha just under 1/p and testing the product in L^2."""
     if p <= 2:
         raise ValueError(f"need p > 2, got {p}")
     s = 2.0 * p / (p - 2.0)
-    direct = _refinement_verdict(builder, s, node_counts)
-    alpha = 1.0 / p - alpha_margin
+    direct = _refinement_verdict(builder, s)
+    alpha = 1.0 / p - ALPHA_MARGIN
 
     def product_builder(grid: Grid) -> GridFunction:
         return builder(grid) * power_function(grid, alpha)
 
-    cross = _refinement_verdict(product_builder, 2.0, node_counts)
+    cross = _refinement_verdict(product_builder, 2.0)
     return LsMembershipVerdict(member=direct.member, s=s,
                                growth_ratio=direct.growth_ratio,
                                cross_member=cross.member,

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraElement, MissingUnitError, StarAlgebra, State,
-                      evaluate_state)
+from .algebra import AlgebraElement, StarAlgebra, State, evaluate_state
 
 RANK_TOL = 1e-10  # relative to the largest Gram eigenvalue
-RESIDUAL_TOL = 1e-10
 
 
 def build_gram(algebra: StarAlgebra, state: State) -> np.ndarray:

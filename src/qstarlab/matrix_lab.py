@@ -255,10 +255,10 @@ class ReplayVerdict:
                         for k, w, h, s, e in self.rows]
 
 
-def matrix_closability_replay(family, n: int = DEFAULT_TRUNCATION,
-                              k_max: int | None = None,
-                              points: int = 16) -> ReplayVerdict:
-    """Replay the closability argument for the trace form at truncation N.
+def matrix_closability_replay(family,
+                              n: int = DEFAULT_TRUNCATION) -> ReplayVerdict:
+    """Replay the closability argument for the trace form at truncation N,
+    on a 16-point ladder up to N.
 
     For a weighted-null family the Hilbert-Schmidt Cauchy property forces
     the diagonal values to a limit a, and the per-entry decay forces a = 0;
@@ -275,7 +275,7 @@ def matrix_closability_replay(family, n: int = DEFAULT_TRUNCATION,
 
     verdict = closability_probe(trace_form_context(n),
                                 ProbeFamily(family.name, generate),
-                                k_max or n, points=points)
+                                n, points=16)
     a = verdict.omega_limit
     entry_limit = None
     if verdict.omega_cauchy:
@@ -325,20 +325,20 @@ def _rule_matrix(rule, n: int) -> np.ndarray:
     return np.asarray(rule(idx[:, None], idx[None, :]), dtype=float)
 
 
-def d_omega_identification(rules: dict | None = None,
-                           truncations=MEMBERSHIP_LADDER) -> list:
+def d_omega_identification() -> list:
     """Membership of the form-closure domain by truncation-stable HS norms.
 
     The domain coincides with the Hilbert-Schmidt space, so membership of
-    an entry rule is decided by whether its HS sums stabilise as the
-    truncation doubles, and compared against the analytic classification.
+    each ENTRY_RULES rule is decided by whether its HS sums stabilise as
+    the truncation doubles along MEMBERSHIP_LADDER, and compared against
+    the analytic classification.
     """
-    rules = rules or ENTRY_RULES
     verdicts = []
-    for name, (rule, oracle) in rules.items():
+    for name, (rule, oracle) in ENTRY_RULES.items():
         sums = [float(np.sum(np.abs(_rule_matrix(rule, n)) ** 2))
-                for n in truncations]
-        member, ratio = increments_shrink(truncations, sums, f"{name} HS sums")
+                for n in MEMBERSHIP_LADDER]
+        member, ratio = increments_shrink(MEMBERSHIP_LADDER, sums,
+                                          f"{name} HS sums")
         verdicts.append(DomainVerdict(rule=name, member=member,
                                       oracle_member=oracle,
                                       growth_ratio=ratio))

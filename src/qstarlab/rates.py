@@ -31,6 +31,8 @@ NULL_TOL = 1e-6
 CAUCHY_REL_TOL = 1e-8
 COUNTEREXAMPLE_TOL = 1e-6
 STABLE_RATIO = 1.0
+# Least ratio between successive ladder indices.
+LADDER_MIN_RATIO = 1.25
 
 
 class NonFiniteSeriesError(ValueError):
@@ -59,14 +61,14 @@ class TrendFit:
     n_fit: int
 
 
-def geometric_ladder(n_max: int, points: int = 24, n_min: int = 1,
-                     min_ratio: float = 1.25) -> np.ndarray:
+def geometric_ladder(n_max: int, points: int = 24,
+                     n_min: int = 1) -> np.ndarray:
     """Distinct integer indices, geometrically spaced in [n_min, n_max].
 
-    Successive points keep a ratio of at least min_ratio (except possibly
-    the forced final point n_max).  Without this floor, integer rounding
-    makes the ladder step-by-one at the low end, and step distances there
-    would compare members at vanishing scale separation; scale-invariant
+    Successive points keep a ratio of at least LADDER_MIN_RATIO (except
+    possibly the forced final point n_max).  Without this floor, integer
+    rounding makes the ladder step-by-one at the low end, and step distances
+    there would compare members at vanishing scale separation; scale-invariant
     families then look spuriously Cauchy.
     """
     if n_max < n_min:
@@ -74,7 +76,7 @@ def geometric_ladder(n_max: int, points: int = 24, n_min: int = 1,
     raw = np.unique(np.round(np.geomspace(n_min, n_max, points)).astype(int))
     kept = [int(raw[0])]
     for value in raw[1:]:
-        if value >= kept[-1] * min_ratio:
+        if value >= kept[-1] * LADDER_MIN_RATIO:
             kept.append(int(value))
     if kept[-1] != n_max:
         kept.append(int(n_max))

@@ -9,6 +9,7 @@ fixed seed; randomized probes draw from a local generator only.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -61,6 +62,10 @@ class ScenarioOutcome:
 # Extension experiments shared by the catalog and the acceptance suite
 
 EXTENSION_GRID_NODES = 257
+# The multiplication operators act on L^p with this p; the closure ladder
+# has this many points.
+MULTIPLICATION_P = 4.0
+EXTENSION_POINTS = 14
 CLIP_VARIANTS = ("height", "plateau")
 EXTENSION_TARGETS = ("power", "step")
 
@@ -98,14 +103,14 @@ def ramp_family(grid: flab.Grid) -> ProbeFamily:
     return ProbeFamily(name="ramp-to-step", generate=generate)
 
 
-def multiplication_suite(grid: flab.Grid, topology: str, p: float = 4.0,
-                         seed: int = 0):
+def multiplication_suite(grid: flab.Grid, topology: str, seed: int = 0):
     """Seminorm suite for multiplication operators on the grid: the node
     spikes witness the sup norm, the smooth ball the integral pairings."""
     spikes = flab.node_spike_set(grid)
     smooth = flab.smooth_ball_set(grid, 2.0, count=4, seed=seed)
     if topology == "uniform":
         return suite_from_bounded_sets("uniform", [spikes, smooth])
+    p = MULTIPLICATION_P
     phis = [("one", flab.embed_vector(flab.GridFunction.from_callable(
         lambda x: np.ones_like(x), grid))),
         ("cos", flab.embed_vector(flab.GridFunction.from_callable(
@@ -124,10 +129,10 @@ def multiplication_suite(grid: flab.Grid, topology: str, p: float = 4.0,
 
 
 def run_extension(grid: flab.Grid, family: ProbeFamily, topology: str,
-                  n_max: int = 4096, points: int = 14, seed: int = 0):
+                  n_max: int = 4096, seed: int = 0):
     """Drive one approximating family through the closure engine with the
     L^1 ambient norm of the multiplication example."""
-    ns = geometric_ladder(n_max, points=points)
+    ns = geometric_ladder(n_max, points=EXTENSION_POINTS)
     elements = [family.generate(int(n)) for n in ns]
     reps = [flab.mult_operator(f) for f in elements]
     suite = multiplication_suite(grid, topology, seed=seed)
@@ -578,6 +583,9 @@ N_MAX_CAP = 4096
 TRUNCATION_CAP = 1024
 SAMPLES_CAP = 10_000
 K_CAP = 16
+# Real parameters only have to be finite; L^p exponents start at 1.
+ANY_REAL = (-math.inf, math.inf)
+P_BOUNDS = (1.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -585,7 +593,9 @@ class Operation:
     handler: Callable[[dict, int], ScenarioOutcome]
     allowed_params: frozenset
     choices: dict = field(default_factory=dict)  # parameter -> allowed values
-    bounds: dict = field(default_factory=dict)  # integer parameter -> (min, max)
+    # numeric parameter -> (min, max); int bounds mark an integer
+    # parameter, float bounds a real one
+    bounds: dict = field(default_factory=dict)
     # parameter -> (the parameter it depends on, {that one's value: allowed
     # values}); both are resolved through `defaults` when absent
     pairs: dict = field(default_factory=dict)
@@ -594,8 +604,8 @@ class Operation:
     def check(self, params: dict, where: str) -> None:
         """Raise ConfigError, located at `where`, for an unknown parameter,
         a value outside the parameter's choices or outside the choices its
-        pair allows, or an integer parameter that is not an integer or lies
-        outside its bounds."""
+        pair allows, or a numeric parameter that is not a finite number (an
+        integer for int bounds) or lies outside its bounds."""
         unknown = set(params) - self.allowed_params
         if unknown:
             raise ConfigError(f"{where}: unknown parameters {sorted(unknown)}")
@@ -616,10 +626,12 @@ class Operation:
         for name, (low, high) in self.bounds.items():
             if name not in params:
                 continue
-            value = params[name]
+            value, real = params[name], isinstance(low, float)
             if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or (isinstance(value, float) and not value.is_integer())):
-                raise ConfigError(f"{where}: {name} must be an integer, "
+                    or (isinstance(value, float) and not (
+                        math.isfinite(value) if real else value.is_integer()))):
+                kind = "a finite real number" if real else "an integer"
+                raise ConfigError(f"{where}: {name} must be {kind}, "
                                   f"got {value!r}")
             if not low <= value <= high:
                 raise ConfigError(f"{where}: {name} {value!r} outside "
@@ -659,7 +671,8 @@ OPERATIONS: dict[tuple[str, str], Operation] = {
                   frozenset({"context", "family", "n_max", "truncation", "p",
                              "height_exp"}),
                   bounds={"n_max": (2, TRUNCATION_CAP),
-                          "truncation": (1, TRUNCATION_CAP)},
+                          "truncation": (1, TRUNCATION_CAP),
+                          "p": P_BOUNDS, "height_exp": ANY_REAL},
                   pairs={"family": ("context", FORM_FAMILIES)},
                   defaults={"context": "matrix-trace",
                             "family": "scaled_corner"}),
@@ -669,7 +682,7 @@ OPERATIONS: dict[tuple[str, str], Operation] = {
                   bounds={"truncation": (2, TRUNCATION_CAP)}),
     ("function-lab", "unboundedness_witness"):
         Operation(_witness_op, frozenset({"p", "n_max"}),
-                  bounds={"n_max": (4, N_MAX_CAP)}),
+                  bounds={"n_max": (4, N_MAX_CAP), "p": P_BOUNDS}),
     ("ccr-lab", "submultiplicativity_probe"):
         Operation(_submult_op, frozenset({"k", "n_pairs"}),
                   bounds={"k": (0, K_CAP), "n_pairs": (1, SAMPLES_CAP)}),
@@ -680,7 +693,7 @@ OPERATIONS: dict[tuple[str, str], Operation] = {
                   choices={"topology": TOPOLOGIES,
                            "target": EXTENSION_TARGETS,
                            "variant": CLIP_VARIANTS},
-                  bounds={"n_max": (2, N_MAX_CAP)}),
+                  bounds={"n_max": (2, N_MAX_CAP), "beta": ANY_REAL}),
 }
 
 

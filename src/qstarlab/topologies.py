@@ -26,17 +26,15 @@ TOPOLOGIES = ("uniform", "strong", "strongstar", "weak")
 class TruncatedTriple:
     """Truncation of a rigged triple: domain, Hilbert space, dual proxy.
 
-    Coordinates are orthonormal for the Hilbert inner product unless an
-    explicit inner_product matrix is supplied.  graph_weights realise the
-    graph-topology seminorms |w^k . v| and must be >= 1 (the generating
-    operator is normalised to H >= 1); the dual proxy uses the inverse
-    weights, so coefficient vectors with polynomial growth have finite
-    dual seminorms.
+    Coordinates are orthonormal for the Hilbert inner product.
+    graph_weights realise the graph-topology seminorms |w^k . v| and must
+    be >= 1 (the generating operator is normalised to H >= 1); the dual
+    proxy uses the inverse weights, so coefficient vectors with polynomial
+    growth have finite dual seminorms.
     """
 
     dim: int
     graph_weights: np.ndarray
-    inner_product: np.ndarray | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -46,22 +44,10 @@ class TruncatedTriple:
         if np.any(w < 1.0 - 1e-12):
             raise ValueError("graph weights must be >= 1")
         object.__setattr__(self, "graph_weights", w)
-        if self.inner_product is not None:
-            m = np.asarray(self.inner_product, dtype=complex)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("inner product matrix has wrong shape")
-            if np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] <= 0:
-                raise ValueError("inner product must be positive definite")
-            object.__setattr__(self, "inner_product", m)
-
-    def norm(self, v) -> float:
-        v = np.asarray(v, dtype=complex)
-        if self.inner_product is None:
-            return float(np.linalg.norm(v))
-        return float(np.sqrt(np.real(np.vdot(v, self.inner_product @ v))))
 
     def graph_norm(self, v, k: int) -> float:
-        return self.norm(self.graph_weights ** k * np.asarray(v))
+        return float(np.linalg.norm(self.graph_weights ** k
+                                    * np.asarray(v, dtype=complex)))
 
 
 class TruncatedOperator:
@@ -304,10 +290,8 @@ class ExtensionResult:
         return header, rows
 
 
-def extend_by_closure(ambient_norm, element_seq, rep_seq, topology: str,
-                      m_suite=None, *, phis=None, weak_pairs=None,
-                      suite: Suite | None = None,
-                      space_complete: bool = False,
+def extend_by_closure(ambient_norm, element_seq, rep_seq, topology: str, *,
+                      suite: Suite, space_complete: bool = False,
                       steps=None) -> ExtensionResult:
     """Drive one approximating sequence through the closure engine.
 
@@ -329,9 +313,6 @@ def extend_by_closure(ambient_norm, element_seq, rep_seq, topology: str,
     dims = {op.dim for op in rep_seq}
     if len(dims) != 1:
         raise ValueError(f"inconsistent truncation dims {sorted(dims)}")
-    if suite is None:
-        suite = suite_from_bounded_sets(topology, m_suite or [], phis=phis,
-                                        weak_pairs=weak_pairs)
     if not suite:
         raise ValueError("empty seminorm suite")
 
@@ -374,8 +355,7 @@ class ClosabilityVerdict:
 
 
 def closability_check(null_families, rep_map, *, suite: Suite,
-                      ambient_norm=None, n_max: int = 256,
-                      points: int = 16) -> list:
+                      ambient_norm=None, n_max: int = 256) -> list:
     """Hunt for families that are ambient-null with a nonzero operator limit.
 
     Each family must tau-converge to 0 (closed-form norms preferred).  A
@@ -384,7 +364,7 @@ def closability_check(null_families, rep_map, *, suite: Suite,
     """
     verdicts = []
     for fam in null_families:
-        ns = geometric_ladder(n_max, points=points)
+        ns = geometric_ladder(n_max, points=16)
         elements = [fam.generate(int(n)) for n in ns]
         if fam.tau_norm is not None:
             tau = np.array([fam.tau_norm(int(n)) for n in ns])
@@ -416,8 +396,8 @@ class ClosureStabilityReport:
 
 def quasi_algebra_closure_test(extension_samples, a_o_elements, rep_map,
                                mul, topology: str, *, suite: Suite,
-                               star=None, n_max: int = 256,
-                               points: int = 12) -> ClosureStabilityReport:
+                               star=None,
+                               n_max: int = 256) -> ClosureStabilityReport:
     """Stability of the extension domain under right multiplication and *.
 
     extension_samples are approximating families for domain elements; for
@@ -426,7 +406,7 @@ def quasi_algebra_closure_test(extension_samples, a_o_elements, rep_map,
     stability is checked unless the topology is the strong one, for which
     the involution is not continuous and the check is skipped and flagged.
     """
-    ns = geometric_ladder(n_max, points=points)
+    ns = geometric_ladder(n_max, points=12)
     right = []
     for fam in extension_samples:
         elements = [fam.generate(int(n)) for n in ns]

@@ -148,6 +148,17 @@ def test_non_finite_series_raise_with_name_and_position(bad):
     assert issubclass(NonFiniteSeriesError, ValueError)
 
 
+def test_fit_trend_short_decade_fits_the_last_points():
+    # Only 4096 lies in the trailing decade, so the fit falls back to the
+    # last (here: all three) ladder points.
+    ns = geometric_ladder(4096, points=3)
+    assert ns.tolist() == [1, 64, 4096]
+    fit = fit_trend(ns, 1.0 / ns)
+    assert fit.n_fit == 3
+    assert fit.slope == pytest.approx(-1.0)
+    assert fit.limit == 0.0
+
+
 def test_series_limit_falls_back_to_last_value_when_diverging():
     ns = geometric_ladder(4096, points=20)
     limit, fit = series_limit(ns, 0.001 * ns ** 0.5)

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from qstarlab.cli import main
-from qstarlab.scenarios import (ConfigError, SCENARIOS, list_catalog,
+from qstarlab.scenarios import (ConfigError, SCENARIOS, Scenario, list_catalog,
                                 parse_config, run_scenario, write_outcome)
 
 
@@ -56,6 +56,17 @@ def test_parse_config_validation():
     assert scenarios[0].module == "gns"
     with pytest.raises(ConfigError, match="scenarios"):
         parse_config({})
+    with pytest.raises(ConfigError, match="'scenarios' must be a list"):
+        parse_config({"scenarios": {"module": "gns"}})
+    with pytest.raises(ConfigError, match=r"scenarios\[1\].*expected an object"):
+        parse_config({"scenarios": [good["scenarios"][0], "gns"]})
+    with pytest.raises(ConfigError,
+                       match=r"scenarios\[0\].*'parameters' must be an object"):
+        parse_config({"scenarios": [{"module": "gns",
+                                     "operation": "gns_construct",
+                                     "parameters": ["algebra", "m2"]}]})
+    with pytest.raises(ConfigError, match="unknown operation gns/nope"):
+        run_scenario(Scenario("x", "gns", "nope", ""))
     with pytest.raises(ConfigError, match=r"scenarios\[0\].*missing"):
         parse_config({"scenarios": [{"module": "gns"}]})
     with pytest.raises(ConfigError, match=r"scenarios\[0\].*unknown operation"):
@@ -233,7 +244,10 @@ def test_integer_parameters_validated(tmp_path, capsys):
         module = {"symbolic_suite": "ccr-lab",
                   "submultiplicativity_probe": "ccr-lab",
                   "replay_suite": "matrix-lab",
-                  "dichotomy_suite": "function-lab"}[operation]
+                  "dichotomy_suite": "function-lab",
+                  "unboundedness_witness": "function-lab",
+                  "closability_probe": "forms",
+                  "extend_by_closure": "op-topologies"}[operation]
         return {"module": module, "operation": operation, "parameters": params}
 
     gns = {"module": "gns", "operation": "gns_construct"}
@@ -249,24 +263,50 @@ def test_integer_parameters_validated(tmp_path, capsys):
         (entry("submultiplicativity_probe", k=-1), "outside"),
         (entry("submultiplicativity_probe", n_pairs=0), "outside"),
         (entry("replay_suite", truncation=float("inf")), "must be an integer"),
+        (entry("closability_probe", context="lp", family="tent", p=0.5),
+         "outside"),
+        (entry("unboundedness_witness", p="abc"), "must be a finite real"),
+        (entry("unboundedness_witness", p=True), "must be a finite real"),
+        (entry("unboundedness_witness", p=float("nan")),
+         "must be a finite real"),
+        (entry("closability_probe", context="lp", family="scaled_one",
+               p=float("inf")),
+         "must be a finite real"),
+        (entry("closability_probe", context="lp", family="tent",
+               height_exp=None), "must be a finite real"),
+        (entry("extend_by_closure", beta=None), "must be a finite real"),
+        (entry("extend_by_closure", beta="0.2"), "must be a finite real"),
+        (entry("extend_by_closure", beta=float("-inf")),
+         "must be a finite real"),
     ]
     for params, message in bad:
         with pytest.raises(ConfigError, match=r"scenarios\[1\].*" + message):
             parse_config({"scenarios": [gns, params]})
+        with pytest.raises(ConfigError, match=message):
+            run_scenario(Scenario("bad", params["module"],
+                                  params["operation"], "",
+                                  params["parameters"]))
     accepted = parse_config({"scenarios": [
         entry("symbolic_suite", samples=1),
         {**entry("replay_suite", truncation=256.0), "id": "integral-float"},
-        {**entry("submultiplicativity_probe", k=0), "id": "k0"}]})
-    assert len(accepted) == 3
+        {**entry("submultiplicativity_probe", k=0), "id": "k0"},
+        {**entry("unboundedness_witness", p=1), "id": "p-int"},
+        {**entry("extend_by_closure", beta=-0.5), "id": "beta-neg"}]})
+    assert len(accepted) == 5
 
     cfg = tmp_path / "abc.json"
-    cfg.write_text(json.dumps({"scenarios": [
-        {"id": "ok", **gns}, entry("dichotomy_suite", n_max="abc")]}))
     out_dir = tmp_path / "out"
-    assert main(["--out-dir", str(out_dir), "run", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "scenarios[1]" in err and "Traceback" not in err
-    assert not out_dir.exists()
+    for bad_entry in (entry("dichotomy_suite", n_max="abc"),
+                      entry("closability_probe", context="lp", family="tent",
+                            p=0.5),
+                      entry("unboundedness_witness", p="abc"),
+                      entry("extend_by_closure", beta=None)):
+        cfg.write_text(json.dumps({"scenarios": [{"id": "ok", **gns},
+                                                 bad_entry]}))
+        assert main(["--out-dir", str(out_dir), "run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "scenarios[1]" in err and "Traceback" not in err
+        assert not out_dir.exists()
 
 
 def test_integer_parameter_cap_rejects_before_running(tmp_path, monkeypatch):
@@ -446,3 +486,39 @@ def test_operation_defaults_reach_the_handler(monkeypatch):
                                     {"n_max": 8}))
     assert seen == [{"context": "matrix-trace", "family": "scaled_corner",
                      "n_max": 8}]
+
+
+def test_witness_and_submultiplicativity_operations(tmp_path):
+    cfg = tmp_path / "ops.json"
+    cfg.write_text(json.dumps({"scenarios": [
+        {"id": "witness", "module": "function-lab",
+         "operation": "unboundedness_witness",
+         "parameters": {"p": 1.0, "n_max": 128}},
+        {"id": "dichotomy", "module": "function-lab",
+         "operation": "dichotomy_suite", "parameters": {"n_max": 128}},
+        {"id": "submult", "module": "ccr-lab",
+         "operation": "submultiplicativity_probe",
+         "parameters": {"k": 1, "n_pairs": 10}}]}))
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "--format", "json", "run",
+                 str(cfg)]) == 0
+
+    def load(sid):
+        return json.loads((out_dir / f"{sid}.json").read_text())
+
+    witness, dichotomy, submult = map(load, ("witness", "dichotomy",
+                                             "submult"))
+    assert witness["passed"] is True
+    assert sorted(witness["details"]) == ["exponent", "p"]
+    assert witness["details"]["p"] == 1.0
+    assert witness["details"]["exponent"] \
+        == dichotomy["details"]["exponents"]["1"]
+    assert witness["tables"]["ratios"]["header"] \
+        == ["n", "lp_norm", "omega_diag", "ratio"]
+    assert submult["passed"] is True
+    assert sorted(submult["details"]) == ["half_sample_ratio", "k",
+                                          "max_ratio", "n_pairs"]
+    assert submult["details"]["k"] == 1
+    assert submult["details"]["n_pairs"] == 10
+    assert submult["details"]["max_ratio"] \
+        >= submult["details"]["half_sample_ratio"] > 0

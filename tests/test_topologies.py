@@ -127,10 +127,6 @@ def test_truncated_triple_invariants():
         TruncatedTriple(3, np.array([1.0, 0.5, 2.0]))
     with pytest.raises(ValueError, match="graph weights"):
         TruncatedTriple(3, np.ones(2))
-    with pytest.raises(ValueError, match="positive definite"):
-        TruncatedTriple(2, np.ones(2), inner_product=np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError, match="wrong shape"):
-        TruncatedTriple(2, np.ones(2), inner_product=np.eye(3))
     weights = graph_weights(4)
     triple = TruncatedTriple(9, weights, name="fourier")
     v = np.ones(9) / 3.0
