@@ -18,7 +18,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .algebra import StarAlgebra, State
-from .rates import geometric_ladder, ladder_probe
+from .rates import LadderProbe, geometric_ladder, ladder_probe
 
 # check_ips_conditions treats x as degenerate when form(x, x) is at most
 # this fraction of the largest diagonal value (or of 1).
@@ -57,29 +57,6 @@ class ProbeFamily:
     name: str
     generate: Callable[[int], Any]
     tau_norm: Callable[[int], float] | None = None
-
-
-@dataclass(frozen=True)
-class SequenceVerdict:
-    """Outcome of a closability probe on one family."""
-
-    family: str
-    tau_null: bool
-    omega_cauchy: bool
-    omega_limit: float | None  # present only when omega_cauchy
-    counterexample: bool
-    rates: dict
-    ns: np.ndarray
-    tau_values: np.ndarray
-    omega_diag: np.ndarray
-    omega_steps: np.ndarray  # successive ladder-pair distances, first entry 0
-
-    def table(self) -> tuple[list[str], list[list[float]]]:
-        header = ["n", "tau_norm", "omega_diag", "omega_pairwise"]
-        rows = [[int(n), float(t), float(d), float(s)]
-                for n, t, d, s in zip(self.ns, self.tau_values,
-                                      self.omega_diag, self.omega_steps)]
-        return header, rows
 
 
 def form_from_state(algebra: StarAlgebra, state: State) -> FormContext:
@@ -142,34 +119,24 @@ def cauchy_schwarz_residual(ctx: FormContext, pairs) -> float:
 
 
 def closability_probe(ctx: FormContext, family: ProbeFamily, n_max: int,
-                      *, points: int = 24) -> SequenceVerdict:
+                      *, points: int = 24) -> LadderProbe:
     """Probe one family for a closability counterexample.
 
     Elements are evaluated on a geometric ladder so that the step distances
     compare members at a fixed index ratio; consecutive-index distances can
-    vanish on families whose dyadic separations stay bounded below.
+    vanish on families whose dyadic separations stay bounded below.  The
+    value series is the form diagonal ("omega"), its steps the form
+    distances between successive members.
     """
     ns = geometric_ladder(n_max, points=points)
     elements = [family.generate(int(n)) for n in ns]
-
     if family.tau_norm is not None:
-        tau = np.array([family.tau_norm(int(n)) for n in ns], dtype=float)
+        tau = [family.tau_norm(int(n)) for n in ns]
     else:
-        tau = np.array([ctx.ambient_norm(x) for x in elements], dtype=float)
-    diag = np.array([ctx.diag(x) for x in elements], dtype=float)
-    steps = np.array([0.0] + [max(ctx.diag(b - a), 0.0)
-                              for a, b in zip(elements, elements[1:])])
-
-    probe = ladder_probe(ns, tau, diag, steps[1:], names=("omega",))
-    rates = {"tau_slope": probe.ambient_slope,
-             "omega_diag_slope": probe.value_slopes[0],
-             "omega_step_slope": probe.step_slopes[0]}
-    return SequenceVerdict(family=family.name, tau_null=probe.null,
-                           omega_cauchy=probe.cauchy,
-                           omega_limit=probe.limits[0] if probe.cauchy else None,
-                           counterexample=probe.counterexample,
-                           rates=rates, ns=ns, tau_values=tau,
-                           omega_diag=diag, omega_steps=steps)
+        tau = [ctx.ambient_norm(x) for x in elements]
+    diag = [ctx.diag(x) for x in elements]
+    steps = [max(ctx.diag(b - a), 0.0) for a, b in zip(elements, elements[1:])]
+    return ladder_probe(family.name, ns, tau, diag, steps, names=("omega",))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .forms import FormContext, ProbeFamily
-from .rates import fit_trend, geometric_ladder, increments_shrink, ladder_probe
+from .rates import (_finite, fit_trend, geometric_ladder, increments_shrink,
+                    ladder_probe)
 from .topologies import BoundedSet, TruncatedOperator
 
 MIN_NODES = 32
@@ -116,10 +117,12 @@ class GridFunction:
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
-    """Quadrature approximation of the L^p norm (against the grid measure)."""
+    """Quadrature approximation of the L^p norm (against the grid measure);
+    inf, without a numpy warning, when |f|^p overflows."""
     if p < 1:
         raise ValueError(f"L^p norms need p >= 1, got {p}")
-    return float(np.dot(f.grid.weights, np.abs(f.values) ** p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        return float(np.dot(f.grid.weights, np.abs(f.values) ** p) ** (1.0 / p))
 
 
 def omega_form(f: GridFunction, g: GridFunction,
@@ -235,21 +238,19 @@ def unboundedness_witness(p: float, n_max: int = 256,
     """Growth of form(f, f) / |f|_p^2 on the tent family.
 
     The observed exponent approaches 2/p - 1: positive growth witnesses an
-    unbounded form for p < 2, a flat ratio is the bounded control.
+    unbounded form for p < 2, a flat ratio is the bounded control.  An
+    L^p norm that overflows raises NonFiniteSeriesError ("lp_norm").
     """
     grid = grid or simpson_grid()
     ns = geometric_ladder(n_max, points=12, n_min=4)
-    rows = []
-    ratios = []
-    for n in ns:
-        f = tent_function(grid, int(n), 0.5)
-        norm_p = lp_norm(f, p)
-        diag = float(np.real(omega_form(f, f)))
-        ratio = diag / norm_p ** 2
-        rows.append((int(n), norm_p, diag, ratio))
-        ratios.append(ratio)
+    tents = [tent_function(grid, int(n), 0.5) for n in ns]
+    norms = _finite(ns, [lp_norm(f, p) for f in tents],
+                    ["lp_norm"])[:, 0].tolist()
+    diags = [float(np.real(omega_form(f, f))) for f in tents]
+    ratios = [diag / norm ** 2 for diag, norm in zip(diags, norms)]
     fit = fit_trend(ns, ratios)
-    return WitnessReport(p=p, exponent=fit.slope, rows=rows)
+    return WitnessReport(p=p, exponent=fit.slope,
+                         rows=list(zip(ns.tolist(), norms, diags, ratios)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +335,6 @@ def gaussian_l1_norm(coeffs, grid: Grid) -> float:
                         np.abs(np.polynomial.polynomial.polyval(x, np.asarray(coeffs)))))
 
 
-@dataclass(frozen=True)
-class GaussianProbeVerdict:
-    family: str
-    applicable: bool          # the family really is L^1-null
-    seminorms_convergent: bool
-    seminorm_limits: tuple
-    consistent: bool          # no counterexample: convergent implies limit 0
-
-
 def make_gaussian_families(grid: Grid) -> dict:
     """Built-in polynomial families for the Gaussian-measure probe."""
     hermite_e = np.polynomial.hermite_e
@@ -370,8 +362,8 @@ def gaussian_poly_probe(families: dict, n_max: int = 24,
     """Closure probe for the polynomial algebra under the Gaussian state.
 
     Families with L^1-null members must have sandwich seminorms that, when
-    convergent, converge to 0; anything else is a counterexample.  Families
-    that are not L^1-null are rejected as inapplicable.
+    convergent, converge to 0; anything else is a counterexample.  A family
+    that is not L^1-null (probe.null false) is inapplicable.
     """
     grid = grid or gauss_hermite_grid()
     ns = geometric_ladder(n_max, points=10)
@@ -385,13 +377,9 @@ def gaussian_poly_probe(families: dict, n_max: int = 24,
         l1 = np.array([gaussian_l1_norm(c, grid) for c in coeff_seq])
         vals = np.array([[sandwich_seminorm(c, grid, j)
                           for j in SANDWICH_DECAY_ORDERS] for c in coeff_seq])
-        probe = ladder_probe(ns, l1, vals, np.abs(np.diff(vals, axis=0)),
-                             names=[f"{name} sandwich j={j}"
-                                    for j in SANDWICH_DECAY_ORDERS])
-        verdicts.append(GaussianProbeVerdict(
-            family=name, applicable=probe.null,
-            seminorms_convergent=probe.cauchy, seminorm_limits=probe.limits,
-            consistent=not probe.counterexample))
+        verdicts.append(ladder_probe(
+            name, ns, l1, vals, np.abs(np.diff(vals, axis=0)),
+            names=[f"{name} sandwich j={j}" for j in SANDWICH_DECAY_ORDERS]))
     return verdicts
 
 

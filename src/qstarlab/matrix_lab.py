@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import FormContext, ProbeFamily, closability_probe
-from .rates import increments_shrink, series_limit
+from .rates import LadderProbe, increments_shrink
 
 DEFAULT_TRUNCATION = 256
 MEMBERSHIP_LADDER = (16, 32, 64, 128, 256)
@@ -238,57 +238,18 @@ def matrix_family(name: str, n: int = DEFAULT_TRUNCATION) -> ProbeFamily:
     return ProbeFamily(name=name, generate=lambda k: gen(int(k), n))
 
 
-@dataclass(frozen=True)
-class ReplayVerdict:
-    family: str
-    weighted_null: bool
-    hs_cauchy: bool
-    a: float | None           # limit of the form diagonal, when Cauchy
-    entry_sup_limit: float | None
-    counterexample: bool
-    rows: list  # (k, weighted_norm, hs_sq, step, eq6_residual)
-
-    def table(self):
-        header = ["k", "weighted_norm", "hs_norm", "pairwise_residual",
-                  "recentered_residual"]
-        return header, [[int(k), float(w), float(np.sqrt(h)), float(s), float(e)]
-                        for k, w, h, s, e in self.rows]
-
-
-def matrix_closability_replay(family,
-                              n: int = DEFAULT_TRUNCATION) -> ReplayVerdict:
-    """Replay the closability argument for the trace form at truncation N,
-    on a 16-point ladder up to N.
+def matrix_closability_replay(name: str,
+                              n: int = DEFAULT_TRUNCATION) -> LadderProbe:
+    """Replay the closability argument for the trace form at truncation N:
+    the form probe of the named family on a 16-point ladder up to N.
 
     For a weighted-null family the Hilbert-Schmidt Cauchy property forces
-    the diagonal values to a limit a, and the per-entry decay forces a = 0;
-    families that are not Hilbert-Schmidt Cauchy are reported as such (no
-    verdict on the limit, no counterexample).
+    the diagonal values to a limit, and the per-entry decay forces it to
+    0; families that are not Hilbert-Schmidt Cauchy are reported as such
+    (no counterexample).
     """
-    if isinstance(family, str):
-        family = matrix_family(family, n)
-    mats = []  # the members the probe generates, kept for the entry-sup fit
-
-    def generate(k: int) -> WeightedMatrix:
-        mats.append(family.generate(k))
-        return mats[-1]
-
-    verdict = closability_probe(trace_form_context(n),
-                                ProbeFamily(family.name, generate),
-                                n, points=16)
-    a = verdict.omega_limit
-    entry_limit = None
-    if verdict.omega_cauchy:
-        sup = [float(np.max(np.abs(m.entries))) for m in mats]
-        entry_limit = series_limit(verdict.ns, sup, "entry sup")[0]
-    eq6 = np.abs(verdict.omega_diag
-                 - (a if a is not None else verdict.omega_diag[-1]))
-    rows = list(zip(verdict.ns, verdict.tau_values, verdict.omega_diag,
-                    verdict.omega_steps, eq6))
-    return ReplayVerdict(family=family.name, weighted_null=verdict.tau_null,
-                         hs_cauchy=verdict.omega_cauchy, a=a,
-                         entry_sup_limit=entry_limit,
-                         counterexample=verdict.counterexample, rows=rows)
+    return closability_probe(trace_form_context(n), matrix_family(name, n), n,
+                             points=16)
 
 
 # ---------------------------------------------------------------------------

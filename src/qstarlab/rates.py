@@ -151,10 +151,19 @@ def ladder_cauchy(ns, values, steps, names=("values",)) -> tuple[bool, list]:
                for f, s in zip(fits, scales)), fits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LadderProbe:
-    """Verdict of ladder_probe; limits and slopes follow the value series."""
+    """Verdict of ladder_probe on one family, with the series it judged:
+    values has one column per name and rows following ns, steps the same
+    columns with rows following ns[1:]; limits and slopes follow the
+    value series."""
 
+    family: str
+    ns: np.ndarray
+    ambient: np.ndarray
+    values: np.ndarray
+    steps: np.ndarray
+    names: tuple
     null: bool
     cauchy: bool
     limits: tuple
@@ -164,16 +173,21 @@ class LadderProbe:
     step_slopes: tuple
 
 
-def ladder_probe(ns, ambient, values, steps, names=("values",)) -> LadderProbe:
+def ladder_probe(family: str, ns, ambient, values, steps,
+                 names=("values",)) -> LadderProbe:
     """Probe a family on the ladder ns: null by tends_to_zero(ns, ambient,
     NULL_TOL), Cauchy by ladder_cauchy, limits by series_limit."""
+    names = tuple(names)
     ambient = _finite(ns, ambient, ["ambient"])[:, 0]
+    values = _finite(ns, values, names)
+    steps = _finite(ns, steps, [f"{name} step" for name in names], first=1)
     cauchy, step_fits = ladder_cauchy(ns, values, steps, names)
-    columns = np.reshape(values, (len(ns), len(names))).T
     limits, value_fits = zip(*(series_limit(ns, column, name)
-                               for column, name in zip(columns, names)))
+                               for column, name in zip(values.T, names)))
     null = tends_to_zero(ns, ambient, NULL_TOL)
-    return LadderProbe(null=null, cauchy=cauchy, limits=limits,
+    return LadderProbe(family=family, ns=ns, ambient=ambient, values=values,
+                       steps=steps, names=names, null=null, cauchy=cauchy,
+                       limits=limits,
                        counterexample=(null and cauchy
                                        and max(limits) > COUNTEREXAMPLE_TOL),
                        ambient_slope=fit_trend(ns, ambient).slope,

@@ -22,10 +22,10 @@ from .algebra import (State, corner_state, cyclic_group_algebra,
                       group_character_state, group_trace_state,
                       matrix_unit_algebra, normalized_trace_state,
                       scalar_algebra)
-from .forms import ProbeFamily, check_lemma24
+from .forms import ProbeFamily, check_lemma24, closability_probe
 from .gns import gns_construct, verify_gns
 from .matrix_lab import NON_CAUCHY_FAMILIES, NULL_FAMILIES
-from .rates import geometric_ladder
+from .rates import LadderProbe, geometric_ladder
 from .serialize import atomic_write, dump_json, gnsrep_to_dict
 from .topologies import (TOPOLOGIES, closability_check, extend_by_closure,
                          suite_from_bounded_sets)
@@ -142,6 +142,36 @@ def run_extension(grid: flab.Grid, family: ProbeFamily, topology: str,
 
 
 # ---------------------------------------------------------------------------
+# Probe tables
+
+def cauchy_limit(probe: LadderProbe) -> float | None:
+    """The limit of a form probe's diagonal, reported only when Cauchy."""
+    return probe.limits[0] if probe.cauchy else None
+
+
+def convergence_table(probe: LadderProbe) -> tuple[list[str], list[list]]:
+    """A form probe's series; the first member has step distance 0.0."""
+    steps = np.concatenate([[0.0], probe.steps[:, 0]])
+    return (["n", "tau_norm", "omega_diag", "omega_pairwise"],
+            [[int(n), float(t), float(d), float(s)] for n, t, d, s
+             in zip(probe.ns, probe.ambient, probe.values[:, 0], steps)])
+
+
+def replay_table(probe: LadderProbe) -> tuple[list[str], list[list]]:
+    """A matrix replay's series: the Hilbert-Schmidt norm is the square
+    root of the form diagonal, and the recentered residual its distance
+    to the limit (to the last value when not Cauchy)."""
+    header, rows = convergence_table(probe)
+    diag = probe.values[:, 0]
+    limit = cauchy_limit(probe)
+    recentered = np.abs(diag - (diag[-1] if limit is None else limit))
+    return (["k", "weighted_norm", "hs_norm", "pairwise_residual",
+             "recentered_residual"],
+            [[k, w, float(np.sqrt(d)), s, float(e)]
+             for (k, w, d, s), e in zip(rows, recentered)])
+
+
+# ---------------------------------------------------------------------------
 # Scenario implementations
 
 WITNESS_UNBOUNDED_MIN = 0.2
@@ -226,17 +256,17 @@ def _matrix_replay_suite(params: dict, seed: int) -> ScenarioOutcome:
     null_ok = True
     rows = []
     for name in sorted(NULL_FAMILIES) + sorted(NON_CAUCHY_FAMILIES):
-        verdict = mlab.matrix_closability_replay(name, n)
+        probe = mlab.matrix_closability_replay(name, n)
         if name in NULL_FAMILIES:
-            tables[f"replay_{name}"] = verdict.table()
+            tables[f"replay_{name}"] = replay_table(probe)
         # Null families must be Cauchy (so, with no counterexample, their
         # limit is 0); the others must not be.
-        null_ok = (null_ok and verdict.weighted_null
-                   and verdict.hs_cauchy == (name in NULL_FAMILIES)
-                   and not verdict.counterexample)
-        rows.append([name, int(verdict.weighted_null), int(verdict.hs_cauchy),
-                     -1.0 if verdict.a is None else verdict.a,
-                     int(verdict.counterexample)])
+        null_ok = (null_ok and probe.null
+                   and probe.cauchy == (name in NULL_FAMILIES)
+                   and not probe.counterexample)
+        rows.append([name, int(probe.null), int(probe.cauchy),
+                     probe.limits[0] if probe.cauchy else -1.0,
+                     int(probe.counterexample)])
     tables["replay_summary"] = (
         ["family", "weighted_null", "hs_cauchy", "a", "counterexample"], rows)
 
@@ -347,16 +377,18 @@ def _gaussian_suite(params: dict, seed: int) -> ScenarioOutcome:
     verdicts = flab.gaussian_poly_probe(families, n_max=int(params.get("n_max", 24)),
                                         grid=grid)
     by_name = {v.family: v for v in verdicts}
-    ok = (by_name["scaled_linear"].applicable
-          and by_name["scaled_linear"].consistent
-          and by_name["hermite_tail"].applicable
-          and by_name["hermite_tail"].consistent
-          and not by_name["constant_one"].applicable)
-    rows = [[v.family, int(v.applicable), int(v.seminorms_convergent),
-             max(v.seminorm_limits), int(v.consistent)] for v in verdicts]
+    # applicable: the family is L^1-null; consistent: no counterexample
+    ok = (by_name["scaled_linear"].null
+          and not by_name["scaled_linear"].counterexample
+          and by_name["hermite_tail"].null
+          and not by_name["hermite_tail"].counterexample
+          and not by_name["constant_one"].null)
+    rows = [[v.family, int(v.null), int(v.cauchy), max(v.limits),
+             int(not v.counterexample)] for v in verdicts]
     return ScenarioOutcome(
         scenario_id="", passed=bool(ok),
-        details={name: {"applicable": v.applicable, "consistent": v.consistent}
+        details={name: {"applicable": v.null,
+                        "consistent": not v.counterexample}
                  for name, v in by_name.items()},
         tables={"gaussian_probe": (["family", "applicable", "convergent",
                                     "worst_limit", "consistent"], rows)})
@@ -487,8 +519,6 @@ FORM_FAMILIES = {
 
 
 def _closability_probe_op(params: dict, seed: int) -> ScenarioOutcome:
-    from .forms import closability_probe
-
     context, name = params["context"], params["family"]
     n_max = int(params.get("n_max", 256))
     if context == "matrix-trace":
@@ -501,33 +531,31 @@ def _closability_probe_op(params: dict, seed: int) -> ScenarioOutcome:
         ctx = flab.lp_form_context(p, grid)
         if name == "tent":
             family = flab.tent_family(grid, float(params.get("height_exp", 0.5)), p)
-            n_max = min(n_max, 1024)  # keep tents resolvable on the grid
         else:  # "scaled_one"
             family = flab.scaled_one_family(grid)
-    verdict = closability_probe(ctx, family, n_max)
-    header, rows = verdict.table()
+    probe = closability_probe(ctx, family, n_max)
     return ScenarioOutcome(
-        scenario_id="", passed=not verdict.counterexample,
-        details={"family": verdict.family, "tau_null": verdict.tau_null,
-                 "omega_cauchy": verdict.omega_cauchy,
-                 "omega_limit": verdict.omega_limit,
-                 "rates": verdict.rates,
-                 "counterexample": verdict.counterexample},
-        tables={"convergence": (header, rows)})
+        scenario_id="", passed=not probe.counterexample,
+        details={"family": probe.family, "tau_null": probe.null,
+                 "omega_cauchy": probe.cauchy,
+                 "omega_limit": cauchy_limit(probe),
+                 "rates": {"tau_slope": probe.ambient_slope,
+                           "omega_diag_slope": probe.value_slopes[0],
+                           "omega_step_slope": probe.step_slopes[0]},
+                 "counterexample": probe.counterexample},
+        tables={"convergence": convergence_table(probe)})
 
 
 def _matrix_replay_op(params: dict, seed: int) -> ScenarioOutcome:
     name = params.get("family", "scaled_corner")
-    verdict = mlab.matrix_closability_replay(name,
-                                             int(params.get("truncation", 256)))
-    header, rows = verdict.table()
+    probe = mlab.matrix_closability_replay(name,
+                                           int(params.get("truncation", 256)))
     return ScenarioOutcome(
-        scenario_id="", passed=not verdict.counterexample,
-        details={"family": verdict.family,
-                 "weighted_null": verdict.weighted_null,
-                 "hs_cauchy": verdict.hs_cauchy, "a": verdict.a,
-                 "counterexample": verdict.counterexample},
-        tables={"replay": (header, rows)})
+        scenario_id="", passed=not probe.counterexample,
+        details={"family": probe.family, "weighted_null": probe.null,
+                 "hs_cauchy": probe.cauchy, "a": cauchy_limit(probe),
+                 "counterexample": probe.counterexample},
+        tables={"replay": replay_table(probe)})
 
 
 def _witness_op(params: dict, seed: int) -> ScenarioOutcome:

@@ -345,18 +345,10 @@ def extend_by_closure(ambient_norm, element_seq, rep_seq, topology: str, *,
 # ---------------------------------------------------------------------------
 # Closability of the representation
 
-@dataclass(frozen=True)
-class ClosabilityVerdict:
-    family: str
-    tau_null: bool
-    rep_cauchy: bool
-    limit_extrapolated: float
-    counterexample: bool
-
-
 def closability_check(null_families, rep_map, *, suite: Suite,
                       ambient_norm=None, n_max: int = 256) -> list:
-    """Hunt for families that are ambient-null with a nonzero operator limit.
+    """Hunt for families that are ambient-null with a nonzero operator limit;
+    one LadderProbe per family, its value series the suite's seminorms.
 
     Each family must tau-converge to 0 (closed-form norms preferred).  A
     family whose representatives are suite-Cauchy and whose limit operator
@@ -374,11 +366,8 @@ def closability_check(null_families, rep_map, *, suite: Suite,
             raise ValueError(f"family {fam.name} carries no ambient norm")
         values, residuals, names = _suite_series(
             suite, [rep_map(x) for x in elements])
-        probe = ladder_probe(ns, tau, values, residuals, names)
-        verdicts.append(ClosabilityVerdict(
-            family=fam.name, tau_null=probe.null, rep_cauchy=probe.cauchy,
-            limit_extrapolated=max(probe.limits),
-            counterexample=probe.counterexample))
+        verdicts.append(ladder_probe(fam.name, ns, tau, values, residuals,
+                                     names))
     return verdicts
 
 

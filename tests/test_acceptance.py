@@ -163,13 +163,13 @@ def test_criterion_6_matrix_replay():
     conditions = {}
     for name in sorted(NULL_FAMILIES):
         verdict = mlab.matrix_closability_replay(name, 256)
-        conditions[f"{name} a=0"] = (verdict.weighted_null and verdict.hs_cauchy
-                                     and verdict.a == 0.0
+        conditions[f"{name} a=0"] = (verdict.null and verdict.cauchy
+                                     and verdict.limits[0] == 0.0
                                      and not verdict.counterexample)
     for name in sorted(NON_CAUCHY_FAMILIES):
         verdict = mlab.matrix_closability_replay(name, 256)
-        conditions[f"{name} consistent"] = (verdict.weighted_null
-                                            and not verdict.hs_cauchy
+        conditions[f"{name} consistent"] = (verdict.null
+                                            and not verdict.cauchy
                                             and not verdict.counterexample)
     domain = mlab.d_omega_identification()
     conditions["six entry rules"] = len(domain) == 6

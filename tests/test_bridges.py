@@ -49,8 +49,8 @@ def test_form_closability_implies_operator_closability(m2_setup):
         form_verdict = closability_probe(ctx, family, 512)
         assert not form_verdict.counterexample
         assert not op_verdicts[family.name].counterexample
-        if form_verdict.tau_null:
-            assert op_verdicts[family.name].tau_null
+        if form_verdict.null:
+            assert op_verdicts[family.name].null
 
 
 def test_gaussian_polynomial_closability_through_operator_layer():
@@ -79,8 +79,8 @@ def test_gaussian_polynomial_closability_through_operator_layer():
     ]
     verdicts = closability_check(fams, rep_map, suite=suite, n_max=256)
     for v in verdicts:
-        assert v.tau_null and v.rep_cauchy
-        assert v.limit_extrapolated <= 1e-6
+        assert v.null and v.cauchy
+        assert max(v.limits) <= 1e-6
         assert not v.counterexample
 
 

@@ -7,6 +7,7 @@ from qstarlab.forms import (FormContext, ProbeFamily, b_shifted_form,
                             cauchy_schwarz_residual, check_ips_conditions,
                             check_lemma24, closability_probe, form_from_state,
                             hermiticity_residual, star_form)
+from qstarlab.scenarios import cauchy_limit, convergence_table
 
 
 @pytest.fixture(scope="module")
@@ -81,25 +82,25 @@ def test_probe_scaled_unit_in_algebra_context(m2_ctx, m2):
     unit = np.asarray(m2.unit)
     fam = ProbeFamily(name="one/n", generate=lambda n: unit / n)
     verdict = closability_probe(m2_ctx, fam, 512)
-    assert verdict.tau_null and verdict.omega_cauchy
-    assert verdict.omega_limit == 0.0
+    assert verdict.null and verdict.cauchy
+    assert verdict.limits[0] == 0.0
     assert not verdict.counterexample
 
 
 def test_probe_tent_families(grid):
     ctx = flab.lp_form_context(1.0, grid)
     v_bad = closability_probe(ctx, flab.tent_family(grid, 0.5, 1.0), 256)
-    assert v_bad.tau_null
-    assert not v_bad.omega_cauchy
-    assert v_bad.omega_limit is None  # only reported for Cauchy families
+    assert v_bad.null
+    assert not v_bad.cauchy
+    assert cauchy_limit(v_bad) is None  # only reported for Cauchy families
     assert not v_bad.counterexample
     # closed-form L1 norm of the probes: n^(-1/2)/2
-    assert abs(v_bad.tau_values[-1]
+    assert abs(v_bad.ambient[-1]
                - v_bad.ns[-1] ** -0.5 / 2.0) < 1e-12
 
     v_ok = closability_probe(ctx, flab.tent_family(grid, 0.25, 1.0), 256)
-    assert v_ok.tau_null and v_ok.omega_cauchy
-    assert v_ok.omega_limit == 0.0
+    assert v_ok.null and v_ok.cauchy
+    assert v_ok.limits[0] == 0.0
 
 
 def test_probe_detects_nonclosable_point_evaluation(grid):
@@ -110,8 +111,8 @@ def test_probe_detects_nonclosable_point_evaluation(grid):
         ambient_norm=lambda f: flab.lp_norm(f, 1.0),
         star=lambda f: f.conj(), mul=lambda f, g: f * g)
     verdict = closability_probe(ctx, flab.tent_family(grid, 0.0, 1.0), 256)
-    assert verdict.tau_null and verdict.omega_cauchy
-    assert verdict.omega_limit == pytest.approx(1.0)
+    assert verdict.null and verdict.cauchy
+    assert verdict.limits[0] == pytest.approx(1.0)
     assert verdict.counterexample
 
 
@@ -121,8 +122,8 @@ def test_probe_weighted_form_context(grid):
     weight = flab.power_function(grid, 0.5)
     ctx = flab.lp_form_context(1.0, grid, weight=weight)
     verdict = closability_probe(ctx, flab.tent_family(grid, 0.25, 1.0), 256)
-    assert verdict.tau_null and verdict.omega_cauchy
-    assert verdict.omega_limit == 0.0
+    assert verdict.null and verdict.cauchy
+    assert verdict.limits[0] == 0.0
     assert not verdict.counterexample
     tent = flab.tent_function(grid, 16, 0.25)
     assert ctx.form(tent, tent) == pytest.approx(
@@ -143,7 +144,7 @@ def test_probe_refuses_a_nan_form(grid):
 def test_verdict_table_shape(grid):
     ctx = flab.lp_form_context(1.0, grid)
     verdict = closability_probe(ctx, flab.scaled_one_family(grid), 64)
-    header, rows = verdict.table()
+    header, rows = convergence_table(verdict)
     assert header == ["n", "tau_norm", "omega_diag", "omega_pairwise"]
     assert len(rows) == len(verdict.ns)
 
@@ -172,7 +173,7 @@ def test_lemma24_unit_shift_reduces_to_base(m2_ctx, m2):
     row = report.rows[0]
     base = row["verdicts"]["omega"]
     shifted = row["verdicts"]["omega_B[I]"]
-    assert np.allclose(base.omega_diag, shifted.omega_diag)
+    assert np.allclose(base.values[:, 0], shifted.values[:, 0])
     assert base.counterexample == shifted.counterexample
 
 
@@ -181,8 +182,8 @@ def test_lemma24_star_symmetric_family_identical_traces(grid):
     fam = flab.tent_family(grid, 0.25, 1.0)  # real-valued: X_n* = X_n
     base = closability_probe(ctx, fam, 128)
     starred = closability_probe(star_form(ctx), fam, 128)
-    assert np.allclose(base.omega_diag, starred.omega_diag)
-    assert np.allclose(base.omega_steps, starred.omega_steps)
+    assert np.allclose(base.values[:, 0], starred.values[:, 0])
+    assert np.allclose(base.steps, starred.steps)
 
 
 def _unit_entry(n, i, j):

@@ -168,12 +168,12 @@ def test_gaussian_probe_families(hgrid):
     families = flab.make_gaussian_families(hgrid)
     verdicts = {v.family: v for v in flab.gaussian_poly_probe(families,
                                                               grid=hgrid)}
-    assert verdicts["scaled_linear"].applicable
-    assert verdicts["scaled_linear"].consistent
-    assert max(verdicts["scaled_linear"].seminorm_limits) <= 1e-6
-    assert verdicts["hermite_tail"].applicable
-    assert verdicts["hermite_tail"].consistent
-    assert not verdicts["constant_one"].applicable
+    assert verdicts["scaled_linear"].null
+    assert not verdicts["scaled_linear"].counterexample
+    assert max(verdicts["scaled_linear"].limits) <= 1e-6
+    assert verdicts["hermite_tail"].null
+    assert not verdicts["hermite_tail"].counterexample
+    assert not verdicts["constant_one"].null
 
 
 def test_gaussian_probe_rejects_excess_degree(hgrid):

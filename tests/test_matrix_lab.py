@@ -7,6 +7,7 @@ from qstarlab.matrix_lab import (ENTRY_RULES, NON_CAUCHY_FAMILIES,
                                  matrix_closability_replay, matrix_family,
                                  trace_form, trace_form_context,
                                  weight_matrix, weighted_norm)
+from qstarlab.scenarios import cauchy_limit, replay_table
 
 
 def unit_entry(n, i, j, value=1.0):
@@ -88,25 +89,24 @@ def test_moving_bump_closed_forms():
 def test_replay_null_families_reach_zero():
     for name in NULL_FAMILIES:
         verdict = matrix_closability_replay(name, 256)
-        assert verdict.weighted_null, name
-        assert verdict.hs_cauchy, name
-        assert verdict.a == 0.0, name
-        assert verdict.entry_sup_limit == 0.0, name
+        assert verdict.null, name
+        assert verdict.cauchy, name
+        assert verdict.limits[0] == 0.0, name
         assert not verdict.counterexample, name
 
 
 def test_replay_non_cauchy_families_reported():
     for name in NON_CAUCHY_FAMILIES:
         verdict = matrix_closability_replay(name, 256)
-        assert verdict.weighted_null, name
-        assert not verdict.hs_cauchy, name
-        assert verdict.a is None
+        assert verdict.null, name
+        assert not verdict.cauchy, name
+        assert cauchy_limit(verdict) is None
         assert not verdict.counterexample, name
 
 
 def test_replay_table_columns():
     verdict = matrix_closability_replay("scaled_corner", 64)
-    header, rows = verdict.table()
+    header, rows = replay_table(verdict)
     assert header[0] == "k"
     assert len(rows) > 5
 

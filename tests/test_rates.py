@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstarlab.rates import (COUNTEREXAMPLE_TOL, NonFiniteSeriesError,
-                            fit_trend, geometric_ladder, increment_growth_ratio,
-                            increments_shrink, ladder_cauchy, ladder_probe,
-                            series_limit, tends_to_zero)
+from qstarlab import function_lab as flab, matrix_lab as mlab
+from qstarlab.forms import ProbeFamily, closability_probe
+from qstarlab.rates import (COUNTEREXAMPLE_TOL, LadderProbe,
+                            NonFiniteSeriesError, fit_trend, geometric_ladder,
+                            increment_growth_ratio, increments_shrink,
+                            ladder_cauchy, ladder_probe, series_limit,
+                            tends_to_zero)
+from qstarlab.topologies import (BoundedSet, TruncatedOperator,
+                                 closability_check, suite_from_bounded_sets)
 
 
 def test_geometric_ladder_basic():
@@ -97,16 +102,17 @@ def test_ladder_probe_counterexample_and_clean_family():
     ns = geometric_ladder(256, points=16)
     constant = np.ones(len(ns))
     # ambient-null, Cauchy (no steps), limit 1: a counterexample
-    hit = ladder_probe(ns, 1.0 / ns, constant, np.zeros(len(ns) - 1))
+    hit = ladder_probe("hit", ns, 1.0 / ns, constant, np.zeros(len(ns) - 1))
     assert hit.null and hit.cauchy and hit.limits == (1.0,)
     assert hit.counterexample
     # values decaying like 1/n: limit 0, no counterexample
-    clean = ladder_probe(ns, 1.0 / ns, 1.0 / ns, np.abs(np.diff(1.0 / ns)))
+    clean = ladder_probe("clean", ns, 1.0 / ns, 1.0 / ns,
+                         np.abs(np.diff(1.0 / ns)))
     assert clean.null and clean.cauchy and clean.limits == (0.0,)
     assert not clean.counterexample
     assert clean.value_slopes[0] == pytest.approx(-1.0)
     # an ambient series that does not vanish: never a counterexample
-    assert not ladder_probe(ns, constant, constant,
+    assert not ladder_probe("flat", ns, constant, constant,
                             np.zeros(len(ns) - 1)).counterexample
     assert COUNTEREXAMPLE_TOL < 1.0
 
@@ -134,9 +140,9 @@ def test_non_finite_series_raise_with_name_and_position(bad):
     with pytest.raises(NonFiniteSeriesError,
                        match=rf"'ambient' is {bad} at ladder position 4 "
                              rf"\(n={ns[4]}\)"):
-        ladder_probe(ns, spoiled, values, steps)
+        ladder_probe("f", ns, spoiled, values, steps)
     with pytest.raises(NonFiniteSeriesError, match="'omega' is"):
-        ladder_probe(ns, 1.0 / ns, spoiled, steps, names=("omega",))
+        ladder_probe("f", ns, 1.0 / ns, spoiled, steps, names=("omega",))
     bad_steps = steps.copy()
     bad_steps[-1] = bad
     with pytest.raises(NonFiniteSeriesError,
@@ -172,3 +178,52 @@ def test_increments_shrink():
                              "sums") == (True, pytest.approx(0.5))
     assert not increments_shrink((1, 2, 4, 8, 16), [1.0, 2.0, 3.0, 4.0, 5.0],
                                  "sums")[0]
+
+
+def _operator_probes():
+    # two ambient-null families: a constant representative (a
+    # counterexample) and one that shrinks like 1/n
+    families = [ProbeFamily("constant-rep", lambda n: 1.0,
+                            tau_norm=lambda n: 1.0 / n),
+                ProbeFamily("one/n", lambda n: 1.0 / n,
+                            tau_norm=lambda n: 1.0 / n)]
+    suite = suite_from_bounded_sets("uniform",
+                                    [BoundedSet(tuple(np.eye(8)))])
+    return closability_check(
+        families, lambda c: TruncatedOperator(diag=np.full(8, c)),
+        suite=suite, n_max=64)
+
+
+def _gaussian_probes():
+    grid = flab.gauss_hermite_grid(32)
+    return flab.gaussian_poly_probe(flab.make_gaussian_families(grid),
+                                    n_max=8, grid=grid)
+
+
+CLOSABILITY_PROBES = {
+    "closability_probe": lambda: [closability_probe(
+        mlab.trace_form_context(16), mlab.matrix_family("scaled_corner", 16),
+        16)],
+    "matrix_closability_replay": lambda: [
+        mlab.matrix_closability_replay("moving_bump", 16)],
+    "closability_check": _operator_probes,
+    "gaussian_poly_probe": _gaussian_probes,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSABILITY_PROBES))
+def test_every_closability_probe_returns_the_ladder_record(name):
+    probes = CLOSABILITY_PROBES[name]()
+    assert probes
+    for probe in probes:
+        assert isinstance(probe, LadderProbe)
+        assert probe.values.ndim == probe.steps.ndim == 2
+        assert (len(probe.ns) == len(probe.ambient) == probe.values.shape[0]
+                == probe.steps.shape[0] + 1)
+        assert (probe.values.shape[1] == probe.steps.shape[1]
+                == len(probe.names) == len(probe.limits))
+        assert probe.counterexample == (
+            probe.null and probe.cauchy
+            and max(probe.limits) > COUNTEREXAMPLE_TOL)
+    if name == "closability_check":
+        assert [p.counterexample for p in probes] == [True, False]

@@ -409,9 +409,17 @@ def test_non_finite_series_fail_the_scenario(tmp_path, monkeypatch):
             n_max=64)
         return ScenarioOutcome("", not verdicts[0].counterexample, {}, {})
 
+    def overflowed_norm(params, seed):
+        # |f|^400 overflows for tents of height above about 5.9
+        return run_scenario(Scenario("w", "function-lab",
+                                     "unboundedness_witness", "",
+                                     {"p": 400}), seed)
+
     for handler, message in ((nan_form, "'omega' is nan at ladder position 0 "),
                              (inf_rep, "'uniform|node-spikes' is inf at "
-                                       "ladder position 3 (n=4)")):
+                                       "ladder position 3 (n=4)"),
+                             (overflowed_norm, "'lp_norm' is inf at ladder "
+                                               "position 6 (n=39)")):
         code, failed = _run_with_failing(
             tmp_path, "1", _stub_operation(monkeypatch, handler))
         assert code == 1 and failed["passed"] is False

@@ -219,8 +219,8 @@ def test_closability_check_null_families():
                                  suite=suite,
                                  ambient_norm=lambda f: flab.lp_norm(f, 1.0),
                                  n_max=256)
-    assert verdicts[0].tau_null and verdicts[0].rep_cauchy
-    assert verdicts[0].limit_extrapolated <= 1e-6
+    assert verdicts[0].null and verdicts[0].cauchy
+    assert max(verdicts[0].limits) <= 1e-6
     assert not verdicts[0].counterexample
 
 
