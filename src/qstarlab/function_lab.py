@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .forms import FormContext, ProbeFamily
-from .rates import (_finite, fit_trend, geometric_ladder, increments_shrink,
-                    ladder_probe)
+from .rates import (NonFiniteSeriesError, _finite, fit_trend, geometric_ladder,
+                    increments_shrink, ladder_probe)
 from .topologies import BoundedSet, TruncatedOperator
 
 MIN_NODES = 32
@@ -173,14 +173,26 @@ def tent_values(x: np.ndarray, n: int, height: float):
     return height * np.maximum(0.0, 1.0 - 2.0 * n * np.abs(x - 0.5))
 
 
+def _tent_power(n: int, exponent: float, series: str) -> float:
+    """n ** exponent; NonFiniteSeriesError naming the series and n when it
+    overflows a float."""
+    try:
+        return float(n) ** exponent
+    except OverflowError:
+        raise NonFiniteSeriesError(
+            f"series {series!r} is inf at n={n} "
+            f"(n**{exponent:g} overflows)") from None
+
+
 def tent_function(grid: Grid, n: int, height_exp: float) -> GridFunction:
-    h = float(n) ** height_exp
+    h = _tent_power(n, height_exp, "tent height")
     return GridFunction(tent_values(grid.nodes, n, h), grid)
 
 
 def tent_lp_norm(n: int, height_exp: float, p: float) -> float:
     """Closed form: height n^a, width 1/n gives n^(a - 1/p) / (p+1)^(1/p)."""
-    return float(n) ** (height_exp - 1.0 / p) * (p + 1.0) ** (-1.0 / p)
+    return (_tent_power(n, height_exp - 1.0 / p, "tent lp_norm")
+            * (p + 1.0) ** (-1.0 / p))
 
 
 def power_function(grid: Grid, beta: float) -> GridFunction:

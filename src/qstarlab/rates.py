@@ -11,6 +11,7 @@ rate reported by the probes.  Every closability probe is one
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,25 +70,47 @@ def geometric_ladder(n_max: int, points: int = 24,
     possibly the forced final point n_max).  Without this floor, integer
     rounding makes the ladder step-by-one at the low end, and step distances
     there would compare members at vanishing scale separation; scale-invariant
-    families then look spuriously Cauchy.
+    families then look spuriously Cauchy.  The array is cached and shared
+    between callers, so it is read-only.
     """
     if n_max < n_min:
         raise ValueError(f"empty ladder: n_max={n_max} < n_min={n_min}")
-    raw = np.unique(np.round(np.geomspace(n_min, n_max, points)).astype(int))
-    kept = [int(raw[0])]
+    return _cached_ladder(n_max, points, n_min)
+
+
+# A plain function wraps this cache, so geometric_ladder stays a function
+# object (an lru_cache wrapper is not one).
+@functools.lru_cache(maxsize=128)
+def _cached_ladder(n_max: int, points: int, n_min: int) -> np.ndarray:
+    # The rounded geomspace never decreases and n_min >= 1, so the ratio
+    # test also drops repeated values.
+    raw = np.round(np.geomspace(n_min, n_max, points)).astype(int).tolist()
+    kept = [raw[0]]
     for value in raw[1:]:
         if value >= kept[-1] * LADDER_MIN_RATIO:
-            kept.append(int(value))
+            kept.append(value)
     if kept[-1] != n_max:
         kept.append(int(n_max))
-    return np.array(kept)
+    ladder = np.array(kept)
+    ladder.flags.writeable = False
+    return ladder
+
+
+def _median(values) -> float:
+    """Median of a few values by sorting; bit-identical to np.median."""
+    ordered = sorted(values.tolist())
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def fit_trend(ns, values) -> TrendFit:
     """Fit value ~ c * n**slope over the trailing decade of the ladder.
 
     Zero entries are excluded from the fit (they cannot enter a log-log
-    regression); an all-zero tail short-circuits to limit 0.
+    regression); an all-zero tail short-circuits to limit 0.  The slope is
+    the least-squares slope of log value on centred log n.
     """
     ns = np.asarray(ns, dtype=float)
     values = np.abs(np.asarray(values, dtype=float))
@@ -95,7 +118,7 @@ def fit_trend(ns, values) -> TrendFit:
         raise ValueError("ns and values must be matching nonempty 1-d sequences")
 
     tail = values[-min(TAIL_WINDOW, len(values)):]
-    tail_max = float(np.max(tail))
+    tail_max = float(tail.max())
     if tail_max <= VALUE_FLOOR:
         return TrendFit(slope=0.0, limit=0.0, tail_max=tail_max, n_fit=len(tail))
 
@@ -104,24 +127,28 @@ def fit_trend(ns, values) -> TrendFit:
         in_decade = np.zeros_like(in_decade)
         in_decade[-min(5, len(ns)):] = True
     mask = in_decade & (values > VALUE_FLOOR)
-    if np.count_nonzero(mask) < 2 or len(np.unique(ns[mask])) < 2:
+    n_fit = int(np.count_nonzero(mask))
+    fit_ns = ns[mask]
+    if n_fit < 2 or fit_ns.min() == fit_ns.max():
         # Not enough signal for a fit; report the tail as a flat level.
-        return TrendFit(slope=0.0, limit=float(np.median(tail)), tail_max=tail_max,
-                        n_fit=int(np.count_nonzero(mask)))
+        return TrendFit(slope=0.0, limit=_median(tail), tail_max=tail_max,
+                        n_fit=n_fit)
 
     window = values[mask]
-    slope = float(np.polyfit(np.log(ns[mask]), np.log(window), 1)[0])
+    x = np.log(fit_ns)
+    x -= x.mean()
+    y = np.log(window)
+    slope = float(x @ (y - y.mean()) / (x @ x))
     k = min(3, len(window) // 2)  # ends that do not overlap
-    head = float(np.median(window[:k]))
-    foot = float(np.median(window[-k:]))
+    head = _median(window[:k])
+    foot = _median(window[-k:])
     if slope <= -SLOPE_TOL and foot <= DECAY_RATIO * head:
         limit = 0.0
     elif slope >= SLOPE_TOL and foot >= GROWTH_RATIO * head:
         limit = math.inf
     else:
-        limit = float(np.median(tail))
-    return TrendFit(slope=slope, limit=limit, tail_max=tail_max,
-                    n_fit=int(np.count_nonzero(mask)))
+        limit = _median(tail)
+    return TrendFit(slope=slope, limit=limit, tail_max=tail_max, n_fit=n_fit)
 
 
 def _vanishes(fit: TrendFit, hard_threshold: float) -> bool:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qstarlab import function_lab as flab
+from qstarlab.rates import NonFiniteSeriesError
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,9 @@ def test_tent_closed_forms_match_quadrature(grid):
         assert flab.lp_norm(tent, 2.0) == pytest.approx(
             flab.tent_lp_norm(n, 0.5, 2.0), rel=1e-12)
     assert flab.tent_lp_norm(16, 0.5, 2.0) ** 2 == pytest.approx(1.0 / 3.0)
+    # a height or norm past the float range names its series, not OverflowError
+    with pytest.raises(NonFiniteSeriesError, match="'tent lp_norm' is inf at n=7"):
+        flab.tent_lp_norm(7, 400.0, 1.0)
 
 
 def test_witness_exponents(grid):

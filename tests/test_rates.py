@@ -1,14 +1,17 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qstarlab import function_lab as flab, matrix_lab as mlab
+from qstarlab import function_lab as flab, matrix_lab as mlab, rates
 from qstarlab.forms import ProbeFamily, closability_probe
-from qstarlab.rates import (COUNTEREXAMPLE_TOL, LadderProbe,
-                            NonFiniteSeriesError, fit_trend, geometric_ladder,
+from qstarlab.rates import (COUNTEREXAMPLE_TOL, DECAY_RATIO, GROWTH_RATIO,
+                            LADDER_MIN_RATIO, SLOPE_TOL, TAIL_WINDOW,
+                            VALUE_FLOOR, LadderProbe, NonFiniteSeriesError,
+                            TrendFit, fit_trend, geometric_ladder,
                             increment_growth_ratio, increments_shrink,
                             ladder_cauchy, ladder_probe, series_limit,
                             tends_to_zero)
@@ -25,6 +28,129 @@ def test_geometric_ladder_basic():
     assert np.all(ratios >= 1.25)
     with pytest.raises(ValueError):
         geometric_ladder(1, n_min=5)
+
+
+def reference_ladder(n_max, points=24, n_min=1):
+    """geometric_ladder with np.unique, as first written."""
+    if n_max < n_min:
+        raise ValueError(f"empty ladder: n_max={n_max} < n_min={n_min}")
+    raw = np.unique(np.round(np.geomspace(n_min, n_max, points)).astype(int))
+    kept = [int(raw[0])]
+    for value in raw[1:]:
+        if value >= kept[-1] * LADDER_MIN_RATIO:
+            kept.append(int(value))
+    if kept[-1] != n_max:
+        kept.append(int(n_max))
+    return np.array(kept)
+
+
+def reference_fit_trend(ns, values):
+    """fit_trend with np.polyfit, np.median and np.unique, as first
+    written."""
+    ns = np.asarray(ns, dtype=float)
+    values = np.abs(np.asarray(values, dtype=float))
+    tail = values[-min(TAIL_WINDOW, len(values)):]
+    tail_max = float(np.max(tail))
+    if tail_max <= VALUE_FLOOR:
+        return TrendFit(slope=0.0, limit=0.0, tail_max=tail_max, n_fit=len(tail))
+    in_decade = ns >= ns[-1] / 10.0
+    if np.count_nonzero(in_decade) < 3:
+        in_decade = np.zeros_like(in_decade)
+        in_decade[-min(5, len(ns)):] = True
+    mask = in_decade & (values > VALUE_FLOOR)
+    if np.count_nonzero(mask) < 2 or len(np.unique(ns[mask])) < 2:
+        return TrendFit(slope=0.0, limit=float(np.median(tail)), tail_max=tail_max,
+                        n_fit=int(np.count_nonzero(mask)))
+    window = values[mask]
+    slope = float(np.polyfit(np.log(ns[mask]), np.log(window), 1)[0])
+    k = min(3, len(window) // 2)
+    head = float(np.median(window[:k]))
+    foot = float(np.median(window[-k:]))
+    if slope <= -SLOPE_TOL and foot <= DECAY_RATIO * head:
+        limit = 0.0
+    elif slope >= SLOPE_TOL and foot >= GROWTH_RATIO * head:
+        limit = math.inf
+    else:
+        limit = float(np.median(tail))
+    return TrendFit(slope=slope, limit=limit, tail_max=tail_max,
+                    n_fit=int(np.count_nonzero(mask)))
+
+
+def test_geometric_ladder_matches_the_unique_form():
+    for n_min in (1, 4):
+        for points in (10, 12, 16, 24):
+            for n_max in range(1, 4097):
+                if n_max < n_min:
+                    for ladder in (geometric_ladder, reference_ladder):
+                        with pytest.raises(ValueError):
+                            ladder(n_max, points, n_min)
+                    continue
+                assert np.array_equal(geometric_ladder(n_max, points, n_min),
+                                      reference_ladder(n_max, points, n_min))
+
+
+def test_cached_ladder_is_read_only_and_still_traced():
+    ladder = geometric_ladder(64)
+    with pytest.raises(ValueError):
+        ladder[0] = 2
+    # perfbench's tracer wraps only plain functions; an lru_cache object
+    # here would lose the span.
+    for fn in (rates.geometric_ladder, rates.fit_trend, rates.tends_to_zero):
+        assert inspect.isfunction(fn)
+
+
+@st.composite
+def _ladders(draw):
+    """A geometric_ladder, or increasing ns at arbitrary ratios of at least
+    LADDER_MIN_RATIO; lengths 1 and 2 included.  Crowded ns make both fits
+    differ by the rounding of their logs, and no ladder of the package
+    crowds them."""
+    if draw(st.booleans()):
+        return geometric_ladder(draw(st.integers(1, 4096)),
+                                points=draw(st.sampled_from((10, 12, 16, 24))))
+    ns = [draw(st.integers(1, 1000))]
+    for ratio in draw(st.lists(st.floats(LADDER_MIN_RATIO, 4.0), max_size=23)):
+        ns.append(math.ceil(ns[-1] * ratio))
+    return np.array(ns)
+
+
+@st.composite
+def _ladder_series(draw):
+    """A ladder and a series on it: a power law, noisy or exact, or a
+    constant, with entries optionally replaced by 0 or VALUE_FLOOR."""
+    ns = draw(_ladders())
+    size = len(ns)
+    if draw(st.booleans()):
+        values = (draw(st.floats(1e-10, 1e10))
+                  * ns.astype(float) ** draw(st.floats(-4.0, 4.0)))
+        if draw(st.booleans()):
+            values = values * np.array(draw(st.lists(
+                st.floats(0.5, 2.0), min_size=size, max_size=size)))
+    else:
+        level = draw(st.sampled_from((0.0, VALUE_FLOOR, 2 * VALUE_FLOOR))
+                     | st.floats(0.0, 1e6))
+        values = np.full(size, level)
+    holes = draw(st.lists(st.sampled_from((None, 0.0, VALUE_FLOOR)),
+                          min_size=size, max_size=size))
+    for i, hole in enumerate(holes):
+        if hole is not None:
+            values[i] = hole
+    return ns, values
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ladder_series())
+@example((np.array([2, 8, 8]), np.array([0.0, 1.0, 2.0])))  # one distinct n
+@example((np.array([5]), np.array([0.3])))
+@example((np.array([1, 2]), np.array([1.0, 0.5])))
+def test_fit_trend_matches_the_polyfit_reference(case):
+    ns, values = case
+    new, old = fit_trend(ns, values), reference_fit_trend(ns, values)
+    # Within rounding of SLOPE_TOL the two fits may take different branches.
+    assume(abs(abs(old.slope) - SLOPE_TOL) > 1e-9)
+    assert abs(new.slope - old.slope) <= 1e-12
+    assert (new.limit, new.tail_max, new.n_fit) == \
+        (old.limit, old.tail_max, old.n_fit)
 
 
 def test_fit_trend_rejects_mismatched_input():

@@ -415,16 +415,64 @@ def test_non_finite_series_fail_the_scenario(tmp_path, monkeypatch):
                                      "unboundedness_witness", "",
                                      {"p": 400}), seed)
 
+    def overflowed_tent(params, seed):
+        # n**400 overflows a float from n = 7 on
+        return run_scenario(Scenario("t", "forms", "closability_probe", "",
+                                     {"context": "lp", "family": "tent",
+                                      "height_exp": 400}), seed)
+
     for handler, message in ((nan_form, "'omega' is nan at ladder position 0 "),
                              (inf_rep, "'uniform|node-spikes' is inf at "
                                        "ladder position 3 (n=4)"),
                              (overflowed_norm, "'lp_norm' is inf at ladder "
-                                               "position 6 (n=39)")):
+                                               "position 6 (n=39)"),
+                             (overflowed_tent, "'tent height' is inf at n=7 ")):
         code, failed = _run_with_failing(
             tmp_path, "1", _stub_operation(monkeypatch, handler))
         assert code == 1 and failed["passed"] is False
         assert failed["details"]["error"]["type"] == "NonFiniteSeriesError"
         assert message in failed["details"]["error"]["message"]
+
+
+def test_cli_passes_leave_numpy_ma_unloaded(tmp_path):
+    # numpy imports numpy.ma lazily, on the first np.unique or similar call:
+    # about 10 ms of every cold CLI pass when the probe kernel triggers it.
+    import subprocess
+    import sys
+
+    import qstarlab
+
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"scenarios": [
+        {"id": "ext", "module": "op-topologies",
+         "operation": "extend_by_closure",
+         "parameters": {"topology": "strong", "target": "power"}},
+        {"id": "probe", "module": "forms", "operation": "closability_probe",
+         "parameters": {"context": "matrix-trace", "family": "scaled_corner"}},
+        {"id": "tent", "module": "forms", "operation": "closability_probe",
+         "parameters": {"context": "lp", "family": "tent", "p": 1.5,
+                        "height_exp": 0.25}},
+        {"id": "replay", "module": "matrix-lab",
+         "operation": "matrix_closability_replay",
+         "parameters": {"family": "moving_bump"}},
+        {"id": "gns", "module": "gns", "operation": "gns_construct"}]}))
+    script = ("import sys, numpy\n"
+              "if 'numpy.ma' in sys.modules:\n"
+              "    print('preloaded'); sys.exit(0)\n"
+              "from qstarlab.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qstarlab.__file__))
+    for argv in (["--seed", "0", "replicate"],
+                 ["--format", "json", "run", str(cfg)]):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "--out-dir", str(tmp_path / "out"),
+             *argv], capture_output=True, text=True, env=env, cwd=tmp_path)
+        last = proc.stdout.splitlines()[-1]
+        if last == "preloaded":
+            pytest.skip("this numpy loads numpy.ma on import")
+        assert last == "0 False", proc.stderr
 
 
 def test_paired_choices_rejected_before_running(tmp_path, capsys, monkeypatch):
