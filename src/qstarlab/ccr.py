@@ -10,6 +10,10 @@ identities hold coefficient-exactly, not merely to round-off.  Arrays stay
 trimmed, so equality is array equality.  Truncation edge effects are
 handled by the safe-subspace discipline: operator identities are asserted
 only on vectors whose images stay inside the truncation window.
+
+The product, involution and seminorm kernels take a leading sample axis:
+(s, k, n, j) arrays, zero-padded to a common shape with the frequency
+centred.  A single polynomial is the batch of one.
 """
 
 from __future__ import annotations
@@ -59,31 +63,33 @@ def _evaluate(c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _window(shape: tuple, outer: tuple) -> tuple:
+    """Where an array of `shape` sits in one of `outer`: at the start of
+    every axis but frequency, which is centred (both lengths are odd)."""
+    at = [slice(0, s) for s in shape]
+    at[-2] = slice((outer[-2] - shape[-2]) // 2, (outer[-2] + shape[-2]) // 2)
+    return tuple(at)
+
+
+def _embedded(c: np.ndarray, shape: tuple) -> np.ndarray:
+    out = np.zeros(shape, complex)
+    out[_window(c.shape, shape)] = c
+    return out
+
+
 def _summed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     shape = np.maximum(a.shape, b.shape)
     total = np.zeros(shape, complex)
-    for c in (a, b):  # odd frequency lengths: center c in total
-        at = [slice(0, s) for s in c.shape]
-        at[-2] = slice((shape[-2] - c.shape[-2]) // 2, (shape[-2] + c.shape[-2]) // 2)
-        total[tuple(at)] += c
+    for c in (a, b):
+        total[_window(c.shape, shape)] += c
     return total
 
 
-def _outer_sum(left_at, left, right_at, right, size: int) -> np.ndarray:
-    """Flat array whose cell left_at[p] + right_at[q] sums left[p] * right[p, q]
-    (right may be one row shared by all p), added in order of p, then q.
-
-    The complex products are written out in real arithmetic, so each one
-    rounds exactly as Python's complex product does; numpy's complex
-    multiply fuses a multiply-add and can differ in the last bit.
-    """
-    lr, li = left.real[:, None], left.imag[:, None]
-    rr, ri = right.real, right.imag
-    at = (left_at[:, None] + right_at).ravel()
-    out = np.empty(size, complex)
-    out.real = np.bincount(at, (lr * rr - li * ri).ravel(), size)
-    out.imag = np.bincount(at, (lr * ri + li * rr).ravel(), size)
-    return out
+def _same(x: np.ndarray, y: np.ndarray) -> bool:
+    """Do two batches hold the same polynomials?  Trimming is canonical, so
+    equality of the zero-padded arrays is equality of the trimmed ones."""
+    shape = tuple(np.maximum(x.shape, y.shape))
+    return np.array_equal(_embedded(x, shape), _embedded(y, shape))
 
 
 class _Coefficients:
@@ -194,15 +200,8 @@ class TrigPoly(_Coefficients):
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
         """Pointwise product, summed over the left factor's frequencies in
         ascending order (then over its powers of 2*pi)."""
-        a, b = self._c, other._c
-        if not a.size or not b.size:
-            return TrigPoly()
-        n, j = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
-        na, ja = np.nonzero(a)
-        nb, jb = np.nonzero(b)
-        out = _outer_sum(na * j + ja, a[na, ja], nb * j + jb,
-                         b[nb, jb][None, :], n * j)
-        return TrigPoly._from_array(out.reshape(n, j))
+        return TrigPoly._from_array(
+            _trig_products(self._c[None], other._c[None])[0])
 
     def derivative(self) -> "TrigPoly":
         """d/dx multiplies the n-th coefficient by 2 pi i n, exactly."""
@@ -286,46 +285,117 @@ def _binomials(size: int) -> np.ndarray:
 
 
 def ccr_mul(q1: CCRPolynomial, q2: CCRPolynomial) -> CCRPolynomial:
-    """Noncommutative product induced by the Leibniz rule: moving p^k
-    through psi gives sum_r C(k, r) (-i d/dx)^r psi p^(k-r).
-
-    On the arrays (-i)^r (2 pi i n)^r = n^r (2 pi)^r, so Leibniz term r
-    pairs every cell of q1 at a power k >= r, weighted C(k, r), with every
-    cell of q2, weighted n^r, and lands r powers of p lower and r powers
-    of 2*pi higher: one convolution over (k, n, j) per r, all r at once.
-    """
-    a, b = q1._c, q2._c
-    if not a.size or not b.size:
-        return CCRPolynomial()
-    (k1, n1, j1), (k2, n2, j2) = a.shape, b.shape
-    shape = (k1 + k2 - 1, n1 + n2 - 1, j1 + j2 + k1 - 2)
-    hit = np.nonzero(a)
-    r, cell = np.nonzero(np.arange(k1)[:, None] <= hit[0])
-    ka, na, ja = (axis[cell] for axis in hit)
-    kb, nb, jb = np.nonzero(b)
-    weighted = ((nb - n2 // 2).astype(float) ** np.arange(k1)[:, None]
-                * b[kb, nb, jb])
-    out = _outer_sum(((ka - r) * shape[1] + na) * shape[2] + ja + r,
-                     _binomials(k1)[r, ka] * a[ka, na, ja],
-                     (kb * shape[1] + nb) * shape[2] + jb, weighted[r],
-                     math.prod(shape))
-    return CCRPolynomial._from_array(out.reshape(shape))
+    """Noncommutative product induced by the Leibniz rule (`_leibniz`)."""
+    return CCRPolynomial._from_array(_leibniz(q1._c[None], q2._c[None])[0])
 
 
 def ccr_star(q: CCRPolynomial) -> CCRPolynomial:
-    """Involution: (phi p^k)* = sum_r (-i)^r C(k,r) conj(phi)^(r) p^(k-r),
-    where (-i)^r (2 pi i n)^r = n^r (2 pi)^r on the arrays."""
-    c = q._c
-    if not c.size:
-        return CCRPolynomial()
-    k, n, j = c.shape
-    conj = c[:, ::-1].conj()
+    """Involution (`_involution`)."""
+    return CCRPolynomial._from_array(_involution(q._c[None])[0])
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels on (s, k, n, j) arrays, one sample per leading index
+
+def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a[i] b[i]: moving p^k through psi gives
+    sum_r C(k, r) (-i d/dx)^r psi p^(k-r).
+
+    On the arrays (-i)^r (2 pi i n)^r = n^r (2 pi)^r, so Leibniz term r
+    pairs every cell of a at a power k >= r, weighted C(k, r), with every
+    cell of b, weighted n^r, and lands r powers of p lower and r powers of
+    2*pi higher.  The loop runs over the nonzero cells (in any sample) of
+    the factor that costs fewer adds, and adds one template per cell,
+    shifted to it and scaled per sample: a cell of a at power k adds the
+    terms r <= k of all of b, a cell of b at frequency n adds all terms of
+    all of a.  Samples sit on the last axis inside, so every add runs over
+    contiguous memory.  A cell's terms are summed in another order than
+    one by one; on Gaussian-integer and dyadic data every partial sum is
+    exact, so the bits are the same.
+    """
+    s, (k1, n1, j1), (k2, n2, j2) = len(a), a.shape[1:], b.shape[1:]
+    if not (k1 and j1 and k2 and j2):
+        return np.zeros((s, 0, 1, 0), complex)
+    powers = _frequencies(b).astype(float) ** np.arange(k1)[:, None]
+    binom = _binomials(k1)
+    a, b = (np.ascontiguousarray(np.moveaxis(c, 0, -1)) for c in (a, b))
+    out = np.zeros((k1 + k2 - 1, n1 + n2 - 1, k1 + j1 + j2 - 2, s), complex)
+    cells_a, cells_b = (np.nonzero(c.any(axis=-1)) for c in (a, b))
+    adds_a = int(((cells_a[0] + k2) * (cells_a[0] + j2)).sum()) * n2
+    adds_b = len(cells_b[0]) * k1 * (k1 + j1 - 1) * n1
+    if adds_a <= adds_b:
+        weighted = powers[:, None, :, None, None] * b  # [r] = n^r b
+        templates = []
+        for k in range(k1):
+            t = np.zeros((k + k2, n2, k + j2, s), complex)
+            for r in range(k + 1):
+                t[k - r:k - r + k2, :, r:r + j2] += binom[r, k] * weighted[r]
+            templates.append(t)
+        for k, n, j in zip(*cells_a):
+            out[:k + k2, n:n + n2, j:j + k + j2] += a[k, n, j] * templates[k]
+    else:
+        templates = np.zeros((n2, k1, n1, k1 + j1 - 1, s), complex)
+        for r in range(k1):
+            templates[:, :k1 - r, :, r:r + j1] += (
+                powers[r, :, None, None, None, None]
+                * (binom[r, r:, None, None, None] * a[r:]))
+        for k, n, j in zip(*cells_b):
+            out[k:k + k1, n:n + n1, j:j + k1 + j1 - 1] += b[k, n, j] * templates[n]
+    return np.moveaxis(out, -1, 0)
+
+
+def _involution(c: np.ndarray) -> np.ndarray:
+    """Involutions c[i]*: (phi p^k)* = sum_r (-i)^r C(k,r) conj(phi)^(r)
+    p^(k-r), where (-i)^r (2 pi i n)^r = n^r (2 pi)^r on the arrays."""
+    s, k, n, j = c.shape
+    if not (k and j):
+        return np.zeros((s, 0, 1, 0), complex)
+    conj = c[:, :, ::-1].conj()
     freq = _frequencies(c).astype(float)[:, None]
     binom = _binomials(k)
-    out = np.zeros((k, n, j + k - 1), complex)
+    out = np.zeros((s, k, n, j + k - 1), complex)
     for r in range(k):
-        out[:k - r, :, r:r + j] += binom[r, r:, None, None] * freq ** r * conj[r:]
-    return CCRPolynomial._from_array(out)
+        out[:, :k - r, :, r:r + j] += (binom[r, r:, None, None] * freq ** r
+                                       * conj[:, r:])
+    return out
+
+
+def _trig_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise products a[i] b[i] of (s, n, j) TrigPoly arrays.
+
+    Each output cell sums over the cells of a in ascending order, then over
+    those of b, in one bincount per real and imaginary part.  It takes the
+    cells nonzero in any sample: a zero cell adds only signed zeros, so for
+    finite data every sample's bits are those of its own product.  The
+    complex products are written out in real arithmetic, so each one
+    rounds exactly as Python's complex product does; numpy's complex
+    multiply fuses a multiply-add and can differ in the last bit.
+    """
+    s, (n1, j1), (n2, j2) = len(a), a.shape[1:], b.shape[1:]
+    if not (j1 and j2):
+        return np.zeros((s, 1, 0), complex)
+    n, j = n1 + n2 - 1, j1 + j2 - 1
+    na, ja = np.nonzero(a.any(axis=0))
+    nb, jb = np.nonzero(b.any(axis=0))
+    left, right = a[:, na, ja, None], b[:, None, nb, jb]  # (s, p, 1), (s, 1, q)
+    at = (np.arange(s)[:, None, None] * (n * j) + (na * j + ja)[:, None]
+          + (nb * j + jb)).ravel()
+    out = np.empty(s * n * j, complex)
+    out.real = np.bincount(at, (left.real * right.real
+                                - left.imag * right.imag).ravel(), s * n * j)
+    out.imag = np.bincount(at, (left.real * right.imag
+                                + left.imag * right.real).ravel(), s * n * j)
+    return out.reshape(s, n, j)
+
+
+# Batches are cut into chunks of at most this many samples, which bounds the
+# kernels' temporary arrays whatever the sample count.
+BATCH_SAMPLES = 256
+
+
+def _batches(draws: np.ndarray):
+    return (draws[i:i + BATCH_SAMPLES]
+            for i in range(0, len(draws), BATCH_SAMPLES))
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +483,19 @@ def graph_seminorm(phi, k: int) -> float:
 
 def graph_seminorm_poly(phi: TrigPoly, k: int) -> float:
     """Graph seminorm straight off the coefficient map (no truncation)."""
-    total = 0.0
-    for n, value, present in zip(_frequencies(phi._c).tolist(),
-                                 _evaluate(phi._c).tolist(),
-                                 _nonzero_rows(phi._c)):
-        if present:
-            total += (1.0 + (TWO_PI * n) ** 2) ** (2 * k) * abs(value) ** 2
-    return math.sqrt(total)
+    return float(_graph_seminorms(phi._c[None], k)[0])
+
+
+def _graph_seminorms(c: np.ndarray, k: int) -> np.ndarray:
+    """Graph seminorms of (s, n, j) TrigPoly arrays: the square root of
+    sum_n (1 + 4 pi^2 n^2)^(2k) |phi_n|^2, added one frequency at a time in
+    ascending order.  The weights are Python float powers, and
+    np.hypot(re, im) rounds as Python's abs of a complex does."""
+    weights = np.array([(1.0 + (TWO_PI * n) ** 2) ** (2 * k)
+                        for n in _frequencies(c).tolist()])
+    values = _evaluate(c)
+    terms = weights * np.hypot(values.real, values.imag) ** 2
+    return np.sqrt(np.cumsum(terms, axis=-1)[:, -1])
 
 
 @dataclass(frozen=True)
@@ -465,22 +541,45 @@ def random_ccr_polynomial(rng, degree: int, max_freq: int) -> CCRPolynomial:
         rng, (degree + 1, 2 * max_freq + 1), True))
 
 
+def exact_identities(rng, samples: int, degree: int, max_freq: int) -> bool:
+    """Do **q1 = q1, (q1 q2)* = q2* q1* and (q1 q2) q3 = q1 (q2 q3) hold
+    coefficient-exactly on `samples` triples of random polynomials?
+
+    The triples come from one draw, the same stream as 3 * samples
+    random_ccr_polynomial calls in the order q1, q2, q3 per sample, and
+    each side of an identity is one batched kernel call.
+    """
+    draws = _random_coefficients(
+        rng, (samples, 3, degree + 1, 2 * max_freq + 1), True)
+    for batch in _batches(draws):
+        q1, q2, q3 = batch[:, 0], batch[:, 1], batch[:, 2]
+        star1, q12 = _involution(q1), _leibniz(q1, q2)
+        if not (_same(_involution(star1), q1)
+                and _same(_involution(q12), _leibniz(_involution(q2), star1))
+                and _same(_leibniz(q12, q3), _leibniz(q1, _leibniz(q2, q3)))):
+            return False
+    return True
+
+
 def submultiplicativity_probe(k: int, n_pairs: int = 40,
                               seed: int = 0) -> SubmultReport:
     """Empirical constant in |phi chi|_k <= c_k |phi|_k |chi|_k.
 
     Reports the largest observed ratio over a seeded sample and the value
     at half the sample size, so growth under sample refinement is visible.
+    The pairs come from one draw, the stream of 2 * n_pairs
+    random_trig_poly calls, and their products from one batched call.
     """
     rng = np.random.default_rng(seed)
+    draws = _random_coefficients(
+        rng, (n_pairs, 2, 2 * SUBMULT_MAX_FREQ + 1), False)
     ratios = []
-    for _ in range(n_pairs):
-        phi = random_trig_poly(rng, SUBMULT_MAX_FREQ, integer=False)
-        chi = random_trig_poly(rng, SUBMULT_MAX_FREQ, integer=False)
-        denom = graph_seminorm_poly(phi, k) * graph_seminorm_poly(chi, k)
-        if denom == 0:
-            continue
-        ratios.append(graph_seminorm_poly(phi * chi, k) / denom)
+    for batch in _batches(draws):
+        phi, chi = batch[:, 0], batch[:, 1]
+        denom = _graph_seminorms(phi, k) * _graph_seminorms(chi, k)
+        kept = denom != 0
+        ratios += (_graph_seminorms(_trig_products(phi, chi), k)[kept]
+                   / denom[kept]).tolist()
     half = max(ratios[:max(1, len(ratios) // 2)])
     return SubmultReport(k=k, max_ratio=max(ratios),
                          half_sample_ratio=half, n_pairs=len(ratios))
@@ -538,29 +637,6 @@ def faithfulness_defect(q: CCRPolynomial, n_trunc: int) -> float:
         probe[m + n_trunc] = 1.0
         worst = max(worst, float(np.linalg.norm(op.apply(probe))))
     return worst
-
-
-def ccr_polynomial_from_literal(data) -> CCRPolynomial:
-    """Build a polynomial from the literal form used in config and test
-    files: a list of (power, [(frequency, [re, im]), ...]) entries."""
-    terms = []
-    for power, coeff_entries in data:
-        coeffs = {int(n): complex(re, im) for n, (re, im) in coeff_entries}
-        terms.append((int(power), TrigPoly(coeffs)))
-    return CCRPolynomial.from_terms(terms)
-
-
-def ccr_polynomial_to_literal(q: CCRPolynomial) -> list:
-    """Deterministic literal form: entries sorted by power and frequency,
-    scalar coefficients evaluated to [re, im] pairs."""
-    literal = []
-    for k, (values, present) in enumerate(zip(_evaluate(q._c).tolist(),
-                                              _nonzero_rows(q._c))):
-        entries = [[n, [v.real, v.imag]] for n, v, hit
-                   in zip(_frequencies(q._c).tolist(), values, present) if hit]
-        if entries:
-            literal.append([k, entries])
-    return literal
 
 
 def uniform_seminorm_identity(phi_vec: np.ndarray, test_polys,

@@ -9,6 +9,8 @@ quadrature sums under grid doubling rather than from any fixed cutoff.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -127,13 +129,20 @@ def lp_norm(f: GridFunction, p: float) -> float:
 
 def omega_form(f: GridFunction, g: GridFunction,
                w: GridFunction | None = None) -> complex:
-    """The integral form of f against conj(g), optionally with a weight."""
+    """The integral form of f against conj(g), optionally with a weight;
+    inf, without a numpy warning, when finite functions overflow it."""
     f._check(g)
-    integrand = f.values * g.values.conj()
     if w is not None:
         f._check(w)
-        integrand = integrand * w.values
-    return complex(np.dot(f.grid.weights, integrand))
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = f.values * g.values.conj()
+        if w is not None:
+            integrand = integrand * w.values
+        value = complex(np.dot(f.grid.weights, integrand))
+    if not cmath.isfinite(value) and all(
+            np.isfinite(h.values).all() for h in (f, g, w) if h is not None):
+        return complex(math.inf)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -326,19 +326,8 @@ def _periodic_multiplication_suite(params: dict, seed: int) -> ScenarioOutcome:
 
 
 def _ccr_symbolic_suite(params: dict, seed: int) -> ScenarioOutcome:
-    n_samples = int(params.get("samples", 25))
     rng = np.random.default_rng(seed)
-    exact_ok = True
-    for _ in range(n_samples):
-        q1 = ccr.random_ccr_polynomial(rng, 3, 3)
-        q2 = ccr.random_ccr_polynomial(rng, 3, 3)
-        q3 = ccr.random_ccr_polynomial(rng, 3, 3)
-        exact_ok = exact_ok and ccr.ccr_star(ccr.ccr_star(q1)) == q1
-        exact_ok = exact_ok and (ccr.ccr_star(ccr.ccr_mul(q1, q2))
-                                 == ccr.ccr_mul(ccr.ccr_star(q2),
-                                                ccr.ccr_star(q1)))
-        exact_ok = exact_ok and (ccr.ccr_mul(ccr.ccr_mul(q1, q2), q3)
-                                 == ccr.ccr_mul(q1, ccr.ccr_mul(q2, q3)))
+    exact_ok = ccr.exact_identities(rng, int(params.get("samples", 25)), 3, 3)
 
     phi = ccr.TrigPoly({0: 1.0, 1: 0.5 + 0.25j, -1: 0.5 - 0.25j, 2: -0.125j})
     p_mat = ccr.ccr_represent(ccr.CCRPolynomial.momentum(), 64).matrix
@@ -775,6 +764,11 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> ScenarioOutcome:
     return outcome
 
 
+# The keys a config scenario entry may carry.
+ENTRY_KEYS = frozenset({"id", "module", "operation", "description",
+                        "parameters", "output_path"})
+
+
 def parse_config(data: dict) -> list[Scenario]:
     if not isinstance(data, dict) or "scenarios" not in data:
         raise ConfigError("config must be an object with a 'scenarios' list")
@@ -786,6 +780,10 @@ def parse_config(data: dict) -> list[Scenario]:
         where = f"scenarios[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: expected an object")
+        unknown = set(entry) - ENTRY_KEYS
+        if unknown:
+            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; "
+                              f"expected some of {sorted(ENTRY_KEYS)}")
         for key in ("module", "operation"):
             if key not in entry:
                 raise ConfigError(f"{where}: missing '{key}'")

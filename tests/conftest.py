@@ -4,6 +4,8 @@ import pytest
 from qstarlab.algebra import (corner_state, cyclic_group_algebra,
                               group_trace_state, matrix_unit_algebra,
                               normalized_trace_state, scalar_algebra)
+from qstarlab.ccr import (CCRPolynomial, TrigPoly, _evaluate, _frequencies,
+                          _nonzero_rows)
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +50,26 @@ def coeffs_to_matrix(coeffs, n):
 
 def matrix_to_coeffs(mat):
     return np.asarray(mat, dtype=complex).reshape(-1)
+
+
+def polynomial_from_literal(data) -> CCRPolynomial:
+    """A CCR polynomial from its literal form in test data: a list of
+    (power, [(frequency, [re, im]), ...]) entries."""
+    terms = []
+    for power, coeff_entries in data:
+        coeffs = {int(n): complex(re, im) for n, (re, im) in coeff_entries}
+        terms.append((int(power), TrigPoly(coeffs)))
+    return CCRPolynomial.from_terms(terms)
+
+
+def polynomial_to_literal(q: CCRPolynomial) -> list:
+    """Deterministic literal form: entries sorted by power and frequency,
+    scalar coefficients evaluated to [re, im] pairs."""
+    literal = []
+    for k, (values, present) in enumerate(zip(_evaluate(q._c).tolist(),
+                                              _nonzero_rows(q._c))):
+        entries = [[n, [v.real, v.imag]] for n, v, hit
+                   in zip(_frequencies(q._c).tolist(), values, present) if hit]
+        if entries:
+            literal.append([k, entries])
+    return literal

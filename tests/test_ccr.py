@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import polynomial_from_literal, polynomial_to_literal
 from qstarlab.ccr import (CCRPolynomial, TrigPoly, TwoPiScalar, adjoint_check,
-                          ccr_mul, ccr_polynomial_from_literal,
-                          ccr_polynomial_to_literal, ccr_represent, ccr_star,
+                          ccr_mul, ccr_represent, ccr_star,
                           faithfulness_defect, freqs,
                           graph_seminorm, graph_seminorm_poly, graph_weights,
                           homomorphism_check, momentum_matrix,
@@ -268,16 +268,16 @@ def test_submultiplicativity_probe():
 def test_polynomial_literal_roundtrip():
     literal = [[0, [[0, [1.0, 0.0]], [1, [0.5, -0.25]]]],
                [2, [[-1, [0.0, 2.0]]]]]
-    q = ccr_polynomial_from_literal(literal)
+    q = polynomial_from_literal(literal)
     assert q.degree == 2
     assert q.coeffs[0] == TrigPoly({0: 1.0, 1: 0.5 - 0.25j})
     assert q.coeffs[2] == TrigPoly({-1: 2j})
-    assert ccr_polynomial_to_literal(q) == literal
+    assert polynomial_to_literal(q) == literal
     # serialization is deterministic: frequencies come out sorted
     scrambled = [[0, [[1, [0.5, -0.25]], [0, [1.0, 0.0]]]],
                  [2, [[-1, [0.0, 2.0]]]]]
-    assert ccr_polynomial_to_literal(
-        ccr_polynomial_from_literal(scrambled)) == literal
+    assert polynomial_to_literal(
+        polynomial_from_literal(scrambled)) == literal
 
 
 def test_uniform_seminorm_identity():

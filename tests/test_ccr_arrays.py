@@ -1,6 +1,8 @@
 """The array-backed CCR algebra: golden values recorded from the earlier
-dict-of-dict implementation, canonical form of the coefficient arrays, and
-the Leibniz product and involution against a cell-by-cell reference."""
+dict-of-dict implementation, canonical form of the coefficient arrays, the
+Leibniz product and involution against a cell-by-cell reference, and the
+batched kernels and draws against the same computations one sample at a
+time."""
 
 import json
 import math
@@ -10,9 +12,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import polynomial_from_literal, polynomial_to_literal
+from qstarlab import ccr
 from qstarlab.ccr import (CCRPolynomial, TrigPoly, TwoPiScalar, ccr_mul,
-                          ccr_polynomial_from_literal,
-                          ccr_polynomial_to_literal, ccr_star,
+                          ccr_star, exact_identities,
                           graph_seminorm_poly, homomorphism_check,
                           random_ccr_polynomial, random_trig_poly)
 
@@ -32,20 +35,20 @@ def test_golden_random_products_and_star():
     rng = np.random.default_rng(golden["seed"])
     q1, q2, q3 = (random_ccr_polynomial(rng, golden["degree"],
                                         golden["max_freq"]) for _ in range(3))
-    assert ccr_polynomial_to_literal(q1) == golden["q1"]
-    assert ccr_polynomial_to_literal(ccr_mul(q1, q2)) == golden["product"]
-    assert ccr_polynomial_to_literal(ccr_star(q1)) == golden["star"]
-    assert ccr_polynomial_to_literal(ccr_mul(ccr_mul(q1, q2), q3)) \
+    assert polynomial_to_literal(q1) == golden["q1"]
+    assert polynomial_to_literal(ccr_mul(q1, q2)) == golden["product"]
+    assert polynomial_to_literal(ccr_star(q1)) == golden["star"]
+    assert polynomial_to_literal(ccr_mul(ccr_mul(q1, q2), q3)) \
         == golden["triple"]
 
 
 def test_golden_dyadic_product():
     golden = load_golden()["dyadic"]
-    a = ccr_polynomial_from_literal(golden["a"])
-    b = ccr_polynomial_from_literal(golden["b"])
+    a = polynomial_from_literal(golden["a"])
+    b = polynomial_from_literal(golden["b"])
     prod = ccr_mul(a, b)
-    assert ccr_polynomial_to_literal(prod) == golden["product"]
-    assert ccr_polynomial_to_literal(ccr_star(prod)) == golden["star"]
+    assert polynomial_to_literal(prod) == golden["product"]
+    assert polynomial_to_literal(ccr_star(prod)) == golden["star"]
 
 
 def test_golden_submultiplicativity_seminorms():
@@ -178,3 +181,113 @@ def test_homomorphism_on_mixed_degrees(q1, q2):
     if q1.is_zero() or q2.is_zero():
         assert check.residual == 0.0
     assert check.relative_residual < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels against one sample at a time
+
+def stacked(items) -> np.ndarray:
+    """The arrays of polynomials (or TrigPolys) of mixed shapes as one
+    batch, each zero-padded to the common shape, frequency centred."""
+    shape = tuple(np.max([q._c.shape for q in items], axis=0))
+    return np.stack([ccr._embedded(q._c, shape) for q in items])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(gaussian_polys(), gaussian_polys()),
+                min_size=1, max_size=5))
+def test_batched_mul_and_star_match_reference(pairs):
+    left, right = stacked([a for a, _ in pairs]), stacked([b for _, b in pairs])
+    products, stars = ccr._leibniz(left, right), ccr._involution(left)
+    for (q1, q2), prod, star in zip(pairs, products, stars):
+        assert cells(CCRPolynomial._from_array(prod)) == reference_mul(q1, q2)
+        assert cells(CCRPolynomial._from_array(star)) == reference_star(q1)
+
+
+def reference_trig_mul(phi, chi) -> dict:
+    """{(frequency, power of 2*pi): coefficient}, each summed in Python over
+    the cells of phi in ascending order, then those of chi."""
+    out: dict = {}
+    for (n1, j1), v1 in sorted(trig_cells(phi).items()):
+        for (n2, j2), v2 in sorted(trig_cells(chi).items()):
+            key = (n1 + n2, j1 + j2)
+            out[key] = out.get(key, 0) + v1 * v2
+    return {key: v for key, v in out.items() if v != 0}
+
+
+def trig_cells(phi) -> dict:
+    return {(n, j): v for n, scalar in phi.coeffs.items()
+            for j, v in scalar.parts.items()}
+
+
+def reference_graph_seminorm(phi, k) -> float:
+    """graph_seminorm_poly as a Python loop over the frequencies."""
+    total = 0.0
+    for n, scalar in sorted(phi.coeffs.items()):
+        value = sum((v * (2 * math.pi) ** j
+                     for j, v in sorted(scalar.parts.items())), 0j)
+        total += (1.0 + (2 * math.pi * n) ** 2) ** (2 * k) * abs(value) ** 2
+    return math.sqrt(total)
+
+
+def normal_trig_polys(rng, count):
+    """Standard-normal TrigPolys of mixed frequency ranges and powers of
+    2*pi, with zero cells, a single mode and the zero TrigPoly among them."""
+    polys = [TrigPoly(), TrigPoly.mode(-3, 0.3 - 1.1j)]
+    while len(polys) < count:
+        f, j = rng.integers(0, 6), rng.integers(1, 4)
+        c = rng.standard_normal((2 * f + 1, j, 2)).view(complex)[..., 0]
+        c[rng.random(c.shape) < 0.2] = 0
+        polys.append(TrigPoly._from_array(c))
+    return polys
+
+
+def test_batched_trig_products_and_seminorms_match_the_loop():
+    # non-dyadic data: only the per-cell summation order keeps the bits
+    rng = np.random.default_rng(11)
+    phis, chis = normal_trig_polys(rng, 12), normal_trig_polys(rng, 12)[::-1]
+    products = ccr._trig_products(stacked(phis), stacked(chis))
+    for phi, chi, prod in zip(phis, chis, products):
+        assert trig_cells(TrigPoly._from_array(prod)) \
+            == reference_trig_mul(phi, chi)
+        assert TrigPoly._from_array(prod) == phi * chi
+    for k in (0, 1, 2):
+        norms = ccr._graph_seminorms(stacked(phis), k)
+        assert norms.tolist() == [reference_graph_seminorm(phi, k)
+                                  for phi in phis]
+        assert norms.tolist() == [graph_seminorm_poly(phi, k) for phi in phis]
+
+
+def test_batched_draws_follow_the_sequential_stream():
+    for seed, samples in ((0, 25), (3, 1), (7, ccr.BATCH_SAMPLES + 5)):
+        rng, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        polys = [random_ccr_polynomial(rng, 3, 3) for _ in range(3 * samples)]
+        draws = ccr._random_coefficients(batched, (samples, 3, 4, 7), True)
+        assert batched.bit_generator.state == rng.bit_generator.state
+        assert polys == [CCRPolynomial._from_array(c)
+                         for c in draws.reshape(3 * samples, 4, 7, 1)]
+        again = np.random.default_rng(seed)
+        assert exact_identities(again, samples, 3, 3)
+        assert again.bit_generator.state == rng.bit_generator.state
+
+        rng, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        polys = [random_trig_poly(rng, 8, integer=False)
+                 for _ in range(2 * samples)]
+        draws = ccr._random_coefficients(batched, (samples, 2, 17), False)
+        assert batched.bit_generator.state == rng.bit_generator.state
+        assert polys == [TrigPoly._from_array(c)
+                         for c in draws.reshape(2 * samples, 17, 1)]
+
+
+def test_exact_identities_see_a_wrong_product(monkeypatch):
+    # one cell off in the last sample of every product breaks an identity
+    leibniz = ccr._leibniz
+
+    def off_by_one(a, b):
+        out = leibniz(a, b)
+        out[-1, 0, out.shape[2] // 2, 0] += 1
+        return out
+
+    assert exact_identities(np.random.default_rng(5), 30, 3, 3)
+    monkeypatch.setattr(ccr, "_leibniz", off_by_one)
+    assert not exact_identities(np.random.default_rng(5), 30, 3, 3)

@@ -1,9 +1,10 @@
-"""Behaviour oracle: `qstarlab replicate --seed 0` against its recorded output.
+"""Behaviour oracle: `qstarlab replicate` at seeds 0 and 3 against its
+recorded output.
 
-tests/data/replicate_seed0 holds every file one replicate run writes (the
-seven `<id>.json` verdicts and their CSV tables).  A rerun must write the
-same files with the same booleans, integers and strings, and floats equal
-to 1e-12 relative.
+tests/data/replicate_seed<N> holds every file one replicate run at that
+seed writes (the seven `<id>.json` verdicts and their CSV tables).  A rerun
+must write the same files with the same booleans, integers and strings, and
+floats equal to 1e-12 relative.
 """
 
 import csv
@@ -13,7 +14,7 @@ import os
 
 from qstarlab.cli import main
 
-ORACLE_DIR = os.path.join(os.path.dirname(__file__), "data", "replicate_seed0")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 REL_TOL = 1e-12
 
 
@@ -51,10 +52,20 @@ def _load(path: str):
         return [[_cell(c) for c in row] for row in csv.reader(fh)]
 
 
-def test_replicate_seed0_matches_recorded_output(tmp_path):
-    assert main(["--seed", "0", "--out-dir", str(tmp_path), "replicate"]) == 0
-    names = sorted(os.listdir(ORACLE_DIR))
-    assert sorted(os.listdir(tmp_path)) == names
+def _check_replicate(seed: int, out_dir) -> None:
+    oracle_dir = os.path.join(DATA_DIR, f"replicate_seed{seed}")
+    assert main(["--seed", str(seed), "--out-dir", str(out_dir),
+                 "replicate"]) == 0
+    names = sorted(os.listdir(oracle_dir))
+    assert sorted(os.listdir(out_dir)) == names
     for name in names:
-        _assert_same(_load(str(tmp_path / name)),
-                     _load(os.path.join(ORACLE_DIR, name)), name)
+        _assert_same(_load(str(out_dir / name)),
+                     _load(os.path.join(oracle_dir, name)), name)
+
+
+def test_replicate_seed0_matches_recorded_output(tmp_path):
+    _check_replicate(0, tmp_path)
+
+
+def test_replicate_seed3_matches_recorded_output(tmp_path):
+    _check_replicate(3, tmp_path)

@@ -77,6 +77,21 @@ def test_parse_config_validation():
                                      "parameters": {"bogus": 1}}]})
 
 
+def test_unknown_entry_key_is_a_config_error(tmp_path, capsys):
+    # a misspelled "parameters" key used to run the defaults and exit 0
+    cfg = tmp_path / "typo.json"
+    out_dir = tmp_path / "out"
+    cfg.write_text(json.dumps({"scenarios": [
+        {"id": "ok", "module": "gns", "operation": "gns_construct"},
+        {"id": "typo", "module": "ccr-lab", "operation": "symbolic_suite",
+         "params": {"samples": 1}}]}))
+    assert main(["--out-dir", str(out_dir), "run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "scenarios[1]: unknown keys ['params']" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_gns_operation_via_config(tmp_path):
     cfg = {"scenarios": [{"id": "demo", "module": "gns",
                           "operation": "gns_construct",
@@ -421,12 +436,20 @@ def test_non_finite_series_fail_the_scenario(tmp_path, monkeypatch):
                                      {"context": "lp", "family": "tent",
                                       "height_exp": 400}), seed)
 
+    def overflowed_omega(params, seed):
+        # the tents stay finite, but n**200 overflows the form from n = 35 on
+        return run_scenario(Scenario("t", "forms", "closability_probe", "",
+                                     {"context": "lp", "family": "tent",
+                                      "height_exp": 100}), seed)
+
     for handler, message in ((nan_form, "'omega' is nan at ladder position 0 "),
                              (inf_rep, "'uniform|node-spikes' is inf at "
                                        "ladder position 3 (n=4)"),
                              (overflowed_norm, "'lp_norm' is inf at ladder "
                                                "position 6 (n=39)"),
-                             (overflowed_tent, "'tent height' is inf at n=7 ")):
+                             (overflowed_tent, "'tent height' is inf at n=7 "),
+                             (overflowed_omega, "'omega' is inf at ladder "
+                                                "position 11 (n=37)")):
         code, failed = _run_with_failing(
             tmp_path, "1", _stub_operation(monkeypatch, handler))
         assert code == 1 and failed["passed"] is False
