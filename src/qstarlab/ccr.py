@@ -304,11 +304,10 @@ def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     On the arrays (-i)^r (2 pi i n)^r = n^r (2 pi)^r, so Leibniz term r
     pairs every cell of a at a power k >= r, weighted C(k, r), with every
     cell of b, weighted n^r, and lands r powers of p lower and r powers of
-    2*pi higher.  The loop runs over the nonzero cells (in any sample) of
-    the factor that costs fewer adds, and adds one template per cell,
-    shifted to it and scaled per sample: a cell of a at power k adds the
-    terms r <= k of all of b, a cell of b at frequency n adds all terms of
-    all of a.  Samples sit on the last axis inside, so every add runs over
+    2*pi higher.  A cell of b at frequency n meets all terms of all of a,
+    so the loop runs over the nonzero cells of b (in any sample) and adds
+    the template for its frequency, shifted to the cell and scaled per
+    sample.  Samples sit on the last axis inside, so every add runs over
     contiguous memory.  A cell's terms are summed in another order than
     one by one; on Gaussian-integer and dyadic data every partial sum is
     exact, so the bits are the same.
@@ -319,28 +318,14 @@ def _leibniz(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     powers = _frequencies(b).astype(float) ** np.arange(k1)[:, None]
     binom = _binomials(k1)
     a, b = (np.ascontiguousarray(np.moveaxis(c, 0, -1)) for c in (a, b))
+    templates = np.zeros((n2, k1, n1, k1 + j1 - 1, s), complex)
+    for r in range(k1):
+        templates[:, :k1 - r, :, r:r + j1] += (
+            powers[r, :, None, None, None, None]
+            * (binom[r, r:, None, None, None] * a[r:]))
     out = np.zeros((k1 + k2 - 1, n1 + n2 - 1, k1 + j1 + j2 - 2, s), complex)
-    cells_a, cells_b = (np.nonzero(c.any(axis=-1)) for c in (a, b))
-    adds_a = int(((cells_a[0] + k2) * (cells_a[0] + j2)).sum()) * n2
-    adds_b = len(cells_b[0]) * k1 * (k1 + j1 - 1) * n1
-    if adds_a <= adds_b:
-        weighted = powers[:, None, :, None, None] * b  # [r] = n^r b
-        templates = []
-        for k in range(k1):
-            t = np.zeros((k + k2, n2, k + j2, s), complex)
-            for r in range(k + 1):
-                t[k - r:k - r + k2, :, r:r + j2] += binom[r, k] * weighted[r]
-            templates.append(t)
-        for k, n, j in zip(*cells_a):
-            out[:k + k2, n:n + n2, j:j + k + j2] += a[k, n, j] * templates[k]
-    else:
-        templates = np.zeros((n2, k1, n1, k1 + j1 - 1, s), complex)
-        for r in range(k1):
-            templates[:, :k1 - r, :, r:r + j1] += (
-                powers[r, :, None, None, None, None]
-                * (binom[r, r:, None, None, None] * a[r:]))
-        for k, n, j in zip(*cells_b):
-            out[k:k + k1, n:n + n1, j:j + k1 + j1 - 1] += b[k, n, j] * templates[n]
+    for k, n, j in zip(*np.nonzero(b.any(axis=-1))):
+        out[k:k + k1, n:n + n1, j:j + k1 + j1 - 1] += b[k, n, j] * templates[n]
     return np.moveaxis(out, -1, 0)
 
 
@@ -513,9 +498,12 @@ class SubmultReport:
 
 # Integer random coefficients have real and imaginary parts in
 # [-RANDOM_SCALE, RANDOM_SCALE]; submultiplicativity_probe draws trigonometric
-# polynomials up to frequency SUBMULT_MAX_FREQ.
+# polynomials up to frequency SUBMULT_MAX_FREQ, exact_identities CCR
+# polynomials of degree SYMBOLIC_DEGREE up to frequency SYMBOLIC_MAX_FREQ.
 RANDOM_SCALE = 2
 SUBMULT_MAX_FREQ = 8
+SYMBOLIC_DEGREE = 3
+SYMBOLIC_MAX_FREQ = 3
 
 
 def _random_coefficients(rng, shape: tuple, integer: bool) -> np.ndarray:
@@ -541,16 +529,17 @@ def random_ccr_polynomial(rng, degree: int, max_freq: int) -> CCRPolynomial:
         rng, (degree + 1, 2 * max_freq + 1), True))
 
 
-def exact_identities(rng, samples: int, degree: int, max_freq: int) -> bool:
+def exact_identities(rng, samples: int) -> bool:
     """Do **q1 = q1, (q1 q2)* = q2* q1* and (q1 q2) q3 = q1 (q2 q3) hold
     coefficient-exactly on `samples` triples of random polynomials?
 
     The triples come from one draw, the same stream as 3 * samples
-    random_ccr_polynomial calls in the order q1, q2, q3 per sample, and
+    random_ccr_polynomial(rng, SYMBOLIC_DEGREE, SYMBOLIC_MAX_FREQ) calls in
+    the order q1, q2, q3 per sample, and
     each side of an identity is one batched kernel call.
     """
     draws = _random_coefficients(
-        rng, (samples, 3, degree + 1, 2 * max_freq + 1), True)
+        rng, (samples, 3, SYMBOLIC_DEGREE + 1, 2 * SYMBOLIC_MAX_FREQ + 1), True)
     for batch in _batches(draws):
         q1, q2, q3 = batch[:, 0], batch[:, 1], batch[:, 2]
         star1, q12 = _involution(q1), _leibniz(q1, q2)

@@ -9,8 +9,6 @@ quadrature sums under grid doubling rather than from any fixed cutoff.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -130,7 +128,8 @@ def lp_norm(f: GridFunction, p: float) -> float:
 def omega_form(f: GridFunction, g: GridFunction,
                w: GridFunction | None = None) -> complex:
     """The integral form of f against conj(g), optionally with a weight;
-    inf, without a numpy warning, when finite functions overflow it."""
+    computed without a numpy warning when finite functions overflow it
+    (the value is then not finite, which rates._finite reports)."""
     f._check(g)
     if w is not None:
         f._check(w)
@@ -138,11 +137,7 @@ def omega_form(f: GridFunction, g: GridFunction,
         integrand = f.values * g.values.conj()
         if w is not None:
             integrand = integrand * w.values
-        value = complex(np.dot(f.grid.weights, integrand))
-    if not cmath.isfinite(value) and all(
-            np.isfinite(h.values).all() for h in (f, g, w) if h is not None):
-        return complex(math.inf)
-    return value
+        return complex(np.dot(f.grid.weights, integrand))
 
 
 # ---------------------------------------------------------------------------

@@ -327,7 +327,7 @@ def _periodic_multiplication_suite(params: dict, seed: int) -> ScenarioOutcome:
 
 def _ccr_symbolic_suite(params: dict, seed: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
-    exact_ok = ccr.exact_identities(rng, int(params.get("samples", 25)), 3, 3)
+    exact_ok = ccr.exact_identities(rng, int(params.get("samples", 25)))
 
     phi = ccr.TrigPoly({0: 1.0, 1: 0.5 + 0.25j, -1: 0.5 - 0.25j, 2: -0.125j})
     p_mat = ccr.ccr_represent(ccr.CCRPolynomial.momentum(), 64).matrix

@@ -267,7 +267,7 @@ def test_batched_draws_follow_the_sequential_stream():
         assert polys == [CCRPolynomial._from_array(c)
                          for c in draws.reshape(3 * samples, 4, 7, 1)]
         again = np.random.default_rng(seed)
-        assert exact_identities(again, samples, 3, 3)
+        assert exact_identities(again, samples)
         assert again.bit_generator.state == rng.bit_generator.state
 
         rng, batched = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -288,6 +288,6 @@ def test_exact_identities_see_a_wrong_product(monkeypatch):
         out[-1, 0, out.shape[2] // 2, 0] += 1
         return out
 
-    assert exact_identities(np.random.default_rng(5), 30, 3, 3)
+    assert exact_identities(np.random.default_rng(5), 30)
     monkeypatch.setattr(ccr, "_leibniz", off_by_one)
-    assert not exact_identities(np.random.default_rng(5), 30, 3, 3)
+    assert not exact_identities(np.random.default_rng(5), 30)

@@ -448,7 +448,7 @@ def test_non_finite_series_fail_the_scenario(tmp_path, monkeypatch):
                              (overflowed_norm, "'lp_norm' is inf at ladder "
                                                "position 6 (n=39)"),
                              (overflowed_tent, "'tent height' is inf at n=7 "),
-                             (overflowed_omega, "'omega' is inf at ladder "
+                             (overflowed_omega, "'omega' is nan at ladder "
                                                 "position 11 (n=37)")):
         code, failed = _run_with_failing(
             tmp_path, "1", _stub_operation(monkeypatch, handler))
