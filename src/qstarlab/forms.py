@@ -23,6 +23,8 @@ from .rates import LadderProbe, geometric_ladder, ladder_probe
 # check_ips_conditions treats x as degenerate when form(x, x) is at most
 # this fraction of the largest diagonal value (or of 1).
 DEGENERATE_TOL = 1e-10
+# Geometric-ladder points of a closability probe.
+PROBE_POINTS = 24
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ def cauchy_schwarz_residual(ctx: FormContext, pairs) -> float:
 
 
 def closability_probe(ctx: FormContext, family: ProbeFamily, n_max: int,
-                      *, points: int = 24) -> LadderProbe:
+                      *, points: int = PROBE_POINTS) -> LadderProbe:
     """Probe one family for a closability counterexample.
 
     Elements are evaluated on a geometric ladder so that the step distances
@@ -128,15 +130,31 @@ def closability_probe(ctx: FormContext, family: ProbeFamily, n_max: int,
     value series is the form diagonal ("omega"), its steps the form
     distances between successive members.
     """
+    return _ladder_probes([ctx], family, n_max, points)[0]
+
+
+def _ladder_probes(ctxs, family: ProbeFamily, n_max: int,
+                   points: int) -> list:
+    """closability_probe of one family under each form of ctxs, which
+    share the first one's ambient norm: the members, their ambient norms
+    and their differences are built once, and each form evaluates only
+    its diagonal on them."""
     ns = geometric_ladder(n_max, points=points)
     elements = [family.generate(int(n)) for n in ns]
     if family.tau_norm is not None:
         tau = [family.tau_norm(int(n)) for n in ns]
     else:
-        tau = [ctx.ambient_norm(x) for x in elements]
-    diag = [ctx.diag(x) for x in elements]
-    steps = [max(ctx.diag(b - a), 0.0) for a, b in zip(elements, elements[1:])]
-    return ladder_probe(family.name, ns, tau, diag, steps, names=("omega",))
+        tau = [ctxs[0].ambient_norm(x) for x in elements]
+    steps = [[] for _ in ctxs]
+    for a, b in zip(elements, elements[1:]):
+        # One difference at a time: a member can be a full N x N block.
+        difference = b - a
+        for column, ctx in zip(steps, ctxs):
+            column.append(max(ctx.diag(difference), 0.0))
+    return [ladder_probe(family.name, ns, tau,
+                         [ctx.diag(x) for x in elements], column,
+                         names=("omega",))
+            for ctx, column in zip(ctxs, steps)]
 
 
 @dataclass(frozen=True)
@@ -160,15 +178,14 @@ def check_lemma24(ctx: FormContext, families, shifts,
     columns is reported; with a closable base form every column should be
     counterexample-free.
     """
-    starred = star_form(ctx)
-    shifted = [(label, b_shifted_form(ctx, b)) for label, b in shifts]
+    columns = {"omega": ctx, "omega_star": star_form(ctx)}
+    for label, b in shifts:
+        columns[f"omega_B[{label}]"] = b_shifted_form(ctx, b)
     rows = []
     counterexamples = []
     for fam in families:
-        verdicts = {"omega": closability_probe(ctx, fam, n_max),
-                    "omega_star": closability_probe(starred, fam, n_max)}
-        for label, sctx in shifted:
-            verdicts[f"omega_B[{label}]"] = closability_probe(sctx, fam, n_max)
+        verdicts = dict(zip(columns, _ladder_probes(
+            list(columns.values()), fam, n_max, PROBE_POINTS)))
         flags = {key: v.counterexample for key, v in verdicts.items()}
         rows.append({"family": fam.name, "flags": flags, "verdicts": verdicts})
         counterexamples.extend(f"{fam.name}:{key}"

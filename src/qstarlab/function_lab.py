@@ -415,9 +415,10 @@ def mult_operator(f: GridFunction) -> TruncatedOperator:
 
 def node_spike_set(grid: Grid) -> BoundedSet:
     """All Hilbert-normalized node spikes: the bounded set that witnesses
-    the sup norm of multiplication operators on the grid."""
-    return BoundedSet(tuple(np.eye(grid.n_nodes, dtype=complex)),
-                      name="node-spikes")
+    the sup norm of multiplication operators on the grid.  They are the
+    canonical basis of the grid frame, declared as such, so no n x n
+    identity is built."""
+    return BoundedSet.basis(grid.n_nodes, "node-spikes")
 
 
 def smooth_ball_set(grid: Grid, p: float, count: int = 6,

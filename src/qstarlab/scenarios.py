@@ -105,11 +105,14 @@ def ramp_family(grid: flab.Grid) -> ProbeFamily:
 
 def multiplication_suite(grid: flab.Grid, topology: str, seed: int = 0):
     """Seminorm suite for multiplication operators on the grid: the node
-    spikes witness the sup norm, the smooth ball the integral pairings."""
-    spikes = flab.node_spike_set(grid)
-    smooth = flab.smooth_ball_set(grid, 2.0, count=4, seed=seed)
+    spikes witness the sup norm, the smooth ball the integral pairings.
+    The weak suite pairs test vectors, among them the middle node spike."""
+    def bounded_sets():
+        return [flab.node_spike_set(grid),
+                flab.smooth_ball_set(grid, 2.0, count=4, seed=seed)]
+
     if topology == "uniform":
-        return suite_from_bounded_sets("uniform", [spikes, smooth])
+        return suite_from_bounded_sets("uniform", bounded_sets())
     p = MULTIPLICATION_P
     phis = [("one", flab.embed_vector(flab.GridFunction.from_callable(
         lambda x: np.ones_like(x), grid))),
@@ -119,13 +122,14 @@ def multiplication_suite(grid: flab.Grid, topology: str, seed: int = 0):
             (1.0 / flab.lp_norm(flab.power_function(grid, 1.0 / p - 0.02), p))
             * flab.power_function(grid, 1.0 / p - 0.02)))]
     if topology == "weak":
-        mid_spike = np.eye(grid.n_nodes, dtype=complex)[grid.n_nodes // 2]
+        mid_spike = np.zeros(grid.n_nodes, dtype=complex)
+        mid_spike[grid.n_nodes // 2] = 1.0
         pairs = [(f"{a}|{b}", phis[i][1], phis[j][1])
                  for i, (a, _) in enumerate(phis)
                  for j, (b, _) in enumerate(phis) if i <= j]
         pairs.append(("midspike", mid_spike, mid_spike))
         return suite_from_bounded_sets("weak", [], weak_pairs=pairs)
-    return suite_from_bounded_sets(topology, [spikes, smooth], phis=phis)
+    return suite_from_bounded_sets(topology, bounded_sets(), phis=phis)
 
 
 def run_extension(grid: flab.Grid, family: ProbeFamily, topology: str,

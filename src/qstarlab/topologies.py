@@ -12,7 +12,7 @@ the finite suite in use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -123,39 +123,55 @@ class TruncatedOperator:
         return self.matrix @ v
 
 
-@dataclass(frozen=True, eq=False)
 class BoundedSet:
     """Finite stand-in for a bounded subset of the domain.
 
     The vectors are stacked once, on construction, into the read-only
     `rows` matrix (one vector per row) and its conjugate `conj_rows`;
-    `vectors` are the rows of that one array.  `is_basis` records whether
-    the rows are exactly the canonical basis (square, rows == I), for
-    which seminorms read operator entries instead of multiplying by I.
+    `vectors` are the rows of that one array.  `BoundedSet.basis(dim,
+    name)` declares the canonical basis of dimension dim instead
+    (`is_basis`), for which seminorms read operator entries instead of
+    multiplying by I.  It holds no array: `rows`, `conj_rows` and
+    `vectors` (the identity) are built only if read.
     """
 
-    vectors: tuple
-    name: str = "M"
-    rows: np.ndarray = field(init=False, repr=False)
-    conj_rows: np.ndarray = field(init=False, repr=False)
-    is_basis: bool = field(init=False, repr=False)
+    __slots__ = ("name", "is_basis", "_dim", "_vectors", "_rows",
+                 "_conj_rows")
 
-    def __post_init__(self):
-        if not len(self.vectors):
+    def __init__(self, vectors, name: str = "M"):
+        if not len(vectors):
             raise ValueError("bounded set must contain at least one vector")
+        self.name, self.is_basis, self._vectors = name, False, vectors
+        self._stack_rows()
+
+    @classmethod
+    def basis(cls, dim: int, name: str) -> "BoundedSet":
+        """The canonical basis of dimension dim, declared, not stored."""
+        m = cls.__new__(cls)
+        m.name, m.is_basis, m._dim, m._rows = name, True, dim, None
+        return m
+
+    def stack(self) -> np.ndarray:
+        if self.is_basis:
+            return np.eye(self._dim, dtype=complex)
+        return np.stack(self._vectors, dtype=complex)
+
+    def _stack_rows(self) -> None:
         rows = self.stack()
         rows.flags.writeable = False
         conj_rows = rows.conj()
         conj_rows.flags.writeable = False
-        n = len(rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "conj_rows", conj_rows)
-        object.__setattr__(self, "vectors", tuple(rows))
-        object.__setattr__(self, "is_basis", rows.shape == (n, n)
-                           and np.array_equal(rows, np.eye(n)))
+        self._rows, self._conj_rows = rows, conj_rows
+        self._vectors = tuple(rows)
 
-    def stack(self) -> np.ndarray:
-        return np.stack(self.vectors, dtype=complex)
+    def _read(self, attr: str):
+        if self._rows is None:
+            self._stack_rows()
+        return getattr(self, attr)
+
+    rows = property(lambda self: self._read("_rows"))
+    conj_rows = property(lambda self: self._read("_conj_rows"))
+    vectors = property(lambda self: self._read("_vectors"))
 
 
 def pairing(u, psi) -> complex:

@@ -1,6 +1,8 @@
 """The diagonal form of TruncatedOperator and the stacked BoundedSet give
 exactly the values of the dense path they replace."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,40 @@ def test_node_spike_seminorms_equal_products(n_nodes):
             for topology in SPIKE_TOPOLOGIES:
                 assert seminorm(a, topology, spikes, phi) == \
                     product_reference(a, topology, spikes, phi), (kind, topology)
+
+
+def test_node_spikes_build_no_identity():
+    # A materialized 1025 x 1025 complex identity takes 16.8 MB.
+    tracemalloc.start()
+    try:
+        spikes = flab.node_spike_set(flab.simpson_grid(1025))
+        a = TruncatedOperator(diag=np.arange(1025.0))
+        phi = np.ones(1025, dtype=complex)
+        assert seminorm(a, "uniform", spikes) == 1024.0
+        assert seminorm(a, "strong", spikes, phi) == 1024.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert spikes.is_basis and spikes.name == "node-spikes"
+    assert np.array_equal(spikes.rows, np.eye(1025))
+    assert np.array_equal(spikes.conj_rows, np.eye(1025))
+    assert len(spikes.vectors) == 1025 and spikes.vectors[0].base is spikes.rows
+
+
+def test_basis_is_declared_not_detected():
+    # The identity's rows given as vectors stay an ordinary set (product
+    # path); its seminorms equal the declared basis's for finite entries.
+    rng = np.random.default_rng(23)
+    given = BoundedSet(tuple(np.eye(DIM)), name="identity-rows")
+    declared = BoundedSet.basis(DIM, "identity")
+    assert not given.is_basis and declared.is_basis
+    phi = rng.standard_normal(DIM) + 1j * rng.standard_normal(DIM)
+    for kind, a in sample_operators(rng, DIM).items():
+        for topology in SPIKE_TOPOLOGIES:
+            assert seminorm(a, topology, given, phi) == \
+                seminorm(a, topology, declared, phi), (kind, topology)
+    assert np.array_equal(declared.stack(), given.stack())
 
 
 def eye_with_eps(dim):

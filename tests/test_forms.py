@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from qstarlab.forms import (FormContext, ProbeFamily, b_shifted_form,
                             cauchy_schwarz_residual, check_ips_conditions,
                             check_lemma24, closability_probe, form_from_state,
                             hermiticity_residual, star_form)
-from qstarlab.scenarios import cauchy_limit, convergence_table
+from qstarlab.matrix_lab import NON_CAUCHY_FAMILIES, NULL_FAMILIES
+from qstarlab.rates import LadderProbe
+from qstarlab.scenarios import (_matrix_shift_suite, cauchy_limit,
+                                convergence_table)
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +189,31 @@ def test_lemma24_star_symmetric_family_identical_traces(grid):
     starred = closability_probe(star_form(ctx), fam, 128)
     assert np.allclose(base.values[:, 0], starred.values[:, 0])
     assert np.allclose(base.steps, starred.steps)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 16, 64])
+def test_lemma24_columns_equal_per_form_probes(n):
+    # check_lemma24 builds each family's ladder once for all its columns;
+    # every column must be exactly the probe of that column's form alone.
+    ctx = mlab.trace_form_context(n)
+    shifts = _matrix_shift_suite(n)
+    columns = {"omega": ctx, "omega_star": star_form(ctx)}
+    for label, b in shifts:
+        columns[f"omega_B[{label}]"] = b_shifted_form(ctx, b)
+    names = sorted({**NULL_FAMILIES, **NON_CAUCHY_FAMILIES})
+    assert len(names) == 6
+    families = [mlab.matrix_family(name, n) for name in names]
+    report = check_lemma24(ctx, families, shifts, n_max=n)
+    assert len(report.rows) == len(families)
+    for fam, row in zip(families, report.rows):
+        assert list(row["verdicts"]) == list(columns)
+        for key, column_ctx in columns.items():
+            got = row["verdicts"][key]
+            want = closability_probe(column_ctx, fam, n)
+            for f in dataclasses.fields(LadderProbe):
+                assert np.array_equal(getattr(got, f.name),
+                                      getattr(want, f.name)), \
+                    (fam.name, key, f.name)
 
 
 def _unit_entry(n, i, j):
