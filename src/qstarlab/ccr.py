@@ -517,13 +517,6 @@ def _random_coefficients(rng, shape: tuple, integer: bool) -> np.ndarray:
     return draws.view(complex)
 
 
-def random_trig_poly(rng, max_freq: int, integer: bool = True) -> TrigPoly:
-    """Random trigonometric polynomial; integer mode keeps coefficients
-    Gaussian-integer so symbolic identities stay exact."""
-    return TrigPoly._from_array(
-        _random_coefficients(rng, (2 * max_freq + 1,), integer))
-
-
 def random_ccr_polynomial(rng, degree: int, max_freq: int) -> CCRPolynomial:
     return CCRPolynomial._from_array(_random_coefficients(
         rng, (degree + 1, 2 * max_freq + 1), True))
@@ -556,8 +549,10 @@ def submultiplicativity_probe(k: int, n_pairs: int = 40,
 
     Reports the largest observed ratio over a seeded sample and the value
     at half the sample size, so growth under sample refinement is visible.
-    The pairs come from one draw, the stream of 2 * n_pairs
-    random_trig_poly calls, and their products from one batched call.
+    The pairs come from one draw of standard normal coefficients: phi
+    then chi for each pair, each polynomial's frequencies in increasing
+    order from -SUBMULT_MAX_FREQ, each real part before its imaginary
+    part.  Their products come from one batched call.
     """
     rng = np.random.default_rng(seed)
     draws = _random_coefficients(

@@ -15,6 +15,7 @@ import traceback
 
 from .scenarios import (ConfigError, SCENARIOS, ScenarioOutcome, list_catalog,
                         parse_config, run_scenario, write_outcome)
+from .serialize import json_text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
             payload = [{"id": s.scenario_id, "module": s.module,
                         "operation": s.operation, "parameters": s.parameters,
                         "description": s.description} for s in items]
-            print(json.dumps(payload, sort_keys=True, indent=1))
+            print(json_text(payload), end="")
         else:
             for s in items:
                 print(f"{s.scenario_id:10s} {s.module:15s} {s.operation}")

@@ -4,38 +4,108 @@ so the files diff cleanly in golden-file tests."""
 
 from __future__ import annotations
 
-import json
+import itertools
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
 from .gns import GNSRep
 
+_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-def _plain(value):
-    """Recursively convert numpy scalars and arrays to JSON types; complex
-    numbers become [re, im] pairs."""
+
+def _float_text(x) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_TOKENS.get(text, text)
+
+
+# Exact types written without conversion; every other value goes through
+# the isinstance chain of _text.
+_ATOMS = {
+    str: _encode_str,
+    float: _float_text,
+    np.float64: _float_text,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _join_atoms(sep: str, items, kinds: set) -> str:
+    if len(kinds) == 1:
+        return sep.join(map(_ATOMS[next(iter(kinds))], items))
+    return sep.join([_ATOMS[type(v)](v) for v in items])
+
+
+def _list_text(items, level: int) -> str:
+    """A non-empty list.  All-atom lists and lists of non-empty all-atom
+    lists (table rows, [re, im] pairs) are joined in one pass."""
+    inner = "\n" + " " * (level + 1)
+    sep = "," + inner
+    close = "\n" + " " * level + "]"
+    kinds = set(map(type, items))
+    if kinds <= _ATOMS.keys():
+        return "[" + inner + _join_atoms(sep, items, kinds) + close
+    if kinds == {list} and all(items):
+        leaf_kinds = set(map(type, itertools.chain.from_iterable(items)))
+        if leaf_kinds <= _ATOMS.keys():
+            leaf_inner = inner + " "
+            leaf_close = inner + "]"
+            rows = [_join_atoms("," + leaf_inner, row, leaf_kinds)
+                    for row in items]
+            return ("[" + inner + "[" + leaf_inner
+                    + (leaf_close + sep + "[" + leaf_inner).join(rows)
+                    + leaf_close + close)
+    return ("[" + inner + sep.join([_text(v, level + 1) for v in items])
+            + close)
+
+
+def _text(value, level: int) -> str:
+    """The JSON text of value at nesting level `level`, as
+    json.dumps(..., sort_keys=True, indent=1) writes it after numpy scalars
+    and arrays become Python values and complex numbers [re, im] pairs."""
+    atom = _ATOMS.get(type(value))
+    if atom is not None:
+        return atom(value)
     if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        inner = "\n" + " " * (level + 1)
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        return ("{" + inner + ("," + inner).join(
+            [_encode_str(k) + ": " + _text(v, level + 1) for k, v in items])
+            + "\n" + " " * level + "}")
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return _list_text(value, level) if value else "[]"
     if isinstance(value, (bool, np.bool_)):
-        return bool(value)
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
-        return int(value)
+        return int.__repr__(int(value))
     if isinstance(value, (float, np.floating)):
-        return float(value)
+        return _float_text(float(value))
     if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
+        return _list_text([float(value.real), float(value.imag)], level)
     if isinstance(value, np.ndarray):
-        return _plain(value.tolist())
-    return value
+        return _text(value.tolist(), level)
+    if isinstance(value, str):
+        return _encode_str(value)
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
+
+
+def json_text(data) -> str:
+    """Sorted, one-space-indented JSON of data and a closing newline:
+    numpy scalars and arrays become Python values, complex numbers
+    [re, im] pairs, tuples lists, and dict keys str(key)."""
+    return _text(data, 0) + "\n"
 
 
 def complex_to_nested(arr) -> list:
     """Dense nested lists with [re, im] leaves."""
-    return _plain(np.asarray(arr, dtype=complex))
+    a = np.asarray(arr, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def gnsrep_to_dict(rep: GNSRep) -> dict:
@@ -70,8 +140,5 @@ def atomic_write(path, writer) -> None:
 def dump_json(data, path) -> None:
     """Sorted, indented JSON of data (numpy values and complex numbers
     converted), written atomically."""
-    def writer(fh):
-        json.dump(_plain(data), fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-    atomic_write(path, writer)
+    text = json_text(data)
+    atomic_write(path, lambda fh: fh.write(text))

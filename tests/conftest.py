@@ -5,7 +5,7 @@ from qstarlab.algebra import (corner_state, cyclic_group_algebra,
                               group_trace_state, matrix_unit_algebra,
                               normalized_trace_state, scalar_algebra)
 from qstarlab.ccr import (CCRPolynomial, TrigPoly, _evaluate, _frequencies,
-                          _nonzero_rows)
+                          _nonzero_rows, _random_coefficients)
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +73,31 @@ def polynomial_to_literal(q: CCRPolynomial) -> list:
         if entries:
             literal.append([k, entries])
     return literal
+
+
+def random_trig_poly(rng, max_freq: int, integer: bool = True) -> TrigPoly:
+    """Random trigonometric polynomial; integer mode keeps coefficients
+    Gaussian-integer so symbolic identities stay exact."""
+    return TrigPoly._from_array(
+        _random_coefficients(rng, (2 * max_freq + 1,), integer))
+
+
+def plain(value):
+    """Recursively convert numpy scalars and arrays to JSON types; complex
+    numbers become [re, im] pairs.  The reference for the JSON writer:
+    its text is json.dumps(plain(data), sort_keys=True, indent=1)."""
+    if isinstance(value, dict):
+        return {str(k): plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, np.ndarray):
+        return plain(value.tolist())
+    return value

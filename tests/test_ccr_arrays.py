@@ -12,12 +12,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polynomial_from_literal, polynomial_to_literal
+from conftest import (polynomial_from_literal, polynomial_to_literal,
+                      random_trig_poly)
 from qstarlab import ccr
 from qstarlab.ccr import (CCRPolynomial, TrigPoly, TwoPiScalar, ccr_mul,
                           ccr_star, exact_identities,
                           graph_seminorm_poly, homomorphism_check,
-                          random_ccr_polynomial, random_trig_poly)
+                          random_ccr_polynomial)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "ccr_golden.json")
 

@@ -11,7 +11,7 @@ from qstarlab.algebra import (MissingUnitError, NonPositiveStateError, State,
 from qstarlab.gns import GNSRep, build_gram, gns_construct, verify_gns
 from qstarlab.serialize import complex_to_nested, gnsrep_to_dict
 
-from conftest import coeffs_to_matrix
+from conftest import coeffs_to_matrix, plain
 
 
 def brute_force_gram(algebra, state, n):
@@ -203,3 +203,10 @@ def test_serialization_is_deterministic(m2, trace2):
     gram = np.asarray(payload["gram"], dtype=float)
     assert gram.shape == (4, 4, 2)
     assert complex_to_nested(np.array(1.0 + 2.0j)) == [1.0, 2.0]
+    odd = [complex(-0.0, np.nan), complex(np.inf, -0.0),
+           complex(np.nan, -np.inf), complex(1e-310, -1e16),
+           complex(2.5, -0.0), complex(-0.0, 0.5)]
+    for arr in (np.array(odd[:1]), np.array(odd),
+                np.array(odd).reshape(2, 3), np.array(odd).reshape(3, 2, 1),
+                np.array(odd[:4]).reshape(2, 1, 2)):
+        assert repr(complex_to_nested(arr)) == repr(plain(arr))

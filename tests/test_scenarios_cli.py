@@ -206,7 +206,9 @@ def test_cli_empty_scenario_list(tmp_path):
 
 def test_cli_list_machine_readable(capsys):
     assert main(["list", "--machine"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True, indent=1) + "\n"
     assert len(payload) == 7
     assert {entry["id"] for entry in payload} == set(SCENARIOS)
     assert main(["list", "--module", "ccr-lab"]) == 0
