@@ -4,7 +4,6 @@ so the files diff cleanly in golden-file tests."""
 
 from __future__ import annotations
 
-import itertools
 import os
 import tempfile
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -21,54 +20,21 @@ def _float_text(x) -> str:
     return _FLOAT_TOKENS.get(text, text)
 
 
-# Exact types written without conversion; every other value goes through
-# the isinstance chain of _text.
-_ATOMS = {
-    str: _encode_str,
-    float: _float_text,
-    np.float64: _float_text,
-    int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
-
-
-def _join_atoms(sep: str, items, kinds: set) -> str:
-    if len(kinds) == 1:
-        return sep.join(map(_ATOMS[next(iter(kinds))], items))
-    return sep.join([_ATOMS[type(v)](v) for v in items])
-
-
-def _list_text(items, level: int) -> str:
-    """A non-empty list.  All-atom lists and lists of non-empty all-atom
-    lists (table rows, [re, im] pairs) are joined in one pass."""
-    inner = "\n" + " " * (level + 1)
-    sep = "," + inner
-    close = "\n" + " " * level + "]"
-    kinds = set(map(type, items))
-    if kinds <= _ATOMS.keys():
-        return "[" + inner + _join_atoms(sep, items, kinds) + close
-    if kinds == {list} and all(items):
-        leaf_kinds = set(map(type, itertools.chain.from_iterable(items)))
-        if leaf_kinds <= _ATOMS.keys():
-            leaf_inner = inner + " "
-            leaf_close = inner + "]"
-            rows = [_join_atoms("," + leaf_inner, row, leaf_kinds)
-                    for row in items]
-            return ("[" + inner + "[" + leaf_inner
-                    + (leaf_close + sep + "[" + leaf_inner).join(rows)
-                    + leaf_close + close)
-    return ("[" + inner + sep.join([_text(v, level + 1) for v in items])
-            + close)
-
-
 def _text(value, level: int) -> str:
     """The JSON text of value at nesting level `level`, as
     json.dumps(..., sort_keys=True, indent=1) writes it after numpy scalars
     and arrays become Python values and complex numbers [re, im] pairs."""
-    atom = _ATOMS.get(type(value))
-    if atom is not None:
-        return atom(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = "\n" + " " * (level + 1)
+        return ("[" + inner + ("," + inner).join(
+            [_text(v, level + 1) for v in value])
+            + "\n" + " " * level + "]")
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -77,20 +43,18 @@ def _text(value, level: int) -> str:
         return ("{" + inner + ("," + inner).join(
             [_encode_str(k) + ": " + _text(v, level + 1) for k, v in items])
             + "\n" + " " * level + "}")
-    if isinstance(value, (list, tuple)):
-        return _list_text(value, level) if value else "[]"
+    if value is None:
+        return "null"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return int.__repr__(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, np.floating):
         return _float_text(float(value))
     if isinstance(value, (complex, np.complexfloating)):
-        return _list_text([float(value.real), float(value.imag)], level)
+        return _text([float(value.real), float(value.imag)], level)
     if isinstance(value, np.ndarray):
         return _text(value.tolist(), level)
-    if isinstance(value, str):
-        return _encode_str(value)
     raise TypeError(f"Object of type {type(value).__name__} "
                     f"is not JSON serializable")
 

@@ -68,7 +68,7 @@ _NUMPY_LEAVES = st.one_of(
 _KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(),
                   st.none())
 # Lists of lists of atoms, ragged, possibly with an empty row or a mix of
-# atom kinds, so both fast paths of the writer and their fallbacks run.
+# atom kinds, like the table rows and [re, im] pairs of result files.
 _ROWS = st.lists(st.lists(_ATOMS, max_size=3), max_size=4)
 _PAIRS = st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=4)
 
@@ -108,6 +108,7 @@ def test_dump_json_bytes_match_the_reference_encoder(tmp_path, data):
     [[float("nan"), float("-inf")], [-0.0, 5e-324]],
     {"rows": [[1, 2.5, True, None, "a"]], "pairs": [[0.5, -0.5]] * 3},
     np.zeros((2, 0, 3)),
+    [np.float32("nan"), np.float32("-inf"), np.float16(0.1)],
     {"name": np.str_("str subclass"), "kind": np.array(["a", "b"])},
 ])
 def test_dump_json_edge_cases_match_the_reference_encoder(tmp_path, data):
