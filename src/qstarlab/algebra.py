@@ -96,29 +96,6 @@ class StarAlgebra:
         # (a x)_k = sum_{i,j} a_i x_j c[i,j,k]
         return np.einsum("i,ijk->kj", a, self.structure)
 
-    def structure_report(self) -> dict:
-        """Residuals of the algebra axioms; all should be at round-off."""
-        c, s = self.structure, self.involution
-        lhs = np.einsum("ijm,mkl->ijkl", c, c)
-        rhs = np.einsum("jkm,iml->ijkl", c, c)
-        assoc = float(np.max(np.abs(lhs - rhs)))
-        invol = float(np.max(np.abs(s @ s.conj() - np.eye(self.dim))))
-        # (e_i e_j)* = (e_j)* (e_i)*, expanded through structure constants.
-        star_of_prod = np.einsum("ijk,kl->ijl", c.conj(), s)
-        prod_of_stars = np.einsum("jk,il,klm->ijm", s, s, c)
-        anti = float(np.max(np.abs(star_of_prod - prod_of_stars)))
-        report = {"associativity": assoc, "involution": invol,
-                  "anti_automorphism": anti}
-        if self.unit is not None:
-            left = np.einsum("i,ijk->jk", self.unit, c)
-            right = np.einsum("j,ijk->ik", self.unit, c)
-            report["unit_law"] = float(
-                max(np.max(np.abs(left - np.eye(self.dim))),
-                    np.max(np.abs(right - np.eye(self.dim)))))
-        else:
-            report["unit_law"] = None
-        return report
-
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:

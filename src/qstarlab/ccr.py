@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .topologies import TruncatedOperator
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -152,9 +154,6 @@ class TwoPiScalar(_Coefficients):
 
     def conj(self) -> "TwoPiScalar":
         return self._from_array(self._c.conj())
-
-    def to_complex(self) -> complex:
-        return complex(_evaluate(self._c)[0])
 
     def __repr__(self):
         return f"TwoPiScalar({self.parts!r})"
@@ -411,23 +410,9 @@ def _band_matrices(values: np.ndarray, n_trunc: int) -> np.ndarray:
         full[..., ::-1], dim, axis=-1)[..., ::-1, :]
 
 
-@dataclass(frozen=True, eq=False)
-class FourierOperator:
-    """Operator matrix on the centered Fourier window |n| <= n_trunc."""
-
-    matrix: np.ndarray
-    n_trunc: int
-
-    def apply(self, v) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=complex)
-
-    @property
-    def adjoint_matrix(self) -> np.ndarray:
-        return self.matrix.conj().T
-
-
-def ccr_represent(q: CCRPolynomial, n_trunc: int) -> FourierOperator:
-    """sum_k (multiplication by phi_k) (momentum)^k on the truncation."""
+def ccr_represent(q: CCRPolynomial, n_trunc: int) -> TruncatedOperator:
+    """sum_k (multiplication by phi_k) (momentum)^k on the centered Fourier
+    window |n| <= n_trunc, as a dense operator."""
     if n_trunc < q.max_freq + 1:
         raise ValueError(
             f"truncation too small: need n_trunc >= {q.max_freq + 1}")
@@ -438,7 +423,7 @@ def ccr_represent(q: CCRPolynomial, n_trunc: int) -> FourierOperator:
     for k, phi in enumerate(q._c):
         if phi.any():
             mat += bands[k] * (d_p ** k)[np.newaxis, :]
-    return FourierOperator(matrix=mat, n_trunc=n_trunc)
+    return TruncatedOperator(mat)
 
 
 def safe_indices(n_trunc: int, margin: int) -> np.ndarray:

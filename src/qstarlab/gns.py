@@ -19,14 +19,6 @@ from .algebra import AlgebraElement, StarAlgebra, State, evaluate_state
 RANK_TOL = 1e-10  # relative to the largest Gram eigenvalue
 
 
-def build_gram(algebra: StarAlgebra, state: State) -> np.ndarray:
-    """Gram matrix of the state; raises NonPositiveStateError when indefinite.
-
-    Its kernel spans the null ideal {a : omega(a* a) = 0} in coordinates.
-    """
-    return state.check_positive(algebra)
-
-
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
     fixed = vectors.copy()
@@ -79,7 +71,7 @@ def gns_construct(algebra: StarAlgebra, state: State, *,
     unit = algebra.unit_element()  # raises MissingUnitError when absent
     if abs(evaluate_state(state, unit) - 1.0) > 1e-8:
         raise ValueError("state is not normalized: omega(I) != 1")
-    gram = build_gram(algebra, state)
+    gram = state.check_positive(algebra)
 
     eigvals, eigvecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
     order = np.argsort(eigvals)[::-1]

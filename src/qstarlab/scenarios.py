@@ -183,7 +183,7 @@ WITNESS_BOUNDED_MAX = 0.05
 
 
 def _dichotomy_suite(params: dict, seed: int) -> ScenarioOutcome:
-    n_max = int(params.get("n_max", 256))
+    n_max = params["n_max"]
     grid = flab.simpson_grid()
     tables = {}
     exps = {}
@@ -255,7 +255,7 @@ def _weighted_form_suite(params: dict, seed: int) -> ScenarioOutcome:
 
 
 def _matrix_replay_suite(params: dict, seed: int) -> ScenarioOutcome:
-    n = int(params.get("truncation", 256))
+    n = params["truncation"]
     tables = {}
     null_ok = True
     rows = []
@@ -331,7 +331,7 @@ def _periodic_multiplication_suite(params: dict, seed: int) -> ScenarioOutcome:
 
 def _ccr_symbolic_suite(params: dict, seed: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
-    exact_ok = ccr.exact_identities(rng, int(params.get("samples", 25)))
+    exact_ok = ccr.exact_identities(rng, params["samples"])
 
     phi = ccr.TrigPoly({0: 1.0, 1: 0.5 + 0.25j, -1: 0.5 - 0.25j, 2: -0.125j})
     p_mat = ccr.ccr_represent(ccr.CCRPolynomial.momentum(), 64).matrix
@@ -367,7 +367,7 @@ def _ccr_symbolic_suite(params: dict, seed: int) -> ScenarioOutcome:
 def _gaussian_suite(params: dict, seed: int) -> ScenarioOutcome:
     grid = flab.gauss_hermite_grid()
     families = flab.make_gaussian_families(grid)
-    verdicts = flab.gaussian_poly_probe(families, n_max=int(params.get("n_max", 24)),
+    verdicts = flab.gaussian_poly_probe(families, n_max=params["n_max"],
                                         grid=grid)
     by_name = {v.family: v for v in verdicts}
     # applicable: the family is L^1-null; consistent: no counterexample
@@ -476,7 +476,7 @@ def _gns_construct_op(params: dict, seed: int) -> ScenarioOutcome:
 
 
 def _lemma24_op(params: dict, seed: int) -> ScenarioOutcome:
-    n = int(params.get("truncation", 64))
+    n = params["truncation"]
     ctx = mlab.trace_form_context(n)
     families = [mlab.matrix_family(name, n)
                 for name in sorted({**NULL_FAMILIES, **NON_CAUCHY_FAMILIES})]
@@ -513,17 +513,17 @@ FORM_FAMILIES = {
 
 def _closability_probe_op(params: dict, seed: int) -> ScenarioOutcome:
     context, name = params["context"], params["family"]
-    n_max = int(params.get("n_max", 256))
+    n_max = params["n_max"]
     if context == "matrix-trace":
-        truncation = max(int(params.get("truncation", 256)), n_max)
+        truncation = max(params["truncation"], n_max)
         ctx = mlab.trace_form_context(truncation)
         family = mlab.matrix_family(name, truncation)
     else:  # "lp"
-        p = float(params.get("p", 1.0))
+        p = params["p"]
         grid = flab.simpson_grid()
         ctx = flab.lp_form_context(p, grid)
         if name == "tent":
-            family = flab.tent_family(grid, float(params.get("height_exp", 0.5)), p)
+            family = flab.tent_family(grid, params["height_exp"], p)
         else:  # "scaled_one"
             family = flab.scaled_one_family(grid)
     probe = closability_probe(ctx, family, n_max)
@@ -540,9 +540,8 @@ def _closability_probe_op(params: dict, seed: int) -> ScenarioOutcome:
 
 
 def _matrix_replay_op(params: dict, seed: int) -> ScenarioOutcome:
-    name = params.get("family", "scaled_corner")
-    probe = mlab.matrix_closability_replay(name,
-                                           int(params.get("truncation", 256)))
+    probe = mlab.matrix_closability_replay(params["family"],
+                                           params["truncation"])
     return ScenarioOutcome(
         scenario_id="", passed=not probe.counterexample,
         details={"family": probe.family, "weighted_null": probe.null,
@@ -552,8 +551,7 @@ def _matrix_replay_op(params: dict, seed: int) -> ScenarioOutcome:
 
 
 def _witness_op(params: dict, seed: int) -> ScenarioOutcome:
-    report = flab.unboundedness_witness(float(params.get("p", 1.0)),
-                                        n_max=int(params.get("n_max", 256)))
+    report = flab.unboundedness_witness(params["p"], n_max=params["n_max"])
     header, rows = report.table()
     return ScenarioOutcome(
         scenario_id="", passed=True,
@@ -562,8 +560,8 @@ def _witness_op(params: dict, seed: int) -> ScenarioOutcome:
 
 
 def _submult_op(params: dict, seed: int) -> ScenarioOutcome:
-    report = ccr.submultiplicativity_probe(int(params.get("k", 1)),
-                                           n_pairs=int(params.get("n_pairs", 40)),
+    report = ccr.submultiplicativity_probe(params["k"],
+                                           n_pairs=params["n_pairs"],
                                            seed=seed)
     return ScenarioOutcome(
         scenario_id="", passed=bool(report.stable),
@@ -576,16 +574,15 @@ def _submult_op(params: dict, seed: int) -> ScenarioOutcome:
 
 
 def _extension_op(params: dict, seed: int) -> ScenarioOutcome:
-    topology = params.get("topology", "strongstar")
     grid = flab.simpson_grid(EXTENSION_GRID_NODES)
-    if params.get("target", "power") == "power":
-        family = clipped_power_family(grid, float(params.get("beta", 0.2)),
-                                      params.get("variant", "height"))
-        n_max = int(params.get("n_max", 4096))
+    n_max = params["n_max"]
+    if params["target"] == "power":
+        family = clipped_power_family(grid, params["beta"], params["variant"])
     else:
         family = ramp_family(grid)
-        n_max = min(int(params.get("n_max", 128)), 128)
-    result = run_extension(grid, family, topology, n_max=n_max, seed=seed)
+        n_max = min(n_max, 128)
+    result = run_extension(grid, family, params["topology"], n_max=n_max,
+                           seed=seed)
     header, rows = result.trace_table()
     return ScenarioOutcome(
         scenario_id="", passed=True,
@@ -612,42 +609,44 @@ P_BOUNDS = (1.0, math.inf)
 @dataclass(frozen=True)
 class Operation:
     handler: Callable[[dict, int], ScenarioOutcome]
-    allowed_params: frozenset
+    # every parameter and its default; no other parameter is accepted
+    defaults: dict = field(default_factory=dict)
     choices: dict = field(default_factory=dict)  # parameter -> allowed values
     # numeric parameter -> (min, max); int bounds mark an integer
     # parameter, float bounds a real one
     bounds: dict = field(default_factory=dict)
     # parameter -> (the parameter it depends on, {that one's value: allowed
-    # values}); both are resolved through `defaults` when absent
+    # values})
     pairs: dict = field(default_factory=dict)
-    defaults: dict = field(default_factory=dict)  # handed to the handler
 
-    def check(self, params: dict, where: str) -> None:
-        """Raise ConfigError, located at `where`, for an unknown parameter,
-        a value outside the parameter's choices or outside the choices its
+    def resolve(self, params: dict, where: str) -> dict:
+        """The parameters the handler runs with: `defaults` overridden by
+        params, integer parameters as int and real ones as float.
+
+        Raise ConfigError, located at `where`, for an unknown parameter, a
+        value outside the parameter's choices or outside the choices its
         pair allows, or a numeric parameter that is not a finite number (an
         integer for int bounds) or lies outside its bounds."""
-        unknown = set(params) - self.allowed_params
+        unknown = set(params) - self.defaults.keys()
         if unknown:
             raise ConfigError(f"{where}: unknown parameters {sorted(unknown)}")
+        resolved = {**self.defaults, **params}
         for name, allowed in self.choices.items():
-            if name in params and params[name] not in allowed:
-                raise ConfigError(f"{where}: unknown {name} {params[name]!r}; "
-                                  f"expected one of {allowed}")
+            if resolved[name] not in allowed:
+                raise ConfigError(f"{where}: unknown {name} "
+                                  f"{resolved[name]!r}; expected one of "
+                                  f"{allowed}")
         for name, (given, table) in self.pairs.items():
-            key = params.get(given, self.defaults[given])
+            key, value = resolved[given], resolved[name]
             if key not in tuple(table):
                 raise ConfigError(f"{where}: unknown {given} {key!r}; "
                                   f"expected one of {tuple(table)}")
-            value = params.get(name, self.defaults[name])
             if value not in table[key]:
                 raise ConfigError(f"{where}: unknown {name} {value!r} for "
                                   f"{given} {key!r}; expected one of "
                                   f"{table[key]}")
         for name, (low, high) in self.bounds.items():
-            if name not in params:
-                continue
-            value, real = params[name], isinstance(low, float)
+            value, real = resolved[name], isinstance(low, float)
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or (isinstance(value, float) and not (
                         math.isfinite(value) if real else value.is_integer()))):
@@ -657,60 +656,61 @@ class Operation:
             if not low <= value <= high:
                 raise ConfigError(f"{where}: {name} {value!r} outside "
                                   f"[{low}, {high}]")
+            resolved[name] = float(value) if real else int(value)
+        return resolved
 
 
 OPERATIONS: dict[tuple[str, str], Operation] = {
     ("function-lab", "dichotomy_suite"):
-        Operation(_dichotomy_suite, frozenset({"n_max"}),
+        Operation(_dichotomy_suite, {"n_max": 256},
                   bounds={"n_max": (4, N_MAX_CAP)}),
     ("function-lab", "weighted_form_suite"):
-        Operation(_weighted_form_suite, frozenset()),
+        Operation(_weighted_form_suite),
     ("function-lab", "gaussian_suite"):
-        Operation(_gaussian_suite, frozenset({"n_max"}),
+        Operation(_gaussian_suite, {"n_max": 24},
                   bounds={"n_max": (2, N_MAX_CAP)}),
     ("matrix-lab", "replay_suite"):
-        Operation(_matrix_replay_suite, frozenset({"truncation"}),
+        Operation(_matrix_replay_suite, {"truncation": 256},
                   bounds={"truncation": (2, TRUNCATION_CAP)}),
     ("op-topologies", "periodic_multiplication_suite"):
-        Operation(_periodic_multiplication_suite, frozenset()),
+        Operation(_periodic_multiplication_suite),
     ("ccr-lab", "symbolic_suite"):
-        Operation(_ccr_symbolic_suite, frozenset({"samples"}),
+        Operation(_ccr_symbolic_suite, {"samples": 25},
                   bounds={"samples": (1, SAMPLES_CAP)}),
     ("op-topologies", "multiplication_extension_suite"):
-        Operation(_multiplication_extension_suite, frozenset()),
+        Operation(_multiplication_extension_suite),
     ("gns", "gns_construct"):
-        Operation(_gns_construct_op, frozenset({"algebra", "state"}),
+        Operation(_gns_construct_op, {"algebra": "m2", "state": "trace"},
                   pairs={"state": ("algebra", {
                       name: tuple(states)
-                      for name, (_, states) in GNS_ALGEBRAS.items()})},
-                  defaults={"algebra": "m2", "state": "trace"}),
+                      for name, (_, states) in GNS_ALGEBRAS.items()})}),
     ("forms", "check_lemma24"):
-        Operation(_lemma24_op, frozenset({"truncation"}),
+        Operation(_lemma24_op, {"truncation": 64},
                   bounds={"truncation": (3, TRUNCATION_CAP)}),
     ("forms", "closability_probe"):
         Operation(_closability_probe_op,
-                  frozenset({"context", "family", "n_max", "truncation", "p",
-                             "height_exp"}),
+                  {"context": "matrix-trace", "family": "scaled_corner",
+                   "n_max": 256, "truncation": 256, "p": 1.0,
+                   "height_exp": 0.5},
                   bounds={"n_max": (2, TRUNCATION_CAP),
                           "truncation": (1, TRUNCATION_CAP),
                           "p": P_BOUNDS, "height_exp": ANY_REAL},
-                  pairs={"family": ("context", FORM_FAMILIES)},
-                  defaults={"context": "matrix-trace",
-                            "family": "scaled_corner"}),
+                  pairs={"family": ("context", FORM_FAMILIES)}),
     ("matrix-lab", "matrix_closability_replay"):
-        Operation(_matrix_replay_op, frozenset({"family", "truncation"}),
+        Operation(_matrix_replay_op,
+                  {"family": "scaled_corner", "truncation": 256},
                   choices={"family": FORM_FAMILIES["matrix-trace"]},
                   bounds={"truncation": (2, TRUNCATION_CAP)}),
     ("function-lab", "unboundedness_witness"):
-        Operation(_witness_op, frozenset({"p", "n_max"}),
+        Operation(_witness_op, {"p": 1.0, "n_max": 256},
                   bounds={"n_max": (4, N_MAX_CAP), "p": P_BOUNDS}),
     ("ccr-lab", "submultiplicativity_probe"):
-        Operation(_submult_op, frozenset({"k", "n_pairs"}),
+        Operation(_submult_op, {"k": 1, "n_pairs": 40},
                   bounds={"k": (0, K_CAP), "n_pairs": (1, SAMPLES_CAP)}),
     ("op-topologies", "extend_by_closure"):
         Operation(_extension_op,
-                  frozenset({"topology", "target", "beta", "variant",
-                             "n_max"}),
+                  {"topology": "strongstar", "target": "power", "beta": 0.2,
+                   "variant": "height", "n_max": 4096},
                   choices={"topology": TOPOLOGIES,
                            "target": EXTENSION_TARGETS,
                            "variant": CLIP_VARIANTS},
@@ -761,8 +761,8 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> ScenarioOutcome:
     if key not in OPERATIONS:
         raise ConfigError(f"unknown operation {key[0]}/{key[1]}")
     op = OPERATIONS[key]
-    op.check(scenario.parameters, f"scenario {scenario.scenario_id}")
-    outcome = op.handler({**op.defaults, **scenario.parameters}, seed)
+    outcome = op.handler(op.resolve(scenario.parameters,
+                                    f"scenario {scenario.scenario_id}"), seed)
     outcome.scenario_id = scenario.scenario_id
     outcome.output_stem = scenario.output_stem
     return outcome
@@ -798,7 +798,7 @@ def parse_config(data: dict) -> list[Scenario]:
         if key not in OPERATIONS:
             raise ConfigError(
                 f"{where}: unknown operation {key[0]}/{key[1]}")
-        OPERATIONS[key].check(params, where)
+        OPERATIONS[key].resolve(params, where)
         output_path = entry.get("output_path")
         if output_path is not None and (not isinstance(output_path, str)
                                         or os.path.isabs(output_path)):

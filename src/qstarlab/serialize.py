@@ -5,7 +5,6 @@ so the files diff cleanly in golden-file tests."""
 from __future__ import annotations
 
 import os
-import tempfile
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
@@ -87,10 +86,13 @@ def gnsrep_to_dict(rep: GNSRep) -> dict:
 
 def atomic_write(path, writer) -> None:
     """Create path's directory, let writer(fh) fill a temporary file next to
-    path, then move it into place, so a reader never sees a partial file."""
+    path, then move it into place, so a reader never sees a partial file.
+    The file gets the mode a plain open() would give it, 0o666 less the
+    umask; tempfile.mkstemp would make it 0o600."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             writer(fh)

@@ -22,34 +22,6 @@ from .rates import geometric_ladder, ladder_cauchy, ladder_probe
 TOPOLOGIES = ("uniform", "strong", "strongstar", "weak")
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedTriple:
-    """Truncation of a rigged triple: domain, Hilbert space, dual proxy.
-
-    Coordinates are orthonormal for the Hilbert inner product.
-    graph_weights realise the graph-topology seminorms |w^k . v| and must
-    be >= 1 (the generating operator is normalised to H >= 1); the dual
-    proxy uses the inverse weights, so coefficient vectors with polynomial
-    growth have finite dual seminorms.
-    """
-
-    dim: int
-    graph_weights: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        w = np.asarray(self.graph_weights, dtype=float)
-        if w.shape != (self.dim,):
-            raise ValueError(f"need {self.dim} graph weights, got {w.shape}")
-        if np.any(w < 1.0 - 1e-12):
-            raise ValueError("graph weights must be >= 1")
-        object.__setattr__(self, "graph_weights", w)
-
-    def graph_norm(self, v, k: int) -> float:
-        return float(np.linalg.norm(self.graph_weights ** k
-                                    * np.asarray(v, dtype=complex)))
-
-
 class TruncatedOperator:
     """Matrix acting from the truncated domain into its dual proxy.
 

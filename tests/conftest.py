@@ -43,6 +43,30 @@ def ztrace4():
     return group_trace_state(4)
 
 
+def structure_report(algebra) -> dict:
+    """Residuals of the algebra axioms; all should be at round-off."""
+    c, s = algebra.structure, algebra.involution
+    lhs = np.einsum("ijm,mkl->ijkl", c, c)
+    rhs = np.einsum("jkm,iml->ijkl", c, c)
+    assoc = float(np.max(np.abs(lhs - rhs)))
+    invol = float(np.max(np.abs(s @ s.conj() - np.eye(algebra.dim))))
+    # (e_i e_j)* = (e_j)* (e_i)*, expanded through structure constants.
+    star_of_prod = np.einsum("ijk,kl->ijl", c.conj(), s)
+    prod_of_stars = np.einsum("jk,il,klm->ijm", s, s, c)
+    anti = float(np.max(np.abs(star_of_prod - prod_of_stars)))
+    report = {"associativity": assoc, "involution": invol,
+              "anti_automorphism": anti}
+    if algebra.unit is not None:
+        left = np.einsum("i,ijk->jk", algebra.unit, c)
+        right = np.einsum("j,ijk->ik", algebra.unit, c)
+        report["unit_law"] = float(
+            max(np.max(np.abs(left - np.eye(algebra.dim))),
+                np.max(np.abs(right - np.eye(algebra.dim)))))
+    else:
+        report["unit_law"] = None
+    return report
+
+
 def coeffs_to_matrix(coeffs, n):
     """Oracle: reassemble the dense matrix from matrix-unit coordinates."""
     return np.asarray(coeffs, dtype=complex).reshape(n, n)

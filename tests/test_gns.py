@@ -8,7 +8,7 @@ from qstarlab.algebra import (MissingUnitError, NonPositiveStateError, State,
                               group_character_state, group_trace_state,
                               matrix_unit_algebra, normalized_trace_state,
                               scalar_algebra)
-from qstarlab.gns import GNSRep, build_gram, gns_construct, verify_gns
+from qstarlab.gns import GNSRep, gns_construct, verify_gns
 from qstarlab.serialize import complex_to_nested, gnsrep_to_dict
 
 from conftest import coeffs_to_matrix, plain
@@ -47,19 +47,19 @@ def rep_from_golden(data, algebra, state):
 
 
 def test_gram_m2_trace_is_half_identity(m2, trace2):
-    gram = build_gram(m2, trace2)
+    gram = trace2.check_positive(m2)
     assert np.allclose(gram, 0.5 * np.eye(4), atol=1e-14)
     assert np.allclose(gram, brute_force_gram(m2, trace2, 2), atol=1e-14)
 
 
 def test_gram_scalar():
     algebra = scalar_algebra()
-    gram = build_gram(algebra, State(np.ones(1, dtype=complex)))
+    gram = State(np.ones(1, dtype=complex)).check_positive(algebra)
     assert np.allclose(gram, [[1.0]])
 
 
 def test_gram_corner_state_rank_two(m2, corner2):
-    gram = build_gram(m2, corner2)
+    gram = corner2.check_positive(m2)
     assert np.allclose(gram, brute_force_gram(m2, corner2, 2), atol=1e-14)
     # SVD oracle for the rank; the kernel holds matrices with zero first column.
     assert np.linalg.matrix_rank(gram, tol=1e-10) == 2
@@ -69,7 +69,7 @@ def test_gram_corner_state_rank_two(m2, corner2):
 
 def test_gram_rejects_non_positive_state(m2):
     with pytest.raises(NonPositiveStateError):
-        build_gram(m2, State(np.array([0, 1.0, 1.0, 0], dtype=complex)))
+        State(np.array([0, 1.0, 1.0, 0], dtype=complex)).check_positive(m2)
 
 
 def test_gns_scalar_identity_case():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 
 import pytest
@@ -334,7 +335,7 @@ def test_integer_parameter_cap_rejects_before_running(tmp_path, monkeypatch):
 
     key = ("matrix-lab", "replay_suite")
     monkeypatch.setitem(scenarios.OPERATIONS, key, scenarios.Operation(
-        refuse, scenarios.OPERATIONS[key].allowed_params,
+        refuse, scenarios.OPERATIONS[key].defaults,
         bounds=scenarios.OPERATIONS[key].bounds))
     huge = {"module": "matrix-lab", "operation": "replay_suite",
             "parameters": {"truncation": 10 ** 12}}
@@ -566,7 +567,79 @@ def test_operation_defaults_reach_the_handler(monkeypatch):
     run_scenario(scenarios.Scenario("x", "forms", "closability_probe", "",
                                     {"n_max": 8}))
     assert seen == [{"context": "matrix-trace", "family": "scaled_corner",
-                     "n_max": 8}]
+                     "n_max": 8, "truncation": 256, "p": 1.0,
+                     "height_exp": 0.5}]
+
+
+def test_resolve_casts_numeric_parameters(monkeypatch):
+    from qstarlab import scenarios
+
+    seen = []
+    for key in (("matrix-lab", "replay_suite"),
+                ("op-topologies", "extend_by_closure")):
+        monkeypatch.setitem(scenarios.OPERATIONS, key, dataclasses.replace(
+            scenarios.OPERATIONS[key], handler=lambda params, seed: seen.append(
+                params) or scenarios.ScenarioOutcome("", True, {}, {})))
+    run_scenario(scenarios.Scenario("t", "matrix-lab", "replay_suite", "",
+                                    {"truncation": 256.0}))
+    run_scenario(scenarios.Scenario("b", "op-topologies",
+                                    "extend_by_closure", "", {"beta": 1}))
+    assert type(seen[0]["truncation"]) is int and seen[0]["truncation"] == 256
+    assert type(seen[1]["beta"]) is float and seen[1]["beta"] == 1.0
+    assert type(seen[1]["n_max"]) is int
+
+
+def test_every_parameter_is_declared_once_and_checked():
+    # Each parameter has its default in `defaults`, and some rule (choices,
+    # bounds or a pair) checks it; resolving no parameters gives the
+    # defaults back unchanged.
+    from qstarlab import scenarios
+
+    for key, op in scenarios.OPERATIONS.items():
+        checked = (set(op.choices) | set(op.bounds) | set(op.pairs)
+                   | {given for given, _ in op.pairs.values()})
+        assert checked == set(op.defaults), key
+        resolved = op.resolve({}, "x")
+        assert resolved == op.defaults and resolved is not op.defaults
+        assert all(type(resolved[k]) is type(v)
+                   for k, v in op.defaults.items()), key
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "README.md")
+BOUNDS_TABLE = ("| parameter | operations | bounds | default |\n"
+                "|---|---|---|---|\n")
+
+
+def _readme_bounds(text: str) -> tuple:
+    if text == "any finite real":
+        return (-math.inf, math.inf)
+    if text.startswith("real, at least "):
+        return (float(text[len("real, at least "):]), math.inf)
+    low, high = text.split(" to ")
+    return (int(low), int(high))
+
+
+def test_readme_bounds_table_matches_the_operations():
+    from qstarlab import scenarios
+
+    with open(README, encoding="utf-8") as fh:
+        table = fh.read().split(BOUNDS_TABLE)[1].split("\n\n")[0]
+    documented = {}
+    for line in table.splitlines():
+        name, ops, bounds, default = (
+            cell.strip() for cell in line.strip("|").split("|"))
+        for op in ops.split(", "):
+            key = (op.strip("`"), name.strip("`"))
+            assert key not in documented, key
+            documented[key] = (*_readme_bounds(bounds), json.loads(default))
+    declared = {(operation, name): (*op.bounds[name], op.defaults[name])
+                for (_, operation), op in scenarios.OPERATIONS.items()
+                for name in op.bounds}
+    assert documented == declared
+    # 256 == 256.0, so the types are compared too: they say int or real
+    assert {k: tuple(map(type, v)) for k, v in documented.items()} \
+        == {k: tuple(map(type, v)) for k, v in declared.items()}
 
 
 def test_witness_and_submultiplicativity_operations(tmp_path):

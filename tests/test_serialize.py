@@ -46,6 +46,26 @@ def test_atomic_write_failure_creates_no_new_file(tmp_path):
     assert list((tmp_path / "sub").iterdir()) == []
 
 
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path):
+    # Under each umask the result file gets the mode that open() gives a
+    # new file in the same directory (mkstemp's 0o600 differs from it
+    # under all three).
+    old = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o027, 0o002):
+            os.umask(umask)
+            target, plain_file = (tmp_path / f"result-{umask:o}.json",
+                                  tmp_path / f"plain-{umask:o}.json")
+            atomic_write(str(target), lambda fh: fh.write("{}\n"))
+            with open(plain_file, "w") as fh:
+                fh.write("{}\n")
+            mode = os.stat(target).st_mode & 0o777
+            assert mode == os.stat(plain_file).st_mode & 0o777, oct(mode)
+            assert mode == 0o666 & ~umask
+    finally:
+        os.umask(old)
+
+
 # ---------------------------------------------------------------------------
 # The JSON writer against the reference encoder
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from qstarlab import function_lab as flab
-from qstarlab.ccr import CCRPolynomial, ccr_represent, graph_weights
+from qstarlab.ccr import CCRPolynomial, ccr_represent, graph_seminorm
 from qstarlab.forms import ProbeFamily
 from qstarlab.rates import NonFiniteSeriesError, geometric_ladder
-from qstarlab.topologies import (BoundedSet, TruncatedOperator, TruncatedTriple,
+from qstarlab.topologies import (BoundedSet, TruncatedOperator,
                                  closability_check, extend_by_closure, pairing,
                                  quasi_algebra_closure_test, seminorm,
                                  strongstar_hilbert_seminorm,
@@ -38,7 +38,9 @@ def test_seminorm_identity_uniform(pair_set):
 
 
 def test_momentum_weak_seminorm():
-    p_op = TruncatedOperator(ccr_represent(CCRPolynomial.momentum(), 2).matrix)
+    # a CCR operator is a TruncatedOperator; the seminorms take it as is
+    p_op = ccr_represent(CCRPolynomial.momentum(), 2)
+    assert isinstance(p_op, TruncatedOperator)
     e1 = basis(5, 3)  # frequency n=1 on the centered window
     assert seminorm(p_op, "weak", phi=e1, psi=e1) == pytest.approx(2 * np.pi)
 
@@ -120,18 +122,6 @@ def test_adjoint_is_inner_product_adjoint():
     rhs = np.conj(pairing(op.apply(v), u))
     assert abs(lhs - rhs) < 1e-12
     assert np.max(np.abs(op.adjoint_matrix - mat.conj().T)) == 0.0
-
-
-def test_truncated_triple_invariants():
-    with pytest.raises(ValueError, match=">= 1"):
-        TruncatedTriple(3, np.array([1.0, 0.5, 2.0]))
-    with pytest.raises(ValueError, match="graph weights"):
-        TruncatedTriple(3, np.ones(2))
-    weights = graph_weights(4)
-    triple = TruncatedTriple(9, weights, name="fourier")
-    v = np.ones(9) / 3.0
-    assert triple.graph_norm(v, 0) == pytest.approx(1.0)
-    assert triple.graph_norm(v, 1) >= triple.graph_norm(v, 0)
 
 
 def test_extend_by_closure_constant_sequence():
@@ -278,13 +268,12 @@ def test_completeness_proxy_at_fixed_truncation():
     rng = np.random.default_rng(5)
     base = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     bump = rng.standard_normal((9, 9))
-    triple = TruncatedTriple(9, graph_weights(4))
     rng = np.random.default_rng(1)
     sets = []
     for k in (0, 1):  # four sampled vectors on the unit sphere of graph_k
         vecs = [rng.standard_normal(9) + 1j * rng.standard_normal(9)
                 for _ in range(4)]
-        sets.append(BoundedSet(tuple(v / triple.graph_norm(v, k) for v in vecs),
+        sets.append(BoundedSet(tuple(v / graph_seminorm(v, k) for v in vecs),
                                name=f"ball-k{k}"))
     phis = [("e0", np.eye(9, dtype=complex)[4])]
     suite = suite_from_bounded_sets("strongstar", sets, phis=phis)
