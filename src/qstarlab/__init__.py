@@ -7,7 +7,7 @@ from .algebra import (AlgebraElement, DimensionMismatchError, MissingUnitError,
                       NonPositiveStateError, StarAlgebra, State,
                       cyclic_group_algebra, evaluate_state, matrix_unit_algebra,
                       multiply, normalized_trace_state, scalar_algebra, star)
-from .forms import (FormContext, ProbeFamily, b_shifted_form,
+from .forms import (FormContext, ProbeFamily, ScaledFamily, b_shifted_form,
                     check_ips_conditions, check_lemma24, closability_probe,
                     form_from_state, star_form)
 from .gns import GNSRep, gns_construct, verify_gns
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement", "BoundedSet", "DimensionMismatchError", "ExtensionResult",
     "FormContext", "GNSRep", "MissingUnitError", "NonPositiveStateError",
-    "ProbeFamily", "StarAlgebra", "State",
+    "ProbeFamily", "ScaledFamily", "StarAlgebra", "State",
     "TruncatedOperator", "b_shifted_form", "check_ips_conditions", "check_lemma24", "closability_check",
     "closability_probe", "cyclic_group_algebra", "evaluate_state",
     "extend_by_closure", "form_from_state", "gns_construct",

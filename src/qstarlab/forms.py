@@ -31,9 +31,12 @@ PROBE_POINTS = 24
 class FormContext:
     """A sesquilinear form with the operations its probes need.
 
-    form(a, b) is linear in a and antilinear in b; ambient_norm models the
-    topology of the ambient space; star and mul act on domain elements and
-    may be None when the domain does not support them.
+    form(a, b) is sesquilinear: linear in a and antilinear in b, so
+    diag(c a) = |c|^2 diag(a).  ambient_norm models the topology of the
+    ambient space and is absolutely homogeneous: ambient_norm(c a) =
+    |c| ambient_norm(a).  The probes of a ScaledFamily rely on both.  star
+    and mul act on domain elements and may be None when the domain does
+    not support them.
     """
 
     name: str
@@ -59,6 +62,24 @@ class ProbeFamily:
     name: str
     generate: Callable[[int], Any]
     tau_norm: Callable[[int], float] | None = None
+
+
+@dataclass(frozen=True)
+class ScaledFamily:
+    """Sequence n -> scale(n) * base: one fixed element times scalars.
+
+    Its probes evaluate base once and scale the results in closed form,
+    with c_n = scale(n): the ambient norms are |c_n| ambient_norm(base),
+    the diagonals |c_n|^2 diag(base) and the steps
+    |c_{n+1} - c_n|^2 diag(base).
+    """
+
+    name: str
+    base: Any
+    scale: Callable[[int], complex]
+
+    def generate(self, n: int):
+        return self.scale(n) * self.base
 
 
 def form_from_state(algebra: StarAlgebra, state: State) -> FormContext:
@@ -120,8 +141,8 @@ def cauchy_schwarz_residual(ctx: FormContext, pairs) -> float:
     return worst
 
 
-def closability_probe(ctx: FormContext, family: ProbeFamily, n_max: int,
-                      *, points: int = PROBE_POINTS) -> LadderProbe:
+def closability_probe(ctx: FormContext, family: ProbeFamily | ScaledFamily,
+                      n_max: int, *, points: int = PROBE_POINTS) -> LadderProbe:
     """Probe one family for a closability counterexample.
 
     Elements are evaluated on a geometric ladder so that the step distances
@@ -133,28 +154,39 @@ def closability_probe(ctx: FormContext, family: ProbeFamily, n_max: int,
     return _ladder_probes([ctx], family, n_max, points)[0]
 
 
-def _ladder_probes(ctxs, family: ProbeFamily, n_max: int,
-                   points: int) -> list:
+def _ladder_probes(ctxs, family, n_max: int, points: int) -> list:
     """closability_probe of one family under each form of ctxs, which
-    share the first one's ambient norm: the members, their ambient norms
-    and their differences are built once, and each form evaluates only
-    its diagonal on them."""
+    share the first one's ambient norm: each member (a ScaledFamily's base
+    alone) and its ambient norm are evaluated once, and each form
+    evaluates only its diagonal on it."""
     ns = geometric_ladder(n_max, points=points)
-    elements = [family.generate(int(n)) for n in ns]
-    if family.tau_norm is not None:
-        tau = [family.tau_norm(int(n)) for n in ns]
+    if isinstance(family, ScaledFamily):
+        c = np.array([family.scale(int(n)) for n in ns])
+        size, gap = np.abs(c), np.abs(np.diff(c)) ** 2
+        tau = size * ctxs[0].ambient_norm(family.base)
+        diags = [ctx.diag(family.base) for ctx in ctxs]
+        series = [(size ** 2 * d, gap * max(d, 0.0)) for d in diags]
     else:
-        tau = [ctxs[0].ambient_norm(x) for x in elements]
-    steps = [[] for _ in ctxs]
-    for a, b in zip(elements, elements[1:]):
-        # One difference at a time: a member can be a full N x N block.
-        difference = b - a
-        for column, ctx in zip(steps, ctxs):
-            column.append(max(ctx.diag(difference), 0.0))
-    return [ladder_probe(family.name, ns, tau,
-                         [ctx.diag(x) for x in elements], column,
+        tau, previous = [], None
+        values = [[] for _ in ctxs]
+        steps = [[] for _ in ctxs]
+        for n in ns:
+            # One member at a time: a member can be a full N x N block, so
+            # only it and its predecessor are held.
+            x = family.generate(int(n))
+            tau.append(family.tau_norm(int(n)) if family.tau_norm is not None
+                       else ctxs[0].ambient_norm(x))
+            for column, ctx in zip(values, ctxs):
+                column.append(ctx.diag(x))
+            if previous is not None:
+                difference = x - previous
+                for column, ctx in zip(steps, ctxs):
+                    column.append(max(ctx.diag(difference), 0.0))
+            previous = x
+        series = zip(values, steps)
+    return [ladder_probe(family.name, ns, tau, column, step_column,
                          names=("omega",))
-            for ctx, column in zip(ctxs, steps)]
+            for column, step_column in series]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import FormContext, ProbeFamily
+from .forms import FormContext, ProbeFamily, ScaledFamily
 from .rates import (NonFiniteSeriesError, _finite, fit_trend, geometric_ladder,
                     increments_shrink, ladder_probe)
 from .topologies import BoundedSet, TruncatedOperator
@@ -217,9 +217,9 @@ def tent_family(grid: Grid, height_exp: float, p: float) -> ProbeFamily:
         tau_norm=lambda n: tent_lp_norm(n, height_exp, p))
 
 
-def scaled_one_family(grid: Grid) -> ProbeFamily:
+def scaled_one_family(grid: Grid) -> ScaledFamily:
     one = GridFunction.from_callable(lambda x: np.ones_like(x), grid)
-    return ProbeFamily(name="one/n", generate=lambda n: (1.0 / n) * one)
+    return ScaledFamily(name="one/n", base=one, scale=lambda n: 1.0 / n)
 
 
 def lp_form_context(p: float, grid: Grid,

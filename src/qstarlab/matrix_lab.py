@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import FormContext, ProbeFamily, closability_probe
+from .forms import FormContext, ProbeFamily, ScaledFamily, closability_probe
 from .rates import LadderProbe, increments_shrink
 
 DEFAULT_TRUNCATION = 256
@@ -81,6 +81,12 @@ class WeightedMatrix:
 
     def __rsub__(self, other):
         return _padded(np.subtract, other, self)
+
+    def __rmul__(self, scalar):
+        """scalar * block, entrywise; a real scalar keeps a real block."""
+        if not np.isscalar(scalar):
+            return NotImplemented
+        return WeightedMatrix(scalar * self.entries, self.truncation)
 
 
 def _block(a) -> WeightedMatrix:
@@ -170,10 +176,6 @@ def trace_form_context(n: int = DEFAULT_TRUNCATION) -> FormContext:
 # ---------------------------------------------------------------------------
 # Probe families
 
-def _corner(k: int, n: int) -> WeightedMatrix:
-    return WeightedMatrix([[1.0 / k]], n)
-
-
 @functools.lru_cache(maxsize=8)
 def _harmonic_outer(n: int) -> np.ndarray:
     """u[m, n] = 1/(m n) with 1-based indices; cached and read-only."""
@@ -183,21 +185,12 @@ def _harmonic_outer(n: int) -> np.ndarray:
     return u
 
 
-def _rank_one_decay(k: int, n: int) -> WeightedMatrix:
-    return WeightedMatrix((2.0 ** -float(k)) * _harmonic_outer(n), n)
-
-
 def _constant_block(side: int, value: float, n: int) -> WeightedMatrix:
     return WeightedMatrix(np.full((side, side), value), n)
 
 
 def _shrinking_block(k: int, n: int) -> WeightedMatrix:
     return _constant_block(min(int(np.ceil(np.sqrt(k))), n), 1.0 / k ** 2, n)
-
-
-def _decaying_column(k: int, n: int) -> WeightedMatrix:
-    column = 1.0 / (k * np.arange(1, n + 1, dtype=float) ** 2)
-    return WeightedMatrix(column[:, None], n)
 
 
 def _moving_bump(k: int, n: int) -> WeightedMatrix:
@@ -211,31 +204,47 @@ def _spreading_block(k: int, n: int) -> WeightedMatrix:
     return _constant_block(min(k, n), 1.0 / k, n)
 
 
+def _members(gen):
+    """The family k -> gen(k, N) at truncation N."""
+    return lambda name, n: ProbeFamily(name, lambda k: gen(int(k), n))
+
+
+def _scaled(base, scale):
+    """The family k -> scale(k) * base(N) at truncation N."""
+    return lambda name, n: ScaledFamily(name, WeightedMatrix(base(n), n),
+                                        scale)
+
+
+# Each entry builds the named family at a truncation: (name, N) -> family.
 # Families that are weighted-null and trace-form Cauchy: the replay must
 # find limit 0 on each.
 NULL_FAMILIES = {
-    "scaled_corner": _corner,
-    "rank_one_decay": _rank_one_decay,
-    "shrinking_block": _shrinking_block,
-    "decaying_column": _decaying_column,
+    "scaled_corner": _scaled(lambda n: [[1.0]], lambda k: 1.0 / k),
+    "rank_one_decay": _scaled(_harmonic_outer, lambda k: 2.0 ** -float(k)),
+    "shrinking_block": _members(_shrinking_block),
+    "decaying_column": _scaled(
+        lambda n: 1.0 / np.arange(1, n + 1, dtype=float)[:, None] ** 2,
+        lambda k: 1.0 / k),
 }
 
 # Weighted-null families whose trace-form steps stay bounded below; the
 # replay must flag them as not form-Cauchy (which is consistent with
 # closability, not a counterexample).
 NON_CAUCHY_FAMILIES = {
-    "moving_bump": _moving_bump,
-    "spreading_block": _spreading_block,
+    "moving_bump": _members(_moving_bump),
+    "spreading_block": _members(_spreading_block),
 }
 
 
-def matrix_family(name: str, n: int = DEFAULT_TRUNCATION) -> ProbeFamily:
+def matrix_family(name: str, n: int = DEFAULT_TRUNCATION
+                  ) -> ProbeFamily | ScaledFamily:
+    """The named probe family at truncation n: a ScaledFamily for the
+    scalar multiples of one matrix, a ProbeFamily otherwise."""
     table = {**NULL_FAMILIES, **NON_CAUCHY_FAMILIES}
     if name not in table:
         raise KeyError(f"unknown matrix family {name!r}; "
                        f"choose from {sorted(table)}")
-    gen = table[name]
-    return ProbeFamily(name=name, generate=lambda k: gen(int(k), n))
+    return table[name](name, n)
 
 
 def matrix_closability_replay(name: str,

@@ -35,8 +35,10 @@ def _shrinking_block(k, n):
 
 
 def _decaying_column(k, n):
+    # (1/k) times the 1/m^2 column: the family is declared as that scalar
+    # multiple, which differs from 1/(k m^2) in the last bit of some entries.
     a = np.zeros((n, n), dtype=complex)
-    a[:, 0] = 1.0 / (k * np.arange(1, n + 1, dtype=float) ** 2)
+    a[:, 0] = (1.0 / k) * (1.0 / np.arange(1, n + 1, dtype=float) ** 2)
     return a
 
 
