@@ -68,10 +68,9 @@ class ProbeFamily:
 class ScaledFamily:
     """Sequence n -> scale(n) * base: one fixed element times scalars.
 
-    Its probes evaluate base once and scale the results in closed form,
-    with c_n = scale(n): the ambient norms are |c_n| ambient_norm(base),
-    the diagonals |c_n|^2 diag(base) and the steps
-    |c_{n+1} - c_n|^2 diag(base).
+    ladder_series evaluates base once and scales the results in closed
+    form, under every evaluator by the power of |scale(n)| its degree
+    declares.
     """
 
     name: str
@@ -141,6 +140,64 @@ def cauchy_schwarz_residual(ctx: FormContext, pairs) -> float:
     return worst
 
 
+def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
+                  views) -> tuple:
+    """The series of a family on the ladder ns; only a member and its
+    predecessor are held, since a member can be a full N x N block.
+
+    views are (rep_map, evaluators) pairs, evaluators (f, degree) pairs.
+    With r_n = rep_map(x_n) (x_n when rep_map is None) each f gives a value
+    column f(r_n) and a step column max(f(r_n - r_{n-1}), 0).  The ambient
+    series is tau_norm(n) when the family has one, else ambient_norm(x_n),
+    or None without ambient_norm.  Of a ScaledFamily only the last member
+    is built: base is evaluated once and scaled by |c_n|^d (the steps by
+    |c_n - c_{n-1}|^d), c_n = scale(n), as f is absolutely homogeneous of
+    degree d (1 for a seminorm or norm, 2 for a form diagonal) and rep_map
+    linear or antilinear.
+
+    Returns the ambient series, the value and the step columns split into
+    one block per view, and the last member.
+    """
+    columns = [(k, f, d) for k, (_, fs) in enumerate(views) for f, d in fs]
+    blocks = np.cumsum([len(fs) for _, fs in views])[:-1]
+
+    def represent(x):
+        return [x if rep_map is None else rep_map(x) for rep_map, _ in views]
+
+    if isinstance(family, ScaledFamily):
+        c = np.array([family.scale(int(n)) for n in ns])
+        size, gap = np.abs(c), np.abs(np.diff(c))
+        base = represent(family.base)
+        at_base = [(f(base[k]), d) for k, f, d in columns]
+        values = np.array([size ** d * v for v, d in at_base]
+                          ).reshape(len(columns), len(ns)).T
+        steps = np.array([gap ** d * max(v, 0.0) for v, d in at_base]
+                         ).reshape(len(columns), len(ns) - 1).T
+        ambient = (None if ambient_norm is None
+                   else size * ambient_norm(family.base))
+        x = family.scale(int(ns[-1])) * family.base
+    else:
+        ambient, values, steps, previous = [], [], [], None
+        for n in ns:
+            x = family.generate(int(n))
+            if family.tau_norm is not None:
+                ambient.append(family.tau_norm(int(n)))
+            elif ambient_norm is not None:
+                ambient.append(ambient_norm(x))
+            reps = represent(x)
+            values.append([f(reps[k]) for k, f, _ in columns])
+            if previous is not None:
+                differences = [r - p for r, p in zip(reps, previous)]
+                steps.append([max(f(differences[k]), 0.0)
+                              for k, f, _ in columns])
+            previous = reps
+        ambient = np.array(ambient) if ambient else None
+        values = np.array(values, dtype=float).reshape(len(ns), len(columns))
+        steps = np.array(steps, dtype=float).reshape(len(ns) - 1, len(columns))
+    return (ambient, np.split(values, blocks, axis=1),
+            np.split(steps, blocks, axis=1), x)
+
+
 def closability_probe(ctx: FormContext, family: ProbeFamily | ScaledFamily,
                       n_max: int, *, points: int = PROBE_POINTS) -> LadderProbe:
     """Probe one family for a closability counterexample.
@@ -151,42 +208,11 @@ def closability_probe(ctx: FormContext, family: ProbeFamily | ScaledFamily,
     value series is the form diagonal ("omega"), its steps the form
     distances between successive members.
     """
-    return _ladder_probes([ctx], family, n_max, points)[0]
-
-
-def _ladder_probes(ctxs, family, n_max: int, points: int) -> list:
-    """closability_probe of one family under each form of ctxs, which
-    share the first one's ambient norm: each member (a ScaledFamily's base
-    alone) and its ambient norm are evaluated once, and each form
-    evaluates only its diagonal on it."""
     ns = geometric_ladder(n_max, points=points)
-    if isinstance(family, ScaledFamily):
-        c = np.array([family.scale(int(n)) for n in ns])
-        size, gap = np.abs(c), np.abs(np.diff(c)) ** 2
-        tau = size * ctxs[0].ambient_norm(family.base)
-        diags = [ctx.diag(family.base) for ctx in ctxs]
-        series = [(size ** 2 * d, gap * max(d, 0.0)) for d in diags]
-    else:
-        tau, previous = [], None
-        values = [[] for _ in ctxs]
-        steps = [[] for _ in ctxs]
-        for n in ns:
-            # One member at a time: a member can be a full N x N block, so
-            # only it and its predecessor are held.
-            x = family.generate(int(n))
-            tau.append(family.tau_norm(int(n)) if family.tau_norm is not None
-                       else ctxs[0].ambient_norm(x))
-            for column, ctx in zip(values, ctxs):
-                column.append(ctx.diag(x))
-            if previous is not None:
-                difference = x - previous
-                for column, ctx in zip(steps, ctxs):
-                    column.append(max(ctx.diag(difference), 0.0))
-            previous = x
-        series = zip(values, steps)
-    return [ladder_probe(family.name, ns, tau, column, step_column,
-                         names=("omega",))
-            for column, step_column in series]
+    ambient, (values,), (steps,), _ = ladder_series(
+        family, ns, ctx.ambient_norm, [(None, [(ctx.diag, 2)])])
+    return ladder_probe(family.name, ns, ambient, values, steps,
+                        names=("omega",))
 
 
 @dataclass(frozen=True)
@@ -213,11 +239,16 @@ def check_lemma24(ctx: FormContext, families, shifts,
     columns = {"omega": ctx, "omega_star": star_form(ctx)}
     for label, b in shifts:
         columns[f"omega_B[{label}]"] = b_shifted_form(ctx, b)
+    diagonals = [(None, [(c.diag, 2) for c in columns.values()])]
+    ns = geometric_ladder(n_max, points=PROBE_POINTS)
     rows = []
     counterexamples = []
     for fam in families:
-        verdicts = dict(zip(columns, _ladder_probes(
-            list(columns.values()), fam, n_max, PROBE_POINTS)))
+        ambient, (values,), (steps,), _ = ladder_series(
+            fam, ns, ctx.ambient_norm, diagonals)
+        verdicts = {key: ladder_probe(fam.name, ns, ambient, values[:, j],
+                                      steps[:, j], names=("omega",))
+                    for j, key in enumerate(columns)}
         flags = {key: v.counterexample for key, v in verdicts.items()}
         rows.append({"family": fam.name, "flags": flags, "verdicts": verdicts})
         counterexamples.extend(f"{fam.name}:{key}"

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import FormContext, ProbeFamily, ScaledFamily
+from .forms import FormContext, ProbeFamily, ScaledFamily, ladder_series
 from .rates import (NonFiniteSeriesError, _finite, fit_trend, geometric_ladder,
                     increments_shrink, ladder_probe)
 from .topologies import BoundedSet, TruncatedOperator
@@ -379,22 +379,28 @@ def gaussian_poly_probe(families: dict, n_max: int = 24,
 
     Families with L^1-null members must have sandwich seminorms that, when
     convergent, converge to 0; anything else is a counterexample.  A family
-    that is not L^1-null (probe.null false) is inapplicable.
+    that is not L^1-null (probe.null false) is inapplicable.  A step is the
+    seminorm of the difference of two consecutive members.
     """
     grid = grid or gauss_hermite_grid()
     ns = geometric_ladder(n_max, points=10)
+    sandwiches = [(None, [(lambda p, j=j: sandwich_seminorm(p.coef, grid, j),
+                           1) for j in SANDWICH_DECAY_ORDERS])]
     verdicts = []
     for name, gen in families.items():
-        coeff_seq = [np.asarray(gen(int(n)), dtype=float) for n in ns]
-        degree = max(len(c) for c in coeff_seq) - 1
-        if degree > grid.n_nodes // 2:
-            raise ValueError(f"family {name}: degree {degree} exceeds grid "
-                             f"resolution {grid.n_nodes // 2}")
-        l1 = np.array([gaussian_l1_norm(c, grid) for c in coeff_seq])
-        vals = np.array([[sandwich_seminorm(c, grid, j)
-                          for j in SANDWICH_DECAY_ORDERS] for c in coeff_seq])
+        def member(n: int) -> np.polynomial.Polynomial:
+            # a Polynomial, so that members of different degree subtract
+            p = np.polynomial.Polynomial(np.asarray(gen(n), dtype=float))
+            if p.degree() > grid.n_nodes // 2:
+                raise ValueError(f"family {name}: degree {p.degree()} exceeds "
+                                 f"grid resolution {grid.n_nodes // 2}")
+            return p
+
+        l1, (values,), (steps,), _ = ladder_series(
+            ProbeFamily(name, member), ns,
+            lambda p: gaussian_l1_norm(p.coef, grid), sandwiches)
         verdicts.append(ladder_probe(
-            name, ns, l1, vals, np.abs(np.diff(vals, axis=0)),
+            name, ns, l1, values, steps,
             names=[f"{name} sandwich j={j}" for j in SANDWICH_DECAY_ORDERS]))
     return verdicts
 

@@ -136,13 +136,12 @@ def run_extension(grid: flab.Grid, family: ProbeFamily, topology: str,
                   n_max: int = 4096, seed: int = 0):
     """Drive one approximating family through the closure engine with the
     L^1 ambient norm of the multiplication example."""
-    ns = geometric_ladder(n_max, points=EXTENSION_POINTS)
-    elements = [family.generate(int(n)) for n in ns]
-    reps = [flab.mult_operator(f) for f in elements]
-    suite = multiplication_suite(grid, topology, seed=seed)
-    return extend_by_closure(lambda f: flab.lp_norm(f, 1.0), elements, reps,
-                             topology, suite=suite, space_complete=False,
-                             steps=ns)
+    return extend_by_closure(lambda f: flab.lp_norm(f, 1.0), family,
+                             flab.mult_operator,
+                             geometric_ladder(n_max, points=EXTENSION_POINTS),
+                             topology,
+                             suite=multiplication_suite(grid, topology,
+                                                        seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +424,7 @@ def _multiplication_extension_suite(params: dict, seed: int) -> ScenarioOutcome:
         [ProbeFamily(name="vanishing-tent",
                      generate=lambda n: flab.tent_function(grid, min(int(n), 128),
                                                            -0.25))],
-        rep_map=lambda f: flab.mult_operator(f),
-        suite=multiplication_suite(grid, "strongstar", seed=seed),
+        rep_map=flab.mult_operator, suite=suite,
         ambient_norm=lambda f: flab.lp_norm(f, 1.0), n_max=128)
     null_ok = all(not v.counterexample for v in null)
 

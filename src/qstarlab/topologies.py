@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .forms import ladder_series
 from .rates import geometric_ladder, ladder_cauchy, ladder_probe
 
 TOPOLOGIES = ("uniform", "strong", "strongstar", "weak")
@@ -77,7 +78,8 @@ class TruncatedOperator:
 
     def _combine(self, other: "TruncatedOperator", op) -> "TruncatedOperator":
         if self.dim != other.dim:
-            raise ValueError("truncation dimensions differ")
+            raise ValueError(f"inconsistent truncation: dimensions differ "
+                             f"({self.dim} and {other.dim})")
         if self.diag is not None and other.diag is not None:
             return TruncatedOperator(diag=op(self.diag, other.diag))
         return TruncatedOperator(op(self.matrix, other.matrix))
@@ -237,14 +239,9 @@ def suite_from_bounded_sets(topology: str, bounded_sets,
     return suite
 
 
-def _suite_series(suite: Suite, ops) -> tuple[np.ndarray, np.ndarray, list]:
-    """Suite values of each operator of a ladder (one column per seminorm),
-    the residuals between consecutive operators, and the seminorm names."""
-    values = np.array([[fn(op) for _, fn in suite] for op in ops])
-    residuals = np.array([[fn(ops[k] - ops[k - 1]) for _, fn in suite]
-                          for k in range(1, len(ops))])
-    return (values, residuals.reshape(len(ops) - 1, len(suite)),
-            [name for name, _ in suite])
+def _seminorms(suite: Suite) -> list:
+    """The suite as ladder_series evaluators: seminorms, of degree 1."""
+    return [(fn, 1) for _, fn in suite]
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +275,13 @@ class ExtensionResult:
         return header, rows
 
 
-def extend_by_closure(ambient_norm, element_seq, rep_seq, topology: str, *,
-                      suite: Suite, space_complete: bool = False,
-                      steps=None) -> ExtensionResult:
-    """Drive one approximating sequence through the closure engine.
+def extend_by_closure(ambient_norm, family, rep_map, ns, topology: str, *,
+                      suite: Suite,
+                      space_complete: bool = False) -> ExtensionResult:
+    """Drive one approximating family through the closure engine.
 
-    element_seq are ambient elements carrying the tau-norms, rep_seq their
-    representatives at a common truncation.  The run converges when every
+    The family's members on the ladder ns are the ambient elements, rep_map
+    their representatives at a common truncation.  The run converges when every
     seminorm in the suite has Cauchy residuals that vanish (hard threshold
     relative to the largest seminorm seen, or clear power-law decay); the
     ambient residuals are judged the same way against the ambient norms.  The
@@ -292,30 +289,19 @@ def extend_by_closure(ambient_norm, element_seq, rep_seq, topology: str, *,
     Cauchy domain when the operator space is not complete for the chosen
     topology, the full extension domain when it is.
     """
-    rep_seq = list(rep_seq)
-    element_seq = list(element_seq)
-    if not rep_seq:
-        raise ValueError("empty representative sequence")
-    if len(element_seq) != len(rep_seq):
-        raise ValueError("element and representative sequences differ in length")
-    dims = {op.dim for op in rep_seq}
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent truncation dims {sorted(dims)}")
+    if not len(ns):
+        raise ValueError("empty ladder")
     if not suite:
         raise ValueError("empty seminorm suite")
-
-    n_steps = len(rep_seq)
-    steps = np.arange(1, n_steps + 1) if steps is None else np.asarray(steps)
-
-    values, residuals, names = _suite_series(suite, rep_seq)
-    converged = n_steps >= 3 and ladder_cauchy(steps, values, residuals,
+    # subtracting representatives of two truncations raises
+    _, (ambient, values), (ambient_res, residuals), last = ladder_series(
+        family, ns, None, [(None, [(ambient_norm, 1)]),
+                           (rep_map, _seminorms(suite))])
+    names = [name for name, _ in suite]
+    converged = len(ns) >= 3 and ladder_cauchy(ns, values, residuals,
                                                names)[0]
-
-    ambient_res = np.array([ambient_norm(element_seq[k] - element_seq[k - 1])
-                            for k in range(1, n_steps)])
-    ambient_cauchy = n_steps >= 3 and ladder_cauchy(
-        steps, [ambient_norm(x) for x in element_seq], ambient_res,
-        ("ambient",))[0]
+    ambient_cauchy = len(ns) >= 3 and ladder_cauchy(ns, ambient, ambient_res,
+                                                    ("ambient",))[0]
 
     if converged and ambient_cauchy:
         domain = "A" if space_complete else "Atilde"
@@ -323,11 +309,11 @@ def extend_by_closure(ambient_norm, element_seq, rep_seq, topology: str, *,
         domain = "none"
     membership = ExtensionMembership(ambient_limit=ambient_cauchy,
                                      operator_cauchy=converged, domain=domain)
-    limit = rep_seq[-1] if converged else None
+    limit = rep_map(last) if converged else None
     return ExtensionResult(converged=converged, limit=limit, topology=topology,
                            membership=membership, seminorm_names=tuple(names),
                            residual_trace=residuals,
-                           ambient_residuals=ambient_res)
+                           ambient_residuals=ambient_res[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +328,15 @@ def closability_check(null_families, rep_map, *, suite: Suite,
     family whose representatives are suite-Cauchy and whose limit operator
     has a seminorm bounded away from 0 is a closability counterexample.
     """
+    ns = geometric_ladder(n_max, points=16)
+    names = [name for name, _ in suite]
     verdicts = []
     for fam in null_families:
-        ns = geometric_ladder(n_max, points=16)
-        elements = [fam.generate(int(n)) for n in ns]
-        if fam.tau_norm is not None:
-            tau = np.array([fam.tau_norm(int(n)) for n in ns])
-        elif ambient_norm is not None:
-            tau = np.array([ambient_norm(x) for x in elements])
-        else:
+        if ambient_norm is None and getattr(fam, "tau_norm", None) is None:
             raise ValueError(f"family {fam.name} carries no ambient norm")
-        values, residuals, names = _suite_series(
-            suite, [rep_map(x) for x in elements])
-        verdicts.append(ladder_probe(fam.name, ns, tau, values, residuals,
-                                     names))
+        tau, (values,), (steps,), _ = ladder_series(
+            fam, ns, ambient_norm, [(rep_map, _seminorms(suite))])
+        verdicts.append(ladder_probe(fam.name, ns, tau, values, steps, names))
     return verdicts
 
 
@@ -383,24 +364,25 @@ def quasi_algebra_closure_test(extension_samples, a_o_elements, rep_map,
     stability is checked unless the topology is the strong one, for which
     the involution is not continuous and the check is skipped and flagged.
     """
-    ns = geometric_ladder(n_max, points=12)
-    right = []
-    for fam in extension_samples:
-        elements = [fam.generate(int(n)) for n in ns]
-        for label, b in a_o_elements:
-            shifted_ops = [rep_map(mul(x, b)) for x in elements]
-            right.append((fam.name, label, ladder_cauchy(
-                ns, *_suite_series(suite, shifted_ops))[0]))
-
-    involution = []
     skipped = topology == "strong"
+    if not skipped and star is None:
+        raise ValueError("involution check needs a star operation")
+    # one view per right shift, then the involution's
+    views = [(lambda x, b=b: rep_map(mul(x, b)), _seminorms(suite))
+             for _, b in a_o_elements]
     if not skipped:
-        if star is None:
-            raise ValueError("involution check needs a star operation")
-        for fam in extension_samples:
-            starred_ops = [rep_map(star(fam.generate(int(n)))) for n in ns]
-            involution.append((fam.name, ladder_cauchy(
-                ns, *_suite_series(suite, starred_ops))[0]))
+        views.append((lambda x: rep_map(star(x)), _seminorms(suite)))
+    ns = geometric_ladder(n_max, points=12)
+    names = [name for name, _ in suite]
+    right, involution = [], []
+    for fam in extension_samples:
+        _, values, steps, _ = ladder_series(fam, ns, None, views)
+        flags = [ladder_cauchy(ns, v, s, names)[0]
+                 for v, s in zip(values, steps)]
+        right.extend((fam.name, label, flag)
+                     for (label, _), flag in zip(a_o_elements, flags))
+        if not skipped:
+            involution.append((fam.name, flags[-1]))
 
     bounded = max((float(np.linalg.norm(rep_map(b).matrix, 2))
                    for _, b in a_o_elements), default=None)

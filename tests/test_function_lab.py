@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qstarlab import function_lab as flab
-from qstarlab.rates import NonFiniteSeriesError
+from qstarlab.rates import NonFiniteSeriesError, geometric_ladder
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +178,18 @@ def test_gaussian_probe_families(hgrid):
     assert verdicts["hermite_tail"].null
     assert not verdicts["hermite_tail"].counterexample
     assert not verdicts["constant_one"].null
+
+
+def test_gaussian_steps_are_seminorms_of_differences(hgrid):
+    # x, -x, x, ... by ladder position: every member has the same sandwich
+    # seminorms, but each step is the seminorm of +-2x, so not Cauchy
+    ns = geometric_ladder(24, points=10).tolist()
+    probe, = flab.gaussian_poly_probe(
+        {"alternating": lambda n: [0.0, (-1.0) ** ns.index(n)]}, n_max=24,
+        grid=hgrid)
+    assert np.array_equal(probe.steps, 2.0 * probe.values[1:])
+    assert not probe.cauchy
+    assert not probe.counterexample
 
 
 def test_gaussian_probe_rejects_excess_degree(hgrid):

@@ -1,11 +1,13 @@
-"""Scalar-multiple probe families (`forms.ScaledFamily`).
+"""Scalar-multiple probe families (`forms.ScaledFamily`) and the one family
+path, `forms.ladder_series`.
 
 A ScaledFamily is n -> scale(n) * base.  Its probes evaluate base once and
-scale the results in closed form, which needs a sesquilinear form and an
-absolutely homogeneous ambient norm.  These tests check that contract on
-every context such a family meets, compare the closed form with the
-generic member-by-member path, and check that the closed form builds no
-member.
+scale the results in closed form, which needs evaluators homogeneous of
+their declared degree: a sesquilinear form, an absolutely homogeneous
+ambient norm, and seminorms of a linear representation.  These tests check
+that contract on every context such a family meets, compare the closed form
+with the generic member-by-member path on the form and the operator probes
+and on the closure engine, and count the members each path builds.
 """
 
 import numpy as np
@@ -13,10 +15,14 @@ import pytest
 
 from qstarlab import function_lab as flab
 from qstarlab import matrix_lab as mlab
-from qstarlab.forms import (ProbeFamily, ScaledFamily, b_shifted_form,
-                            check_lemma24, closability_probe, star_form)
-from qstarlab.rates import COUNTEREXAMPLE_TOL
-from qstarlab.scenarios import _matrix_shift_suite
+from qstarlab.forms import (PROBE_POINTS, ProbeFamily, ScaledFamily,
+                            b_shifted_form, check_lemma24, closability_probe,
+                            star_form)
+from qstarlab.rates import COUNTEREXAMPLE_TOL, geometric_ladder
+from qstarlab.scenarios import (EXTENSION_GRID_NODES, EXTENSION_POINTS,
+                                _matrix_shift_suite, multiplication_suite,
+                                run_extension)
+from qstarlab.topologies import closability_check, quasi_algebra_closure_test
 
 SCALED_MATRIX_FAMILIES = ("decaying_column", "rank_one_decay", "scaled_corner")
 SCALARS = (2.0 ** -7, 1.0 / 3.0, -0.7)
@@ -26,6 +32,11 @@ REL_TOL = 1e-13
 @pytest.fixture(scope="module")
 def grid():
     return flab.simpson_grid()
+
+
+@pytest.fixture(scope="module")
+def extension_grid():
+    return flab.simpson_grid(EXTENSION_GRID_NODES)
 
 
 def _lemma24_columns(n: int) -> list:
@@ -105,6 +116,19 @@ def test_lp_contexts_are_sesquilinear_and_homogeneous(grid, p):
             abs(c) * ctx.ambient_norm(x), rel=REL_TOL, abs=0.0)
 
 
+# Not the weak suite: its one|cos pairing of these families is round-off
+# (about 1e-17), which no two computations match to a relative tolerance.
+@pytest.mark.parametrize("topology", ["uniform", "strong", "strongstar"])
+def test_multiplication_suites_are_homogeneous(extension_grid, topology):
+    suite = multiplication_suite(extension_grid, topology)
+    for x in (family.base for family in _scaled_grid_families(extension_grid)):
+        for c in SCALARS:
+            for name, fn in suite:
+                assert fn(flab.mult_operator(c * x)) == pytest.approx(
+                    abs(c) * fn(flab.mult_operator(x)), rel=REL_TOL,
+                    abs=0.0), name
+
+
 @pytest.mark.parametrize("n", [3, 64, 256])
 @pytest.mark.parametrize("name", SCALED_MATRIX_FAMILIES)
 def test_closed_form_matches_generic_path_on_matrix_families(name, n):
@@ -134,7 +158,7 @@ def test_closed_form_matches_generic_path_on_one_over_n(grid, p):
                        False, ("one/n", p))
 
 
-def test_closed_form_builds_no_member(grid, monkeypatch):
+def test_closed_form_builds_no_member(grid, extension_grid, monkeypatch):
     calls = []
 
     def counting_generate(self, n):
@@ -152,6 +176,94 @@ def test_closed_form_builds_no_member(grid, monkeypatch):
     closability_probe(flab.lp_form_context(1.0, grid),
                       flab.scaled_one_family(grid), n)
     assert calls == []
+    for name, (run, _) in _family_paths(extension_grid, n).items():
+        run(flab.scaled_one_family(extension_grid))
+        assert calls == [], name
     # the counter sees the generic path's builds
     probe = closability_probe(ctx, _generic(families[0]), n)
     assert len(calls) == len(probe.ns)
+
+
+def _scaled_grid_families(grid) -> list:
+    """one/n and a scaled power singularity on the grid."""
+    return [flab.scaled_one_family(grid),
+            ScaledFamily("power/sqrt(n)", flab.power_function(grid, 0.2),
+                         lambda n: n ** -0.5)]
+
+
+def test_closed_form_matches_generic_path_on_the_operator_probe(
+        extension_grid):
+    suite = multiplication_suite(extension_grid, "strongstar")
+    for family in _scaled_grid_families(extension_grid):
+        fast, slow = (closability_check(
+            [fam], flab.mult_operator, suite=suite,
+            ambient_norm=lambda f: flab.lp_norm(f, 1.0))[0]
+            for fam in (family, _generic(family)))
+        _assert_equivalent(fast, slow, False, family.name)
+
+
+# Not the weak suite, as in test_multiplication_suites_are_homogeneous.
+@pytest.mark.parametrize("topology", ["uniform", "strong", "strongstar"])
+def test_closed_form_matches_generic_path_on_the_closure_engine(
+        extension_grid, topology):
+    for family in _scaled_grid_families(extension_grid):
+        fast, slow = (run_extension(extension_grid, fam, topology, n_max=512)
+                      for fam in (family, _generic(family)))
+        where = (family.name, topology)
+        assert fast.converged == slow.converged, where
+        assert fast.membership == slow.membership, where
+        for series in ("residual_trace", "ambient_residuals"):
+            np.testing.assert_allclose(getattr(fast, series),
+                                       getattr(slow, series), rtol=REL_TOL,
+                                       atol=0.0, err_msg=f"{where} {series}")
+        assert np.array_equal(fast.limit.diag, slow.limit.diag), where
+
+
+def _family_paths(grid, n: int) -> dict:
+    """Each path that reads a family: name -> (run it on a family, its
+    ladder up to n)."""
+    ctx = flab.lp_form_context(1.0, grid)
+    suite = multiplication_suite(grid, "strongstar")
+    return {
+        "closability_probe": (lambda fam: closability_probe(ctx, fam, n),
+                              geometric_ladder(n, points=PROBE_POINTS)),
+        "check_lemma24": (lambda fam: check_lemma24(
+            ctx, [fam], [("one", ctx.unit)], n),
+            geometric_ladder(n, points=PROBE_POINTS)),
+        "closability_check": (lambda fam: closability_check(
+            [fam], flab.mult_operator, suite=suite, n_max=n,
+            ambient_norm=ctx.ambient_norm), geometric_ladder(n, points=16)),
+        "extend_by_closure": (lambda fam: run_extension(
+            grid, fam, "strongstar", n_max=n),
+            geometric_ladder(n, points=EXTENSION_POINTS)),
+        "quasi_algebra_closure_test": (lambda fam: quasi_algebra_closure_test(
+            [fam], [("one", ctx.unit), ("two", 2.0 * ctx.unit)],
+            flab.mult_operator, ctx.mul, "strongstar", suite=suite,
+            star=ctx.star, n_max=n), geometric_ladder(n, points=12)),
+    }
+
+
+def test_generic_paths_build_each_member_once(extension_grid):
+    for name, (run, ns) in _family_paths(extension_grid, 64).items():
+        family = flab.scaled_one_family(extension_grid)
+        calls = []
+
+        def generate(k):
+            calls.append(k)
+            return family.generate(k)
+
+        run(ProbeFamily(family.name, generate))
+        assert calls == ns.tolist(), name
+
+
+def test_gaussian_probe_builds_each_member_once():
+    grid = flab.gauss_hermite_grid(32)
+    calls = []
+
+    def scaled_linear(n):
+        calls.append(n)
+        return np.array([0.0, 1.0 / n])
+
+    flab.gaussian_poly_probe({"scaled_linear": scaled_linear}, n_max=24,
+                             grid=grid)
+    assert calls == geometric_ladder(24, points=10).tolist()

@@ -128,31 +128,33 @@ def test_extend_by_closure_constant_sequence():
     grid = flab.simpson_grid(257)
     f = flab.GridFunction.from_callable(
         lambda x: np.cos(2 * np.pi * x).astype(complex), grid)
-    ops = [flab.mult_operator(f)] * 6
-    elements = [f] * 6
+    op = flab.mult_operator(f)
     suite = suite_from_bounded_sets("uniform", [flab.node_spike_set(grid)])
-    result = extend_by_closure(lambda g: flab.lp_norm(g, 1.0), elements, ops,
-                               "uniform", suite=suite)
+    result = extend_by_closure(lambda g: flab.lp_norm(g, 1.0),
+                               ProbeFamily("constant", lambda n: f),
+                               lambda g: op, np.arange(1, 7), "uniform",
+                               suite=suite)
     assert result.converged
-    assert result.limit is ops[-1]
+    assert result.limit is op
     assert result.membership.ambient_limit
     assert np.max(result.residual_trace) == 0.0
 
 
 def test_extend_by_closure_validation():
     suite = [("s", lambda a: 0.0)]
+    index = ProbeFamily("n", lambda n: n)
     with pytest.raises(ValueError, match="empty"):
-        extend_by_closure(lambda x: 0.0, [], [], "uniform", suite=suite)
-    ops = [TruncatedOperator(np.eye(2)), TruncatedOperator(np.eye(3))]
+        extend_by_closure(lambda x: 0.0, index, TruncatedOperator, [],
+                          "uniform", suite=suite)
+    # the representative of n is the identity of dimension n + 1
     with pytest.raises(ValueError, match="inconsistent truncation"):
-        extend_by_closure(lambda x: 0.0, [0, 0], ops, "uniform", suite=suite)
+        extend_by_closure(lambda x: 0.0, index,
+                          lambda n: TruncatedOperator(np.eye(n + 1)),
+                          np.array([1, 2]), "uniform", suite=suite)
     with pytest.raises(ValueError, match="suite"):
-        extend_by_closure(lambda x: 0.0, [0], [TruncatedOperator(np.eye(2))],
-                          "uniform", suite=[])
-    with pytest.raises(ValueError, match="differ in length"):
-        extend_by_closure(lambda x: 0.0, [0],
-                          [TruncatedOperator(np.eye(2))] * 2, "uniform",
-                          suite=suite)
+        extend_by_closure(lambda x: 0.0, index,
+                          lambda n: TruncatedOperator(np.eye(2)),
+                          np.array([1]), "uniform", suite=[])
 
 
 def test_operator_and_suite_construction_errors():
@@ -277,11 +279,11 @@ def test_completeness_proxy_at_fixed_truncation():
                                name=f"ball-k{k}"))
     phis = [("e0", np.eye(9, dtype=complex)[4])]
     suite = suite_from_bounded_sets("strongstar", sets, phis=phis)
-    ns = geometric_ladder(4096, points=12)
-    ops = [TruncatedOperator(base + bump / n) for n in ns]
-    result = extend_by_closure(lambda x: 0.0, [np.zeros(1)] * len(ops), ops,
-                               "strongstar", suite=suite, steps=ns,
-                               space_complete=True)
+    result = extend_by_closure(
+        lambda x: 0.0, ProbeFamily("base+bump/n", lambda n: n),
+        lambda n: TruncatedOperator(base + bump / n),
+        geometric_ladder(4096, points=12), "strongstar", suite=suite,
+        space_complete=True)
     assert result.converged
     assert result.membership.domain == "A"
     gap = max(fn(result.limit - TruncatedOperator(base)) for _, fn in suite)
@@ -306,9 +308,8 @@ def clipped_power_ladder():
     grid = flab.simpson_grid(EXTENSION_GRID_NODES)
     fam = clipped_power_family(grid, 0.2, "height")
     ns = geometric_ladder(4096, points=14)
-    elements = [fam.generate(int(n)) for n in ns]
     suites = {t: multiplication_suite(grid, t) for t in ("uniform", "strongstar")}
-    return ns, elements, suites
+    return ns, fam, suites
 
 
 def with_bad_entry(op, bad):
@@ -321,36 +322,42 @@ def with_bad_entry(op, bad):
 @pytest.mark.parametrize("topology", ["uniform", "strongstar"])
 def test_non_finite_representative_never_converges(clipped_power_ladder,
                                                    topology):
-    ns, elements, suites = clipped_power_ladder
-    reps = [flab.mult_operator(f) for f in elements]
+    ns, fam, suites = clipped_power_ladder
 
-    def run(rep_seq):
-        return extend_by_closure(lambda f: flab.lp_norm(f, 1.0), elements,
-                                 rep_seq, topology, suite=suites[topology],
-                                 steps=ns)
+    def run(family, rep_map):
+        return extend_by_closure(lambda f: flab.lp_norm(f, 1.0), family,
+                                 rep_map, ns, topology, suite=suites[topology])
 
-    assert len(ns) == 14 and run(reps).converged
-    for position in (5, len(reps) - 1):
+    assert len(ns) == 14 and run(fam, flab.mult_operator).converged
+    for position in (5, len(ns) - 1):
         for bad in (np.inf, np.nan):
-            spoiled = list(reps)
-            spoiled[position] = with_bad_entry(reps[position], bad)
+            # the member at the spoiled position, and only it, has a bad
+            # representative
+            marked = fam.generate(int(ns[position]))
+            spoiled = ProbeFamily("spoiled", lambda n: marked
+                                  if n == ns[position] else fam.generate(n))
             with pytest.raises(NonFiniteSeriesError,
                                match=rf"'{topology}\|node-spikes.*' is "
                                      rf"(inf|nan) at ladder position {position} "):
-                run(spoiled)
+                run(spoiled,
+                    lambda f: with_bad_entry(flab.mult_operator(f), bad)
+                    if f is marked else flab.mult_operator(f))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_non_finite_ambient_residual_is_not_cauchy(clipped_power_ladder):
-    ns, elements, suites = clipped_power_ladder
-    reps = [flab.mult_operator(f) for f in elements]
+    ns, fam, suites = clipped_power_ladder
+    last = fam.generate(int(ns[-1]))
     for bad in (np.inf, np.nan):
-        spoiled = elements[:-1] + [bad * elements[-1]]
+        # the last member is spoiled, its representative is not
+        spoiled = ProbeFamily("spoiled", lambda n: bad * last if n == ns[-1]
+                              else fam.generate(n))
         with pytest.raises(NonFiniteSeriesError,
                            match=rf"'ambient' is {bad} at ladder position 13 "):
-            extend_by_closure(lambda f: flab.lp_norm(f, 1.0), spoiled, reps,
-                              "strongstar", suite=suites["strongstar"],
-                              steps=ns)
+            extend_by_closure(lambda f: flab.lp_norm(f, 1.0), spoiled,
+                              lambda f: flab.mult_operator(
+                                  f if np.isfinite(f.values).all() else last),
+                              ns, "strongstar", suite=suites["strongstar"])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
