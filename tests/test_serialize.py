@@ -3,8 +3,9 @@
 The JSON writer's bytes are pinned two ways: against the reference
 json.dumps(plain(data), sort_keys=True, indent=1) + newline on generated
 data, and byte for byte against `run --format json --seed 0` output
-recorded in tests/data/closure_json_seed0 (two GNS representations, an
-extension with embedded tables, lemma24 and an Lp probe).
+recorded in tests/data/closure_json_seed0 (two GNS representations, two
+extensions with embedded tables, lemma24, an Lp probe, an unboundedness
+witness and a submultiplicativity probe).
 """
 
 import json
@@ -162,6 +163,13 @@ def test_closure_json_outputs_match_recorded_bytes(tmp_path):
         {"id": "gns-z4-character", "module": "gns",
          "operation": "gns_construct",
          "parameters": {"algebra": "z4", "state": "character"}},
+        {"id": "witness-p1.5", "module": "function-lab",
+         "operation": "unboundedness_witness", "parameters": {"p": 1.5}},
+        {"id": "submult-k1", "module": "ccr-lab",
+         "operation": "submultiplicativity_probe", "parameters": {"k": 1}},
+        {"id": "ext-strongstar-power", "module": "op-topologies",
+         "operation": "extend_by_closure",
+         "parameters": {"topology": "strongstar", "target": "power"}},
     ]
     config = tmp_path / "closure.json"
     config.write_text(json.dumps({"scenarios": scenarios}), encoding="utf-8")
