@@ -19,7 +19,6 @@ centred.  A single polynomial is the batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -468,19 +467,6 @@ def _graph_seminorms(c: np.ndarray, k: int) -> np.ndarray:
     return np.sqrt(np.cumsum(terms, axis=-1)[:, -1])
 
 
-@dataclass(frozen=True)
-class SubmultReport:
-    k: int
-    max_ratio: float
-    half_sample_ratio: float
-    n_pairs: int
-
-    @property
-    def stable(self) -> bool:
-        """Doubling the sample must not blow the estimate up."""
-        return self.max_ratio <= 2.0 * max(self.half_sample_ratio, 1.0)
-
-
 # Integer random coefficients have real and imaginary parts in
 # [-RANDOM_SCALE, RANDOM_SCALE]; submultiplicativity_probe draws trigonometric
 # polynomials up to frequency SUBMULT_MAX_FREQ, exact_identities CCR
@@ -529,7 +515,7 @@ def exact_identities(rng, samples: int) -> bool:
 
 
 def submultiplicativity_probe(k: int, n_pairs: int = 40,
-                              seed: int = 0) -> SubmultReport:
+                              seed: int = 0) -> dict:
     """Empirical constant in |phi chi|_k <= c_k |phi|_k |chi|_k.
 
     Reports the largest observed ratio over a seeded sample and the value
@@ -538,6 +524,9 @@ def submultiplicativity_probe(k: int, n_pairs: int = 40,
     then chi for each pair, each polynomial's frequencies in increasing
     order from -SUBMULT_MAX_FREQ, each real part before its imaginary
     part.  Their products come from one batched call.
+
+    Returns the keys k, max_ratio, half_sample_ratio, n_pairs (pairs with
+    a nonzero denominator) and stable.
     """
     rng = np.random.default_rng(seed)
     draws = _random_coefficients(
@@ -549,34 +538,28 @@ def submultiplicativity_probe(k: int, n_pairs: int = 40,
         kept = denom != 0
         ratios += (_graph_seminorms(_trig_products(phi, chi), k)[kept]
                    / denom[kept]).tolist()
-    half = max(ratios[:max(1, len(ratios) // 2)])
-    return SubmultReport(k=k, max_ratio=max(ratios),
-                         half_sample_ratio=half, n_pairs=len(ratios))
+    half, worst = max(ratios[:max(1, len(ratios) // 2)]), max(ratios)
+    # stable: doubling the sample must not blow the estimate up
+    return {"k": k, "max_ratio": worst, "half_sample_ratio": half,
+            "n_pairs": len(ratios), "stable": worst <= 2.0 * max(half, 1.0)}
 
 
 # ---------------------------------------------------------------------------
 # Representation checks
 
-@dataclass(frozen=True)
-class HomomorphismCheck:
-    residual: float
-    relative_residual: float
-    scale: float
-    safe_dim: int
-
-
 def homomorphism_check(q1: CCRPolynomial, q2: CCRPolynomial,
-                       n_trunc: int) -> HomomorphismCheck:
-    """Residual of pi(q1 q2) = pi(q1) pi(q2) on the safe subspace."""
+                       n_trunc: int) -> dict:
+    """Residual of pi(q1 q2) = pi(q1) pi(q2) on the safe subspace: the keys
+    residual, relative_residual (over scale, the larger matrix entry of
+    the two sides) and safe_dim."""
     margin = q1.max_freq + q2.max_freq
     safe = safe_indices(n_trunc, margin)
     lhs = ccr_represent(ccr_mul(q1, q2), n_trunc).matrix
     rhs = ccr_represent(q1, n_trunc).matrix @ ccr_represent(q2, n_trunc).matrix
     diff = np.max(np.abs((lhs - rhs)[:, safe])) if len(safe) else 0.0
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
-    return HomomorphismCheck(residual=float(diff),
-                             relative_residual=float(diff) / scale,
-                             scale=scale, safe_dim=len(safe))
+    return {"residual": float(diff), "relative_residual": float(diff) / scale,
+            "scale": scale, "safe_dim": len(safe)}
 
 
 def adjoint_check(q: CCRPolynomial, n_trunc: int) -> float:

@@ -215,26 +215,18 @@ def closability_probe(ctx: FormContext, family: ProbeFamily | ScaledFamily,
                         names=("omega",))
 
 
-@dataclass(frozen=True)
-class Lemma24Report:
-    """Agreement of counterexample verdicts for a form, its star companion
-    and its right-shifted companions over a probe-family suite."""
-
-    rows: list
-    agree: bool
-    counterexamples: list
-    unit_in_suite: bool
-    notes: str = ""
-
-
-def check_lemma24(ctx: FormContext, families, shifts,
-                  n_max: int) -> Lemma24Report:
+def check_lemma24(ctx: FormContext, families, shifts, n_max: int) -> dict:
     """Run every family against the form, its star form and each shift.
 
     shifts is a list of (label, element) pairs; pass the unit among them
     when the domain has one.  Disagreement between the three verdict
     columns is reported; with a closable base form every column should be
     counterexample-free.
+
+    Returns the keys rows (per family: its name, the counterexample flag
+    and the LadderProbe of each column), agree (every row's flags are
+    equal), counterexamples ("family:column" labels), unit_in_suite and
+    notes.
     """
     columns = {"omega": ctx, "omega_star": star_form(ctx)}
     for label, b in shifts:
@@ -258,9 +250,8 @@ def check_lemma24(ctx: FormContext, families, shifts,
         _is_unit_shift(ctx, b) for _, b in shifts)
     notes = "" if ctx.unit is not None else \
         "domain has no unit; unit shift omitted from the suite"
-    return Lemma24Report(rows=rows, agree=agree,
-                         counterexamples=counterexamples,
-                         unit_in_suite=unit_in_suite, notes=notes)
+    return {"rows": rows, "agree": agree, "counterexamples": counterexamples,
+            "unit_in_suite": unit_in_suite, "notes": notes}
 
 
 def _is_unit_shift(ctx: FormContext, b) -> bool:
@@ -270,41 +261,28 @@ def _is_unit_shift(ctx: FormContext, b) -> bool:
         return b is ctx.unit
 
 
-@dataclass(frozen=True)
-class IPSReport:
-    """Residuals of the invariance and degeneracy conditions of the closed
-    form on its extension domain; the two structural conditions hold by
-    construction of the domain product and are recorded as such."""
-
-    invariance_residual: float
-    degeneracy_residual: float
-    pairs_checked: int
-    # a class constant, not a constructor field: both always hold
-    structural = ("by-construction", "by-construction")
-
-
-def check_ips_conditions(ctx: FormContext, xs, bs) -> IPSReport:
+def check_ips_conditions(ctx: FormContext, xs, bs) -> dict:
     """Check form(x b1, b2) = form(b1, x* b2) and the degeneracy implication.
 
     xs are extension-domain elements (limits of domain sequences are fine,
     any element the form accepts); bs are elements of the dense *-algebra.
+    Returns the keys invariance_residual, degeneracy_residual,
+    pairs_checked and structural: the two structural conditions hold by
+    construction of the domain product and are recorded as such.  A form
+    value that is not a number makes the residual that reads it NaN.
     """
     if ctx.mul is None or ctx.star is None:
         raise ValueError("context must supply multiplication and involution")
-    inv = 0.0
-    count = 0
-    for x in xs:
-        for b1 in bs:
-            for b2 in bs:
-                lhs = ctx.form(ctx.mul(x, b1), b2)
-                rhs = ctx.form(b1, ctx.mul(ctx.star(x), b2))
-                inv = max(inv, abs(lhs - rhs))
-                count += 1
-    scale = max((abs(ctx.diag(x)) for x in xs), default=1.0)
-    deg = 0.0
-    for x in xs:
-        if abs(ctx.diag(x)) <= DEGENERATE_TOL * max(scale, 1.0):
-            for y in list(xs) + list(bs):
-                deg = max(deg, abs(ctx.form(x, y)))
-    return IPSReport(invariance_residual=inv, degeneracy_residual=deg,
-                     pairs_checked=count)
+    gaps = [abs(ctx.form(ctx.mul(x, b1), b2)
+                - ctx.form(b1, ctx.mul(ctx.star(x), b2)))
+            for x in xs for b1 in bs for b2 in bs]
+    diags = [abs(ctx.diag(x)) for x in xs]
+    threshold = DEGENERATE_TOL * float(np.max(diags, initial=1.0))
+    # x is degenerate unless its diagonal exceeds the threshold, so a NaN
+    # diagonal or threshold has x checked rather than skipped
+    pairings = [abs(ctx.form(x, y)) for x, d in zip(xs, diags)
+                if not d > threshold for y in [*xs, *bs]]
+    return {"invariance_residual": float(np.max(gaps, initial=0.0)),
+            "degeneracy_residual": float(np.max(pairings, initial=0.0)),
+            "pairs_checked": len(gaps),
+            "structural": ("by-construction", "by-construction")}

@@ -143,18 +143,13 @@ def omega_form(f: GridFunction, g: GridFunction,
 # ---------------------------------------------------------------------------
 # Classification of the integral form
 
-@dataclass(frozen=True)
-class FormClass:
-    tag: str  # "bounded" or "closable-unbounded"
-    effective_exponent: float
-
-
-def boundedness_classifier(p: float, r: float | None = None) -> FormClass:
+def boundedness_classifier(p: float, r: float | None = None) -> dict:
     """Bounded versus closable-unbounded for the integral form on L^p.
 
     Unweighted, the form is bounded exactly when p >= 2.  With a weight in
     L^r the rule applies to the effective exponent s with
-    1/s = 1/p + 1/(2r).
+    1/s = 1/p + 1/(2r).  Returns the keys tag ("bounded" or
+    "closable-unbounded") and effective_exponent (s).
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
@@ -165,7 +160,7 @@ def boundedness_classifier(p: float, r: float | None = None) -> FormClass:
             raise ValueError(f"need r >= 1, got {r}")
         s = 1.0 / (1.0 / p + 1.0 / (2.0 * r))
     tag = "bounded" if s >= 2 else "closable-unbounded"
-    return FormClass(tag=tag, effective_exponent=s)
+    return {"tag": tag, "effective_exponent": s}
 
 
 # ---------------------------------------------------------------------------
@@ -238,24 +233,15 @@ def lp_form_context(p: float, grid: Grid,
 # ---------------------------------------------------------------------------
 # Unboundedness witness
 
-@dataclass(frozen=True)
-class WitnessReport:
-    p: float
-    exponent: float
-    rows: list  # (n, lp_norm, omega_diag, ratio)
-
-    def table(self):
-        return ["n", "lp_norm", "omega_diag", "ratio"], \
-            [[int(n), float(a), float(b), float(c)] for n, a, b, c in self.rows]
-
-
 def unboundedness_witness(p: float, n_max: int = 256,
-                          grid: Grid | None = None) -> WitnessReport:
+                          grid: Grid | None = None) -> dict:
     """Growth of form(f, f) / |f|_p^2 on the tent family.
 
     The observed exponent approaches 2/p - 1: positive growth witnesses an
     unbounded form for p < 2, a flat ratio is the bounded control.  An
     L^p norm that overflows raises NonFiniteSeriesError ("lp_norm").
+    Returns the keys p, exponent and table, the (header, rows) of the
+    series.
     """
     grid = grid or simpson_grid()
     ns = geometric_ladder(n_max, points=12, n_min=4)
@@ -265,70 +251,60 @@ def unboundedness_witness(p: float, n_max: int = 256,
     diags = [float(np.real(omega_form(f, f))) for f in tents]
     ratios = [diag / norm ** 2 for diag, norm in zip(diags, norms)]
     fit = fit_trend(ns, ratios)
-    return WitnessReport(p=p, exponent=fit.slope,
-                         rows=list(zip(ns.tolist(), norms, diags, ratios)))
+    return {"p": p, "exponent": fit.slope,
+            "table": (["n", "lp_norm", "omega_diag", "ratio"],
+                      [[int(n), float(a), float(b), float(c)] for n, a, b, c
+                       in zip(ns, norms, diags, ratios)])}
 
 
 # ---------------------------------------------------------------------------
 # Membership verdicts by refinement stability
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    member: bool
-    growth_ratio: float
-
-
 def _refinement_verdict(builder: Callable[[Grid], GridFunction],
-                        q: float) -> MembershipVerdict:
-    """Track the quadrature sum of |f|^q over the doubling MEMBERSHIP_LADDER.
+                        q: float) -> tuple[bool, float]:
+    """Track the quadrature sum of |f|^q over the doubling MEMBERSHIP_LADDER:
+    (member, growth_ratio).
 
     Shrinking increments (growth ratio < 1) mean the integral converges;
     steady or growing increments mean divergence under refinement.
     """
     sums = [float(np.dot(grid.weights, np.abs(builder(grid).values) ** q))
             for grid in map(simpson_grid, MEMBERSHIP_LADDER)]
-    return MembershipVerdict(*increments_shrink(MEMBERSHIP_LADDER, sums,
-                                                f"L^{q:g} sums"))
+    return increments_shrink(MEMBERSHIP_LADDER, sums, f"L^{q:g} sums")
 
 
 def a_omega_membership(builder: Callable[[Grid], GridFunction],
-                       p: float) -> MembershipVerdict:
+                       p: float) -> tuple[bool, float]:
     """Membership of the closed-form domain for the unweighted integral
-    form: a refinement-stable L^2 norm.  The verdict does not depend on p
-    (which only has to be in the closable range)."""
+    form: a refinement-stable L^2 norm, as (member, growth_ratio).  The
+    verdict does not depend on p (which only has to be in the closable
+    range)."""
     if not 1 <= p < 2:
         raise ValueError(f"the unbounded regime needs 1 <= p < 2, got {p}")
     return _refinement_verdict(builder, 2.0)
 
 
-@dataclass(frozen=True)
-class LsMembershipVerdict:
-    member: bool
-    s: float
-    growth_ratio: float
-    cross_member: bool
-    agrees: bool
-
-
-def ls_membership(builder: Callable[[Grid], GridFunction],
-                  p: float) -> LsMembershipVerdict:
+def ls_membership(builder: Callable[[Grid], GridFunction], p: float) -> dict:
     """Membership of L^s, s = 2p/(p-2): refinement-stable L^s norm,
     cross-validated by multiplying against the worst-case power x^(-alpha)
-    with alpha just under 1/p and testing the product in L^2."""
+    with alpha just under 1/p and testing the product in L^2.
+
+    Returns the keys member, s, growth_ratio (of the L^s sums),
+    cross_member (the product's L^2 verdict) and agrees (the two verdicts
+    are equal).
+    """
     if p <= 2:
         raise ValueError(f"need p > 2, got {p}")
     s = 2.0 * p / (p - 2.0)
-    direct = _refinement_verdict(builder, s)
+    member, growth_ratio = _refinement_verdict(builder, s)
     alpha = 1.0 / p - ALPHA_MARGIN
 
     def product_builder(grid: Grid) -> GridFunction:
         return builder(grid) * power_function(grid, alpha)
 
-    cross = _refinement_verdict(product_builder, 2.0)
-    return LsMembershipVerdict(member=direct.member, s=s,
-                               growth_ratio=direct.growth_ratio,
-                               cross_member=cross.member,
-                               agrees=direct.member == cross.member)
+    cross_member, _ = _refinement_verdict(product_builder, 2.0)
+    return {"member": member, "s": s, "growth_ratio": growth_ratio,
+            "cross_member": cross_member, "agrees": member == cross_member}
 
 
 # ---------------------------------------------------------------------------

@@ -101,60 +101,41 @@ def gns_construct(algebra: StarAlgebra, state: State, *,
                   rep_matrices=rep_matrices, cyclic_vector=cyclic, rank=rank)
 
 
-@dataclass(frozen=True)
-class GNSDiagnostics:
-    homomorphism_residual: float
-    adjoint_residual: float
-    inner_product_residual: float
-    state_residual: float
-    cyclicity_rank: int
-    rank: int
-    kernel_dim: int
+def verify_gns(rep: GNSRep) -> dict:
+    """Recompute the representation contract and report residuals.
 
-    def max_residual(self) -> float:
-        return max(self.homomorphism_residual, self.adjoint_residual,
-                   self.inner_product_residual, self.state_residual)
-
-
-def verify_gns(rep: GNSRep) -> GNSDiagnostics:
-    """Recompute the representation contract and report residuals."""
+    Returns the keys residuals (homomorphism, adjoint, inner_product and
+    state), max_residual, cyclicity_rank, rank and kernel_dim.  Each
+    residual is a numpy maximum, so a NaN in the representation makes it
+    and max_residual NaN, which fails any residual bound.
+    """
     algebra, state = rep.algebra, rep.state
     d, r = algebra.dim, rep.rank
+    basis = [algebra.basis_element(i) for i in range(d)]
+    mats = rep.rep_matrices
 
-    hom = 0.0
-    for i in range(d):
-        e_i = algebra.basis_element(i)
-        for j in range(d):
-            prod = e_i * algebra.basis_element(j)
-            lhs = rep.represent(prod)
-            rhs = rep.rep_matrices[i] @ rep.rep_matrices[j]
-            hom = max(hom, float(np.max(np.abs(lhs - rhs))))
+    hom = np.max([np.abs(rep.represent(basis[i] * basis[j]) - mats[i] @ mats[j])
+                  for i in range(d) for j in range(d)])
+    adj = np.max([np.abs(rep.represent(basis[i].star()) - mats[i].conj().T)
+                  for i in range(d)])
 
-    adj = 0.0
-    for i in range(d):
-        starred = rep.represent(algebra.basis_element(i).star())
-        adj = max(adj, float(np.max(np.abs(starred - rep.rep_matrices[i].conj().T))))
-
-    # <class(x), class(y)> = omega(y* x) on all basis pairs.
-    ip = 0.0
-    classes = rep.projection  # column i is class of e_i ... rows? projection @ e_i
-    for i in range(d):
-        for j in range(d):
-            lhs = complex(np.vdot(classes[:, j], classes[:, i]))
-            rhs = evaluate_state(
-                state, algebra.basis_element(j).star() * algebra.basis_element(i))
-            ip = max(ip, abs(lhs - rhs))
+    # <class(x), class(y)> = omega(y* x) on all basis pairs; column i of
+    # projection is the class of e_i.
+    classes = rep.projection
+    ip = np.max([abs(complex(np.vdot(classes[:, j], classes[:, i]))
+                     - evaluate_state(state, basis[j].star() * basis[i]))
+                 for i in range(d) for j in range(d)])
 
     # omega(a) = <class(I), pi(a) class(I)>.
-    st = 0.0
-    for i in range(d):
-        lhs = complex(np.vdot(rep.cyclic_vector,
-                              rep.rep_matrices[i] @ rep.cyclic_vector))
-        st = max(st, abs(lhs - state.values[i]))
+    st = np.max([abs(complex(np.vdot(rep.cyclic_vector,
+                                     mats[i] @ rep.cyclic_vector))
+                     - state.values[i]) for i in range(d)])
 
-    orbit = np.stack([rep.rep_matrices[i] @ rep.cyclic_vector for i in range(d)])
+    orbit = np.stack([mats[i] @ rep.cyclic_vector for i in range(d)])
     cyc_rank = int(np.linalg.matrix_rank(orbit, tol=1e-8))
 
-    return GNSDiagnostics(homomorphism_residual=hom, adjoint_residual=adj,
-                          inner_product_residual=ip, state_residual=st,
-                          cyclicity_rank=cyc_rank, rank=r, kernel_dim=d - r)
+    residuals = {"homomorphism": float(hom), "adjoint": float(adj),
+                 "inner_product": float(ip), "state": float(st)}
+    return {"residuals": residuals,
+            "max_residual": float(np.max(list(residuals.values()))),
+            "cyclicity_rank": cyc_rank, "rank": r, "kernel_dim": d - r}

@@ -12,7 +12,6 @@ setting everywhere.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,18 +277,6 @@ ENTRY_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class DomainVerdict:
-    rule: str
-    member: bool
-    oracle_member: bool
-    growth_ratio: float
-
-    @property
-    def agrees(self) -> bool:
-        return self.member == self.oracle_member
-
-
 def _rule_matrix(rule, n: int) -> np.ndarray:
     idx = np.arange(1, n + 1, dtype=float)
     return np.asarray(rule(idx[:, None], idx[None, :]), dtype=float)
@@ -301,7 +288,9 @@ def d_omega_identification() -> list:
     The domain coincides with the Hilbert-Schmidt space, so membership of
     each ENTRY_RULES rule is decided by whether its HS sums stabilise as
     the truncation doubles along MEMBERSHIP_LADDER, and compared against
-    the analytic classification.
+    the analytic classification.  One dict per rule, with the keys rule,
+    member, oracle_member, growth_ratio and agrees (member equals
+    oracle_member).
     """
     verdicts = []
     for name, (rule, oracle) in ENTRY_RULES.items():
@@ -309,7 +298,7 @@ def d_omega_identification() -> list:
                 for n in MEMBERSHIP_LADDER]
         member, ratio = increments_shrink(MEMBERSHIP_LADDER, sums,
                                           f"{name} HS sums")
-        verdicts.append(DomainVerdict(rule=name, member=member,
-                                      oracle_member=oracle,
-                                      growth_ratio=ratio))
+        verdicts.append({"rule": name, "member": member,
+                         "oracle_member": oracle, "growth_ratio": ratio,
+                         "agrees": member == oracle})
     return verdicts

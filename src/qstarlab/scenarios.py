@@ -188,9 +188,8 @@ def _dichotomy_suite(params: dict, seed: int) -> ScenarioOutcome:
     exps = {}
     for p in (1.0, 1.5, 2.0, 3.0):
         report = flab.unboundedness_witness(p, n_max=n_max, grid=grid)
-        exps[p] = report.exponent
-        header, rows = report.table()
-        tables[f"witness_p{p:g}"] = (header, rows)
+        exps[p] = report["exponent"]
+        tables[f"witness_p{p:g}"] = report["table"]
     witness_ok = (exps[1.0] >= WITNESS_UNBOUNDED_MIN
                   and exps[1.5] >= WITNESS_UNBOUNDED_MIN
                   and exps[2.0] <= WITNESS_BOUNDED_MAX
@@ -198,11 +197,11 @@ def _dichotomy_suite(params: dict, seed: int) -> ScenarioOutcome:
     mem_rows = []
     mem_ok = True
     for beta in (0.25, 0.45, 0.55, 0.75):
-        verdict = flab.a_omega_membership(flab.power_builder(beta), 1.5)
+        member, growth_ratio = flab.a_omega_membership(
+            flab.power_builder(beta), 1.5)
         oracle = beta < 0.5
-        mem_ok = mem_ok and verdict.member == oracle
-        mem_rows.append([beta, int(verdict.member), int(oracle),
-                         verdict.growth_ratio])
+        mem_ok = mem_ok and member == oracle
+        mem_rows.append([beta, int(member), int(oracle), growth_ratio])
     tables["a_omega_membership"] = (["beta", "member", "oracle", "growth_ratio"],
                                     mem_rows)
     return ScenarioOutcome(
@@ -218,14 +217,14 @@ def _weighted_form_suite(params: dict, seed: int) -> ScenarioOutcome:
     for p, r in ((1.0, None), (2.0, None), (3.0, None), (2.0, 2.0),
                  (4.0, 2.0), (1.0, 1.0), (4.0, 4.0)):
         cls = flab.boundedness_classifier(p, r)
-        rows.append([p, 0.0 if r is None else r, cls.effective_exponent,
-                     cls.tag])
-    spec_ok = (flab.boundedness_classifier(2.0).tag == "bounded"
-               and flab.boundedness_classifier(1.0).tag == "closable-unbounded"
-               and abs(flab.boundedness_classifier(2.0, 2.0).effective_exponent
-                       - 4.0 / 3.0) < 1e-12
-               and flab.boundedness_classifier(2.0, 2.0).tag
-               == "closable-unbounded")
+        rows.append([p, 0.0 if r is None else r, cls["effective_exponent"],
+                     cls["tag"]])
+    weighted = flab.boundedness_classifier(2.0, 2.0)
+    spec_ok = (flab.boundedness_classifier(2.0)["tag"] == "bounded"
+               and flab.boundedness_classifier(1.0)["tag"]
+               == "closable-unbounded"
+               and abs(weighted["effective_exponent"] - 4.0 / 3.0) < 1e-12
+               and weighted["tag"] == "closable-unbounded")
     weight = flab.power_function(grid, 0.5)
     one = flab.GridFunction.from_callable(lambda x: np.ones_like(x), grid)
     mass = complex(flab.omega_form(one, one, weight)).real
@@ -274,11 +273,11 @@ def _matrix_replay_suite(params: dict, seed: int) -> ScenarioOutcome:
         ["family", "weighted_null", "hs_cauchy", "a", "counterexample"], rows)
 
     domain = mlab.d_omega_identification()
-    dom_ok = all(v.agrees for v in domain)
+    dom_ok = all(v["agrees"] for v in domain)
     tables["domain_identification"] = (
         ["rule", "member", "oracle", "growth_ratio"],
-        [[v.rule, int(v.member), int(v.oracle_member), v.growth_ratio]
-         for v in domain])
+        [[v["rule"], int(v["member"]), int(v["oracle_member"]),
+          v["growth_ratio"]] for v in domain])
     m_value, m_bound = mlab.m_constant(n)
     return ScenarioOutcome(
         scenario_id="", passed=null_ok and dom_ok,
@@ -298,9 +297,10 @@ def _periodic_multiplication_suite(params: dict, seed: int) -> ScenarioOutcome:
     sub_ok = True
     for k in (0, 1, 2):
         report = ccr.submultiplicativity_probe(k, n_pairs=40, seed=seed)
-        sub_ok = sub_ok and np.isfinite(report.max_ratio) and report.stable
-        sub_rows.append([k, report.max_ratio, report.half_sample_ratio,
-                         report.n_pairs])
+        sub_ok = (sub_ok and np.isfinite(report["max_ratio"])
+                  and report["stable"])
+        sub_rows.append([k, report["max_ratio"], report["half_sample_ratio"],
+                         report["n_pairs"]])
 
     tests = [ccr.TrigPoly.one(), ccr.TrigPoly.mode(1),
              ccr.TrigPoly({1: 0.5, -1: 0.5}), ccr.TrigPoly.mode(2, 1j)]
@@ -350,16 +350,16 @@ def _ccr_symbolic_suite(params: dict, seed: int) -> ScenarioOutcome:
     return ScenarioOutcome(
         scenario_id="",
         passed=bool(exact_ok and comm_res < 1e-10
-                    and hom.relative_residual < 1e-12 and adj < 1e-8
+                    and hom["relative_residual"] < 1e-12 and adj < 1e-8
                     and faith_zero == 0.0 and faith_pos > 1e-8),
         details={"symbolic_exact": exact_ok, "commutator_residual": comm_res,
-                 "homomorphism_relative_residual": hom.relative_residual,
+                 "homomorphism_relative_residual": hom["relative_residual"],
                  "adjoint_residual": adj,
                  "faithfulness_zero": faith_zero,
                  "faithfulness_nonzero": faith_pos},
         tables={"residuals": (["check", "value"],
                               [["commutator", comm_res],
-                               ["homomorphism_rel", hom.relative_residual],
+                               ["homomorphism_rel", hom["relative_residual"]],
                                ["adjoint", adj]])})
 
 
@@ -394,24 +394,22 @@ def _multiplication_extension_suite(params: dict, seed: int) -> ScenarioOutcome:
     mem_rows = []
     for beta in (0.1, 0.2, 0.3, 0.4):
         verdict = flab.ls_membership(flab.power_builder(beta), 4.0)
-        oracle = beta * verdict.s < 1.0
-        mem_ok = mem_ok and verdict.member == oracle and verdict.agrees
-        mem_rows.append([beta, verdict.s, int(verdict.member), int(oracle),
-                         verdict.growth_ratio])
+        oracle = beta * verdict["s"] < 1.0
+        mem_ok = mem_ok and verdict["member"] == oracle and verdict["agrees"]
+        mem_rows.append([beta, verdict["s"], int(verdict["member"]),
+                         int(oracle), verdict["growth_ratio"]])
     tables["ls_membership"] = (["beta", "s", "member", "oracle",
                                 "growth_ratio"], mem_rows)
 
     strong = run_extension(grid, clipped_power_family(grid, 0.2, "height"),
                            "strongstar", seed=seed)
-    header, rows = strong.trace_table()
-    tables["strongstar_trace"] = (header, rows)
-    strong_ok = strong.converged and strong.membership.domain == "Atilde"
+    tables["strongstar_trace"] = strong.trace_table()
+    strong_ok = strong.converged and strong.membership["domain"] == "Atilde"
 
     uniform = run_extension(grid, ramp_family(grid), "uniform",
                             n_max=128, seed=seed)
-    header, rows = uniform.trace_table()
-    tables["uniform_trace"] = (header, rows)
-    uniform_ok = (not uniform.converged) and uniform.membership.ambient_limit
+    tables["uniform_trace"] = uniform.trace_table()
+    uniform_ok = (not uniform.converged) and uniform.membership["ambient_limit"]
 
     alt = run_extension(grid, clipped_power_family(grid, 0.2, "plateau"),
                         "strongstar", seed=seed)
@@ -434,7 +432,7 @@ def _multiplication_extension_suite(params: dict, seed: int) -> ScenarioOutcome:
                     and null_ok),
         details={"ls_membership_ok": mem_ok,
                  "strongstar_converged": strong.converged,
-                 "strongstar_domain": strong.membership.domain,
+                 "strongstar_domain": strong.membership["domain"],
                  "uniform_converged": uniform.converged,
                  "two_sequence_gap": gap,
                  "closability_ok": null_ok},
@@ -461,14 +459,10 @@ def _gns_construct_op(params: dict, seed: int) -> ScenarioOutcome:
     build_algebra, states = GNS_ALGEBRAS[params["algebra"]]
     rep = gns_construct(build_algebra(), states[params["state"]]())
     diag = verify_gns(rep)
-    passed = diag.max_residual() < 1e-10 and diag.cyclicity_rank == rep.rank
+    passed = diag["max_residual"] < 1e-10 and diag["cyclicity_rank"] == rep.rank
     details = {"rank": rep.rank, "rep": gnsrep_to_dict(rep),
-               "residuals": {
-                   "homomorphism": diag.homomorphism_residual,
-                   "adjoint": diag.adjoint_residual,
-                   "inner_product": diag.inner_product_residual,
-                   "state": diag.state_residual},
-               "cyclicity_rank": diag.cyclicity_rank}
+               "residuals": diag["residuals"],
+               "cyclicity_rank": diag["cyclicity_rank"]}
     return ScenarioOutcome(scenario_id="", passed=passed, details=details,
                            tables={})
 
@@ -480,17 +474,14 @@ def _lemma24_op(params: dict, seed: int) -> ScenarioOutcome:
                 for name in sorted({**NULL_FAMILIES, **NON_CAUCHY_FAMILIES})]
     shifts = _matrix_shift_suite(n)
     report = check_lemma24(ctx, families, shifts, n_max=n)
+    verdict_rows = report.pop("rows")
     rows = [[row["family"]] + [int(v) for v in row["flags"].values()]
-            for row in report.rows]
-    flag_names = list(report.rows[0]["flags"]) if report.rows else []
+            for row in verdict_rows]
+    flag_names = list(verdict_rows[0]["flags"]) if verdict_rows else []
     return ScenarioOutcome(
         scenario_id="",
-        passed=report.agree and not report.counterexamples,
-        details={"agree": report.agree,
-                 "counterexamples": report.counterexamples,
-                 "unit_in_suite": report.unit_in_suite,
-                 "notes": report.notes},
-        tables={"verdicts": (["family"] + flag_names, rows)})
+        passed=report["agree"] and not report["counterexamples"],
+        details=report, tables={"verdicts": (["family"] + flag_names, rows)})
 
 
 def _matrix_shift_suite(n: int) -> list:
@@ -550,25 +541,21 @@ def _matrix_replay_op(params: dict, seed: int) -> ScenarioOutcome:
 
 def _witness_op(params: dict, seed: int) -> ScenarioOutcome:
     report = flab.unboundedness_witness(params["p"], n_max=params["n_max"])
-    header, rows = report.table()
-    return ScenarioOutcome(
-        scenario_id="", passed=True,
-        details={"p": report.p, "exponent": report.exponent},
-        tables={"ratios": (header, rows)})
+    table = report.pop("table")
+    return ScenarioOutcome(scenario_id="", passed=True, details=report,
+                           tables={"ratios": table})
 
 
 def _submult_op(params: dict, seed: int) -> ScenarioOutcome:
     report = ccr.submultiplicativity_probe(params["k"],
                                            n_pairs=params["n_pairs"],
                                            seed=seed)
+    stable = report.pop("stable")
     return ScenarioOutcome(
-        scenario_id="", passed=bool(report.stable),
-        details={"k": report.k, "max_ratio": report.max_ratio,
-                 "half_sample_ratio": report.half_sample_ratio,
-                 "n_pairs": report.n_pairs},
+        scenario_id="", passed=bool(stable), details=report,
         tables={"ratios": (["k", "max_ratio", "half_sample_ratio"],
-                           [[report.k, report.max_ratio,
-                             report.half_sample_ratio]])})
+                           [[report["k"], report["max_ratio"],
+                             report["half_sample_ratio"]]])})
 
 
 def _extension_op(params: dict, seed: int) -> ScenarioOutcome:
@@ -581,14 +568,11 @@ def _extension_op(params: dict, seed: int) -> ScenarioOutcome:
         n_max = min(n_max, 128)
     result = run_extension(grid, family, params["topology"], n_max=n_max,
                            seed=seed)
-    header, rows = result.trace_table()
     return ScenarioOutcome(
         scenario_id="", passed=True,
         details={"topology": result.topology, "converged": result.converged,
-                 "membership": {"ambient_limit": result.membership.ambient_limit,
-                                "operator_cauchy": result.membership.operator_cauchy,
-                                "domain": result.membership.domain}},
-        tables={"trace": (header, rows)})
+                 "membership": result.membership},
+        tables={"trace": result.trace_table()})
 
 
 # ---------------------------------------------------------------------------

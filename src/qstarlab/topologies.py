@@ -248,20 +248,13 @@ def _seminorms(suite: Suite) -> list:
 # Extension by closure
 
 @dataclass(frozen=True)
-class ExtensionMembership:
-    """The extension domain a closure run reached, and why."""
-
-    ambient_limit: bool
-    operator_cauchy: bool
-    domain: str  # "A", "Atilde" or "none"
-
-
-@dataclass(frozen=True)
 class ExtensionResult:
     converged: bool
     limit: TruncatedOperator | None
     topology: str
-    membership: ExtensionMembership
+    # the extension domain reached, and why: the keys ambient_limit,
+    # operator_cauchy and domain ("A", "Atilde" or "none")
+    membership: dict
     seminorm_names: tuple
     residual_trace: np.ndarray   # (steps-1, n_seminorms)
     ambient_residuals: np.ndarray
@@ -307,8 +300,8 @@ def extend_by_closure(ambient_norm, family, rep_map, ns, topology: str, *,
         domain = "A" if space_complete else "Atilde"
     else:
         domain = "none"
-    membership = ExtensionMembership(ambient_limit=ambient_cauchy,
-                                     operator_cauchy=converged, domain=domain)
+    membership = {"ambient_limit": ambient_cauchy,
+                  "operator_cauchy": converged, "domain": domain}
     limit = rep_map(last) if converged else None
     return ExtensionResult(converged=converged, limit=limit, topology=topology,
                            membership=membership, seminorm_names=tuple(names),
@@ -343,19 +336,10 @@ def closability_check(null_families, rep_map, *, suite: Suite,
 # ---------------------------------------------------------------------------
 # Quasi *-algebra structure of the extension domain
 
-@dataclass(frozen=True)
-class ClosureStabilityReport:
-    right_multiplication: list  # (sample, shift, cauchy) tuples
-    involution: list            # (sample, cauchy) tuples, empty when skipped
-    involution_skipped: bool
-    bounded_rep_norm: float | None
-    all_stable: bool
-
-
 def quasi_algebra_closure_test(extension_samples, a_o_elements, rep_map,
                                mul, topology: str, *, suite: Suite,
                                star=None,
-                               n_max: int = 256) -> ClosureStabilityReport:
+                               n_max: int = 256) -> dict:
     """Stability of the extension domain under right multiplication and *.
 
     extension_samples are approximating families for domain elements; for
@@ -363,6 +347,11 @@ def quasi_algebra_closure_test(extension_samples, a_o_elements, rep_map,
     n -> X_n B must again have suite-Cauchy representatives.  Involution
     stability is checked unless the topology is the strong one, for which
     the involution is not continuous and the check is skipped and flagged.
+
+    Returns the keys right_multiplication ((sample, shift, cauchy)
+    tuples), involution ((sample, cauchy) tuples, empty when skipped),
+    involution_skipped, bounded_rep_norm (the largest operator norm of the
+    shifts' representatives, None without shifts) and all_stable.
     """
     skipped = topology == "strong"
     if not skipped and star is None:
@@ -389,8 +378,6 @@ def quasi_algebra_closure_test(extension_samples, a_o_elements, rep_map,
 
     all_stable = (all(flag for _, _, flag in right)
                   and all(flag for _, flag in involution))
-    return ClosureStabilityReport(right_multiplication=right,
-                                  involution=involution,
-                                  involution_skipped=skipped,
-                                  bounded_rep_norm=bounded,
-                                  all_stable=all_stable)
+    return {"right_multiplication": right, "involution": involution,
+            "involution_skipped": skipped, "bounded_rep_norm": bounded,
+            "all_stable": all_stable}

@@ -47,10 +47,10 @@ def test_criterion_1_gns_suite():
     _report(1, "GNS suite", {
         "trace rank 4": rep_trace.rank == 4,
         "pure rank 2": rep_pure.rank == 2,
-        "trace residuals": diag_trace.max_residual() < 1e-10,
-        "pure residuals": diag_pure.max_residual() < 1e-10,
-        "trace cyclic": diag_trace.cyclicity_rank == rep_trace.rank,
-        "pure cyclic": diag_pure.cyclicity_rank == rep_pure.rank,
+        "trace residuals": diag_trace["max_residual"] < 1e-10,
+        "pure residuals": diag_pure["max_residual"] < 1e-10,
+        "trace cyclic": diag_trace["cyclicity_rank"] == rep_trace.rank,
+        "pure cyclic": diag_pure["cyclicity_rank"] == rep_pure.rank,
         "runtime < 1 s": elapsed < 1.0,
     })
 
@@ -112,16 +112,16 @@ def test_criterion_3_lemma_equivalence():
     report = check_lemma24(ctx, families, shifts, n_max=n)
     _report(3, "Lemma-style closability equivalence", {
         "five shifts": len(shifts) == 5,
-        "unit flagged absent": not report.unit_in_suite and report.notes,
-        "verdicts agree": report.agree,
-        "no counterexamples": not report.counterexamples,
+        "unit flagged absent": not report["unit_in_suite"] and report["notes"],
+        "verdicts agree": report["agree"],
+        "no counterexamples": not report["counterexamples"],
     })
 
 
 def test_criterion_4_dichotomy():
     start = time.perf_counter()
     grid = flab.simpson_grid()
-    exps = {p: flab.unboundedness_witness(p, grid=grid).exponent
+    exps = {p: flab.unboundedness_witness(p, grid=grid)["exponent"]
             for p in (1.0, 1.5, 2.0, 3.0)}
     members = {beta: flab.a_omega_membership(flab.power_builder(beta), 1.5)
                for beta in (0.25, 0.45, 0.55, 0.75)}
@@ -131,10 +131,10 @@ def test_criterion_4_dichotomy():
         "exponent p=1.5": exps[1.5] >= 0.2,
         "exponent p=2": exps[2.0] <= 0.05,
         "exponent p=3": exps[3.0] <= 0.05,
-        "beta 0.25 member": members[0.25].member,
-        "beta 0.45 member": members[0.45].member,
-        "beta 0.55 non-member": not members[0.55].member,
-        "beta 0.75 non-member": not members[0.75].member,
+        "beta 0.25 member": members[0.25][0],
+        "beta 0.45 member": members[0.45][0],
+        "beta 0.55 non-member": not members[0.55][0],
+        "beta 0.75 non-member": not members[0.75][0],
         "runtime < 10 s": elapsed < 10.0,
     })
 
@@ -143,19 +143,19 @@ def test_criterion_5_ls_identification():
     conditions = {}
     for beta in (0.1, 0.2, 0.3, 0.4):
         verdict = flab.ls_membership(flab.power_builder(beta), 4.0)
-        oracle = beta * verdict.s < 1.0
-        conditions[f"beta {beta}"] = (verdict.member == oracle
-                                      and verdict.s == pytest.approx(4.0))
+        oracle = beta * verdict["s"] < 1.0
+        conditions[f"beta {beta}"] = (verdict["member"] == oracle
+                                      and verdict["s"] == pytest.approx(4.0))
     grid = flab.simpson_grid(257)
     strong = run_extension(grid, clipped_power_family(grid, 0.2, "height"),
                            "strongstar")
     conditions["strong* converges"] = strong.converged
     conditions["strong* reaches Cauchy domain"] = \
-        strong.membership.domain == "Atilde"
+        strong.membership["domain"] == "Atilde"
     uniform = run_extension(grid, ramp_family(grid), "uniform", n_max=128)
     conditions["uniform refuses discontinuous"] = not uniform.converged
     conditions["uniform target is ambient limit"] = \
-        uniform.membership.ambient_limit
+        uniform.membership["ambient_limit"]
     _report(5, "L^s identification and extension", conditions)
 
 
@@ -173,7 +173,7 @@ def test_criterion_6_matrix_replay():
                                             and not verdict.counterexample)
     domain = mlab.d_omega_identification()
     conditions["six entry rules"] = len(domain) == 6
-    conditions["oracle agreement"] = all(v.agrees for v in domain)
+    conditions["oracle agreement"] = all(v["agrees"] for v in domain)
     _report(6, "matrix closability replay", conditions)
 
 

@@ -127,4 +127,4 @@ def test_right_multiplication_keeps_integrability_class():
         * flab.GridFunction.from_callable(
             lambda x: np.cos(2 * np.pi * x).astype(complex) + 2.0, grid),
         4.0)
-    assert verdict.member
+    assert verdict["member"]

@@ -178,10 +178,10 @@ def test_mul_and_star_match_reference(q1, q2):
 @given(gaussian_polys(max_power=0), gaussian_polys(max_power=0))
 def test_homomorphism_on_mixed_degrees(q1, q2):
     check = homomorphism_check(q1, q2, 12)
-    assert check.safe_dim == 2 * (12 - q1.max_freq - q2.max_freq) + 1
+    assert check["safe_dim"] == 2 * (12 - q1.max_freq - q2.max_freq) + 1
     if q1.is_zero() or q2.is_zero():
-        assert check.residual == 0.0
-    assert check.relative_residual < 1e-12
+        assert check["residual"] == 0.0
+    assert check["relative_residual"] < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -163,10 +164,10 @@ def test_lemma24_matrix_context_agreement():
     shifts = [("E11", _unit_entry(n, 0, 0)), ("E12", _unit_entry(n, 0, 1)),
               ("diag", np.diag(np.r_[np.ones(3), np.zeros(n - 3)]).astype(complex))]
     report = check_lemma24(ctx, families, shifts, n_max=n)
-    assert report.agree
-    assert not report.counterexamples
-    assert not report.unit_in_suite
-    assert "no unit" in report.notes
+    assert report["agree"]
+    assert not report["counterexamples"]
+    assert not report["unit_in_suite"]
+    assert "no unit" in report["notes"]
 
 
 def test_lemma24_unit_shift_reduces_to_base(m2_ctx, m2):
@@ -174,8 +175,8 @@ def test_lemma24_unit_shift_reduces_to_base(m2_ctx, m2):
                       generate=lambda n: np.asarray(m2.unit) / n)
     report = check_lemma24(m2_ctx, [fam], [("I", np.asarray(m2.unit))],
                            n_max=256)
-    assert report.agree and report.unit_in_suite
-    row = report.rows[0]
+    assert report["agree"] and report["unit_in_suite"]
+    row = report["rows"][0]
     base = row["verdicts"]["omega"]
     shifted = row["verdicts"]["omega_B[I]"]
     assert np.allclose(base.values[:, 0], shifted.values[:, 0])
@@ -204,8 +205,8 @@ def test_lemma24_columns_equal_per_form_probes(n):
     assert len(names) == 6
     families = [mlab.matrix_family(name, n) for name in names]
     report = check_lemma24(ctx, families, shifts, n_max=n)
-    assert len(report.rows) == len(families)
-    for fam, row in zip(families, report.rows):
+    assert len(report["rows"]) == len(families)
+    for fam, row in zip(families, report["rows"]):
         assert list(row["verdicts"]) == list(columns)
         for key, column_ctx in columns.items():
             got = row["verdicts"][key]
@@ -229,9 +230,25 @@ def test_ips_conditions_algebra_exact(m2_ctx):
     bs = [rng.standard_normal(4) + 1j * rng.standard_normal(4)
           for _ in range(3)]
     report = check_ips_conditions(m2_ctx, xs, bs)
-    assert report.invariance_residual < 1e-10
-    assert report.degeneracy_residual < 1e-10
-    assert report.structural == ("by-construction", "by-construction")
+    assert report["invariance_residual"] < 1e-10
+    assert report["degeneracy_residual"] < 1e-10
+    assert report["structural"] == ("by-construction", "by-construction")
+    # a form value that is not a number must show in the residual that
+    # reads it: NaN on three calls of the invariance loop, then everywhere
+    calls = itertools.count()
+
+    def three_nans(a, b):
+        return complex(np.nan) if next(calls) in (5, 6, 7) \
+            else m2_ctx.form(a, b)
+
+    report = check_ips_conditions(
+        dataclasses.replace(m2_ctx, form=three_nans), xs, bs)
+    assert np.isnan(report["invariance_residual"])
+    assert report["degeneracy_residual"] < 1e-10
+    report = check_ips_conditions(
+        dataclasses.replace(m2_ctx, form=lambda a, b: complex(np.nan)), xs, bs)
+    assert np.isnan(report["invariance_residual"])
+    assert np.isnan(report["degeneracy_residual"])
 
 
 def test_ips_conditions_on_grid_limit_element(grid):
@@ -241,7 +258,7 @@ def test_ips_conditions_on_grid_limit_element(grid):
         lambda x: np.cos(2 * np.pi * x).astype(complex), grid)
     limit_elt = flab.power_function(grid, 0.25)  # in L^2 but outside C[0,1]
     report = check_ips_conditions(ctx, [limit_elt], [one, cos])
-    assert report.invariance_residual < 1e-10
+    assert report["invariance_residual"] < 1e-10
     # Omega(f, 1) = conj(Omega(1, f)) for the limit element
     assert abs(ctx.form(limit_elt, one)
                - np.conj(ctx.form(one, limit_elt))) < 1e-12

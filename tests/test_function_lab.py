@@ -100,16 +100,16 @@ def test_grid_mismatch_rejected(grid):
 
 
 def test_boundedness_classifier():
-    assert flab.boundedness_classifier(2.0).tag == "bounded"
-    assert flab.boundedness_classifier(3.0).tag == "bounded"
-    assert flab.boundedness_classifier(1.0).tag == "closable-unbounded"
-    assert flab.boundedness_classifier(1.5).tag == "closable-unbounded"
+    assert flab.boundedness_classifier(2.0)["tag"] == "bounded"
+    assert flab.boundedness_classifier(3.0)["tag"] == "bounded"
+    assert flab.boundedness_classifier(1.0)["tag"] == "closable-unbounded"
+    assert flab.boundedness_classifier(1.5)["tag"] == "closable-unbounded"
     weighted = flab.boundedness_classifier(2.0, 2.0)
-    assert weighted.effective_exponent == pytest.approx(4.0 / 3.0)
-    assert weighted.tag == "closable-unbounded"
-    assert flab.boundedness_classifier(4.0, 2.0).effective_exponent \
+    assert weighted["effective_exponent"] == pytest.approx(4.0 / 3.0)
+    assert weighted["tag"] == "closable-unbounded"
+    assert flab.boundedness_classifier(4.0, 2.0)["effective_exponent"] \
         == pytest.approx(2.0)
-    assert flab.boundedness_classifier(4.0, 2.0).tag == "bounded"
+    assert flab.boundedness_classifier(4.0, 2.0)["tag"] == "bounded"
     with pytest.raises(ValueError):
         flab.boundedness_classifier(0.5)
     with pytest.raises(ValueError):
@@ -131,38 +131,38 @@ def test_tent_closed_forms_match_quadrature(grid):
 
 
 def test_witness_exponents(grid):
-    assert flab.unboundedness_witness(1.0, grid=grid).exponent \
+    assert flab.unboundedness_witness(1.0, grid=grid)["exponent"] \
         == pytest.approx(1.0, abs=0.05)
-    assert flab.unboundedness_witness(1.5, grid=grid).exponent \
+    assert flab.unboundedness_witness(1.5, grid=grid)["exponent"] \
         == pytest.approx(1.0 / 3.0, abs=0.05)
-    assert abs(flab.unboundedness_witness(2.0, grid=grid).exponent) <= 0.05
-    assert flab.unboundedness_witness(3.0, grid=grid).exponent \
+    assert abs(flab.unboundedness_witness(2.0, grid=grid)["exponent"]) <= 0.05
+    assert flab.unboundedness_witness(3.0, grid=grid)["exponent"] \
         == pytest.approx(-1.0 / 3.0, abs=0.05)
 
 
 def test_a_omega_membership_matches_beta_oracle():
     for beta in (0.25, 0.45):
-        assert flab.a_omega_membership(flab.power_builder(beta), 1.5).member
+        assert flab.a_omega_membership(flab.power_builder(beta), 1.5)[0]
     for beta in (0.55, 0.75):
-        assert not flab.a_omega_membership(flab.power_builder(beta), 1.5).member
-    assert flab.a_omega_membership(flab.power_builder(0.0), 1.0).member
+        assert not flab.a_omega_membership(flab.power_builder(beta), 1.5)[0]
+    assert flab.a_omega_membership(flab.power_builder(0.0), 1.0)[0]
     with pytest.raises(ValueError):
         flab.a_omega_membership(flab.power_builder(0.25), 2.5)
 
 
 def test_a_omega_membership_independent_of_p():
-    verdicts = [flab.a_omega_membership(flab.power_builder(0.45), p).member
+    verdicts = [flab.a_omega_membership(flab.power_builder(0.45), p)[0]
                 for p in (1.0, 1.5, 1.9)]
     assert verdicts == [True, True, True]
 
 
 def test_ls_membership():
     v = flab.ls_membership(flab.power_builder(0.2), 4.0)
-    assert v.s == pytest.approx(4.0)
-    assert v.member and v.cross_member and v.agrees
+    assert v["s"] == pytest.approx(4.0)
+    assert v["member"] and v["cross_member"] and v["agrees"]
     v = flab.ls_membership(flab.power_builder(0.3), 4.0)
-    assert not v.member and v.agrees
-    assert flab.ls_membership(flab.power_builder(0.1), 6.0).s \
+    assert not v["member"] and v["agrees"]
+    assert flab.ls_membership(flab.power_builder(0.1), 6.0)["s"] \
         == pytest.approx(3.0)
     with pytest.raises(ValueError):
         flab.ls_membership(flab.power_builder(0.1), 2.0)

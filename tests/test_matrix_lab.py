@@ -120,8 +120,8 @@ def test_domain_identification_against_oracle():
     verdicts = d_omega_identification()
     assert len(verdicts) == len(ENTRY_RULES) == 6
     for v in verdicts:
-        assert v.agrees, (v.rule, v.growth_ratio)
-    members = {v.rule for v in verdicts if v.member}
+        assert v["agrees"], (v["rule"], v["growth_ratio"])
+    members = {v["rule"] for v in verdicts if v["member"]}
     assert "inverse_product" in members
     assert "finite_support" in members
     assert "inverse_sqrt_product" not in members

@@ -137,8 +137,8 @@ def test_closed_form_matches_generic_path_on_matrix_families(name, n):
     # check_lemma24's seven columns on its 24-point ladder
     ctx = mlab.trace_form_context(n)
     shifts = _matrix_shift_suite(n)
-    fast = check_lemma24(ctx, [family], shifts, n).rows[0]["verdicts"]
-    slow = check_lemma24(ctx, [generic], shifts, n).rows[0]["verdicts"]
+    fast = check_lemma24(ctx, [family], shifts, n)["rows"][0]["verdicts"]
+    slow = check_lemma24(ctx, [generic], shifts, n)["rows"][0]["verdicts"]
     assert list(fast) == list(slow) and len(fast) == 7
     for key in fast:
         _assert_equivalent(fast[key], slow[key], _bit_equal(name, key),
