@@ -538,7 +538,8 @@ def submultiplicativity_probe(k: int, n_pairs: int = 40,
         kept = denom != 0
         ratios += (_graph_seminorms(_trig_products(phi, chi), k)[kept]
                    / denom[kept]).tolist()
-    half, worst = max(ratios[:max(1, len(ratios) // 2)]), max(ratios)
+    half = max(ratios[:max(1, len(ratios) // 2)])
+    worst = max(ratios)
     # stable: doubling the sample must not blow the estimate up
     return {"k": k, "max_ratio": worst, "half_sample_ratio": half,
             "n_pairs": len(ratios), "stable": worst <= 2.0 * max(half, 1.0)}

@@ -114,7 +114,8 @@ def verify_gns(rep: GNSRep) -> dict:
     basis = [algebra.basis_element(i) for i in range(d)]
     mats = rep.rep_matrices
 
-    hom = np.max([np.abs(rep.represent(basis[i] * basis[j]) - mats[i] @ mats[j])
+    hom = np.max([np.abs(rep.represent(basis[i] * basis[j])
+                         - mats[i] @ mats[j])
                   for i in range(d) for j in range(d)])
     adj = np.max([np.abs(rep.represent(basis[i].star()) - mats[i].conj().T)
                   for i in range(d)])

@@ -409,7 +409,8 @@ def _multiplication_extension_suite(params: dict, seed: int) -> ScenarioOutcome:
     uniform = run_extension(grid, ramp_family(grid), "uniform",
                             n_max=128, seed=seed)
     tables["uniform_trace"] = uniform.trace_table()
-    uniform_ok = (not uniform.converged) and uniform.membership["ambient_limit"]
+    uniform_ok = (not uniform.converged
+                  and uniform.membership["ambient_limit"])
 
     alt = run_extension(grid, clipped_power_family(grid, 0.2, "plateau"),
                         "strongstar", seed=seed)
@@ -459,7 +460,8 @@ def _gns_construct_op(params: dict, seed: int) -> ScenarioOutcome:
     build_algebra, states = GNS_ALGEBRAS[params["algebra"]]
     rep = gns_construct(build_algebra(), states[params["state"]]())
     diag = verify_gns(rep)
-    passed = diag["max_residual"] < 1e-10 and diag["cyclicity_rank"] == rep.rank
+    passed = (diag["max_residual"] < 1e-10
+              and diag["cyclicity_rank"] == rep.rank)
     details = {"rank": rep.rank, "rep": gnsrep_to_dict(rep),
                "residuals": diag["residuals"],
                "cyclicity_rank": diag["cyclicity_rank"]}
