@@ -554,7 +554,7 @@ def _submult_op(params: dict, seed: int) -> ScenarioOutcome:
                                            seed=seed)
     stable = report.pop("stable")
     return ScenarioOutcome(
-        scenario_id="", passed=bool(stable), details=report,
+        scenario_id="", passed=stable, details=report,
         tables={"ratios": (["k", "max_ratio", "half_sample_ratio"],
                            [[report["k"], report["max_ratio"],
                              report["half_sample_ratio"]]])})
