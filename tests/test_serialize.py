@@ -3,9 +3,9 @@
 The JSON writer's bytes are pinned two ways: against the reference
 json.dumps(plain(data), sort_keys=True, indent=1) + newline on generated
 data, and byte for byte against `run --format json --seed 0` output
-recorded in tests/data/closure_json_seed0 (two GNS representations, two
-extensions with embedded tables, lemma24, an Lp probe, an unboundedness
-witness and a submultiplicativity probe).
+recorded in tests/data/closure_json_seed0 (the seven GNS representations
+of the closure sweep, two extensions with embedded tables, lemma24, an Lp
+probe, an unboundedness witness and a submultiplicativity probe).
 """
 
 import json
@@ -163,6 +163,17 @@ def test_closure_json_outputs_match_recorded_bytes(tmp_path):
         {"id": "gns-z4-character", "module": "gns",
          "operation": "gns_construct",
          "parameters": {"algebra": "z4", "state": "character"}},
+        {"id": "gns-m2-trace", "module": "gns", "operation": "gns_construct",
+         "parameters": {"algebra": "m2", "state": "trace"}},
+        {"id": "gns-m2-corner", "module": "gns", "operation": "gns_construct",
+         "parameters": {"algebra": "m2", "state": "corner"}},
+        {"id": "gns-m3-corner", "module": "gns", "operation": "gns_construct",
+         "parameters": {"algebra": "m3", "state": "corner"}},
+        {"id": "gns-scalar-trace", "module": "gns",
+         "operation": "gns_construct",
+         "parameters": {"algebra": "scalar", "state": "trace"}},
+        {"id": "gns-z4-trace", "module": "gns", "operation": "gns_construct",
+         "parameters": {"algebra": "z4", "state": "trace"}},
         {"id": "witness-p1.5", "module": "function-lab",
          "operation": "unboundedness_witness", "parameters": {"p": 1.5}},
         {"id": "submult-k1", "module": "ccr-lab",
