@@ -3,7 +3,7 @@
 operator-topology closures, exercised on function, matrix and CCR models
 at truncation scale."""
 
-from .algebra import (AlgebraElement, DimensionMismatchError, MissingUnitError,
+from .algebra import (DimensionMismatchError, MissingUnitError,
                       NonPositiveStateError, StarAlgebra, State,
                       cyclic_group_algebra, evaluate_state, matrix_unit_algebra,
                       multiply, normalized_trace_state, scalar_algebra, star)
@@ -19,7 +19,7 @@ from .topologies import (BoundedSet, ExtensionResult, TruncatedOperator,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "BoundedSet", "DimensionMismatchError", "ExtensionResult",
+    "BoundedSet", "DimensionMismatchError", "ExtensionResult",
     "FormContext", "GNSRep", "MissingUnitError", "NonPositiveStateError",
     "ProbeFamily", "ScaledFamily", "StarAlgebra", "State",
     "TruncatedOperator", "b_shifted_form", "check_ips_conditions", "check_lemma24", "closability_check",

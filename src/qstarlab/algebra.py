@@ -3,9 +3,11 @@
 An algebra lives on a fixed basis e_0 .. e_{d-1}; the product is a rank-3
 tensor c with e_i e_j = sum_k c[i, j, k] e_k, and the involution a matrix S
 with (e_i)* = sum_j S[i, j] e_j.  Matrix algebras, the scalars and cyclic
-group algebras are all loadable from this one presentation.  A unit is
-optional: algebras without one are supported, and operations that need the
-unit fail explicitly.
+group algebras are all loadable from this one presentation.  An element
+is its complex coefficient array on the last axis; multiply and star
+broadcast over leading axes, so a stack of elements is one call.  A unit
+is optional: algebras without one are supported, and operations that need
+the unit fail explicitly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ class AlgebraError(ValueError):
 
 
 class DimensionMismatchError(AlgebraError):
-    """Operands do not belong to the same algebra."""
+    """A coefficient array's last axis does not match the algebra's
+    dimension."""
 
 
 class MissingUnitError(AlgebraError):
@@ -71,86 +74,28 @@ class StarAlgebra:
     def dim(self) -> int:
         return self.structure.shape[0]
 
-    @property
-    def has_unit(self) -> bool:
-        return self.unit is not None
 
-    def element(self, coeffs) -> "AlgebraElement":
-        return AlgebraElement(self, np.asarray(coeffs, dtype=complex))
-
-    def basis_element(self, i: int) -> "AlgebraElement":
-        coeffs = np.zeros(self.dim, dtype=complex)
-        coeffs[i] = 1.0
-        return self.element(coeffs)
-
-    def unit_element(self) -> "AlgebraElement":
-        if self.unit is None:
-            raise MissingUnitError(
-                f"algebra {self.name or '<anonymous>'} has no unit "
-                "(quasi *-algebra without unit)")
-        return self.element(self.unit)
-
-    def left_multiplier(self, coeffs) -> np.ndarray:
-        """Matrix of x -> a x on coefficient space for a with given coeffs."""
-        a = np.asarray(coeffs, dtype=complex)
-        # (a x)_k = sum_{i,j} a_i x_j c[i,j,k]
-        return np.einsum("i,ijk->kj", a, self.structure)
+def _coefficients(algebra: StarAlgebra, a) -> np.ndarray:
+    """a as a complex array whose last axis has the algebra's dimension."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape[-1:] != (algebra.dim,):
+        raise DimensionMismatchError(
+            f"coefficient array of shape {a.shape} does not match "
+            f"algebra dimension {algebra.dim}")
+    return a
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraElement:
-    algebra: StarAlgebra
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.shape != (self.algebra.dim,):
-            raise DimensionMismatchError(
-                f"coefficient vector of length {coeffs.shape} does not match "
-                f"algebra dimension {self.algebra.dim}")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def _check_same(self, other: "AlgebraElement") -> None:
-        if self.algebra is not other.algebra:
-            raise DimensionMismatchError("elements belong to different algebras")
-
-    def __add__(self, other):
-        self._check_same(other)
-        return AlgebraElement(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return AlgebraElement(self.algebra, self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.algebra, complex(scalar) * self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return multiply(self, other)
-        return AlgebraElement(self.algebra, complex(other) * self.coeffs)
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, -self.coeffs)
-
-    def star(self) -> "AlgebraElement":
-        return star(self)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+def multiply(algebra: StarAlgebra, a, b) -> np.ndarray:
+    """Product through the structure constants, on the last axis; leading
+    axes broadcast."""
+    return np.einsum("...i,...j,ijk->...k", _coefficients(algebra, a),
+                     _coefficients(algebra, b), algebra.structure)
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Product through the structure constants."""
-    a._check_same(b)
-    coeffs = np.einsum("i,j,ijk->k", a.coeffs, b.coeffs, a.algebra.structure)
-    return AlgebraElement(a.algebra, coeffs)
-
-
-def star(a: AlgebraElement) -> AlgebraElement:
-    """Involution: antilinear extension of the basis involution."""
-    coeffs = a.algebra.involution.T @ a.coeffs.conj()
-    return AlgebraElement(a.algebra, coeffs)
+def star(algebra: StarAlgebra, a) -> np.ndarray:
+    """Involution: antilinear extension of the basis involution, on the
+    last axis."""
+    return _coefficients(algebra, a).conj() @ algebra.involution
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +107,6 @@ class State:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-
-    def __call__(self, a: AlgebraElement) -> complex:
-        return evaluate_state(self, a)
 
     def hermiticity_residual(self, algebra: StarAlgebra) -> float:
         """max_i |omega(e_i*) - conj(omega(e_i))|."""
@@ -189,10 +131,12 @@ class State:
         return g
 
 
-def evaluate_state(state: State, a: AlgebraElement) -> complex:
-    if state.values.shape != a.coeffs.shape:
+def evaluate_state(state: State, a) -> complex:
+    """omega(a) for the coefficient vector a."""
+    a = np.asarray(a, dtype=complex)
+    if state.values.shape != a.shape:
         raise DimensionMismatchError("state and element dimensions differ")
-    return complex(np.dot(state.values, a.coeffs))
+    return complex(np.dot(state.values, a))
 
 
 # ---------------------------------------------------------------------------

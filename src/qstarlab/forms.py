@@ -13,11 +13,12 @@ registered families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
-from .algebra import StarAlgebra, State
+from .algebra import StarAlgebra, State, multiply, star
 from .rates import LadderProbe, geometric_ladder, ladder_probe
 
 # check_ips_conditions treats x as degenerate when form(x, x) is at most
@@ -87,23 +88,15 @@ def form_from_state(algebra: StarAlgebra, state: State) -> FormContext:
     Uses the Gram matrix, so construction fails for non-positive states.
     """
     gram = state.check_positive(algebra)
-    s_matrix = algebra.involution
-    structure = algebra.structure
 
     def form(a, b):
         return complex(np.asarray(b).conj() @ gram @ np.asarray(a))
 
-    def star_fn(a):
-        return s_matrix.T @ np.asarray(a).conj()
-
-    def mul_fn(a, b):
-        return np.einsum("i,j,ijk->k", np.asarray(a), np.asarray(b), structure)
-
-    unit = algebra.unit if algebra.has_unit else None
     return FormContext(name=f"state-form({algebra.name},{state.name})",
                        form=form,
                        ambient_norm=lambda a: float(np.linalg.norm(a)),
-                       star=star_fn, mul=mul_fn, unit=unit)
+                       star=partial(star, algebra),
+                       mul=partial(multiply, algebra), unit=algebra.unit)
 
 
 def star_form(ctx: FormContext) -> FormContext:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, StarAlgebra, State, evaluate_state
+from .algebra import (MissingUnitError, StarAlgebra, State, evaluate_state,
+                      multiply, star)
 
 RANK_TOL = 1e-10  # relative to the largest Gram eigenvalue
 
@@ -50,13 +51,10 @@ class GNSRep:
     cyclic_vector: np.ndarray   # (rank,)
     rank: int
 
-    def vector(self, a: AlgebraElement) -> np.ndarray:
-        """Quotient coordinates of the class of a."""
-        return self.projection @ a.coeffs
-
-    def represent(self, a: AlgebraElement) -> np.ndarray:
-        """Matrix of the class action of a, by linearity in the basis."""
-        return np.einsum("i,ijk->jk", a.coeffs, self.rep_matrices)
+    def represent(self, a) -> np.ndarray:
+        """Matrix of the class action of the coefficient array a, by
+        linearity in the basis; leading axes of a broadcast."""
+        return np.einsum("...i,ijk->...jk", a, self.rep_matrices)
 
 
 def gns_construct(algebra: StarAlgebra, state: State, *,
@@ -68,8 +66,11 @@ def gns_construct(algebra: StarAlgebra, state: State, *,
     unitarily equivalent, which the test suite checks through the map
     a -> <class(unit), pi(a) class(unit)>.
     """
-    unit = algebra.unit_element()  # raises MissingUnitError when absent
-    if abs(evaluate_state(state, unit) - 1.0) > 1e-8:
+    if algebra.unit is None:
+        raise MissingUnitError(
+            f"algebra {algebra.name or '<anonymous>'} has no unit "
+            "(quasi *-algebra without unit)")
+    if abs(evaluate_state(state, algebra.unit) - 1.0) > 1e-8:
         raise ValueError("state is not normalized: omega(I) != 1")
     gram = state.check_positive(algebra)
 
@@ -90,11 +91,9 @@ def gns_construct(algebra: StarAlgebra, state: State, *,
     quotient_basis = vecs / scale[np.newaxis, :]
     projection = scale[:, np.newaxis] * vecs.conj().T
 
-    rep_matrices = np.empty((algebra.dim, rank, rank), dtype=complex)
-    for i in range(algebra.dim):
-        m_i = algebra.left_multiplier(algebra.basis_element(i).coeffs)
-        rep_matrices[i] = projection @ m_i @ quotient_basis
-
+    # left multiplication by e_i maps x to structure[i].T @ x
+    rep_matrices = projection @ algebra.structure.transpose(0, 2, 1) \
+        @ quotient_basis
     cyclic = projection @ algebra.unit
     return GNSRep(algebra=algebra, state=state, gram=gram,
                   quotient_basis=quotient_basis, projection=projection,
@@ -111,28 +110,26 @@ def verify_gns(rep: GNSRep) -> dict:
     """
     algebra, state = rep.algebra, rep.state
     d, r = algebra.dim, rep.rank
-    basis = [algebra.basis_element(i) for i in range(d)]
+    basis = np.eye(d, dtype=complex)
     mats = rep.rep_matrices
 
-    hom = np.max([np.abs(rep.represent(basis[i] * basis[j])
-                         - mats[i] @ mats[j])
-                  for i in range(d) for j in range(d)])
-    adj = np.max([np.abs(rep.represent(basis[i].star()) - mats[i].conj().T)
-                  for i in range(d)])
+    # products[i, j] = e_i e_j and stars[i] = (e_i)*
+    products = multiply(algebra, basis[:, None], basis[None, :])
+    stars = star(algebra, basis)
+    hom = np.max(np.abs(rep.represent(products)
+                        - mats[:, None] @ mats[None, :]))
+    adj = np.max(np.abs(rep.represent(stars) - mats.conj().transpose(0, 2, 1)))
 
     # <class(x), class(y)> = omega(y* x) on all basis pairs; column i of
     # projection is the class of e_i.
     classes = rep.projection
-    ip = np.max([abs(complex(np.vdot(classes[:, j], classes[:, i]))
-                     - evaluate_state(state, basis[j].star() * basis[i]))
-                 for i in range(d) for j in range(d)])
+    ip = np.max(np.abs(classes.conj().T @ classes
+                       - multiply(algebra, stars[:, None], basis[None, :])
+                       @ state.values))
 
     # omega(a) = <class(I), pi(a) class(I)>.
-    st = np.max([abs(complex(np.vdot(rep.cyclic_vector,
-                                     mats[i] @ rep.cyclic_vector))
-                     - state.values[i]) for i in range(d)])
-
-    orbit = np.stack([mats[i] @ rep.cyclic_vector for i in range(d)])
+    orbit = mats @ rep.cyclic_vector
+    st = np.max(np.abs(orbit @ rep.cyclic_vector.conj() - state.values))
     cyc_rank = int(np.linalg.matrix_rank(orbit, tol=1e-8))
 
     residuals = {"homomorphism": float(hom), "adjoint": float(adj),

@@ -151,13 +151,10 @@ def fit_trend(ns, values) -> TrendFit:
     return TrendFit(slope=slope, limit=limit, tail_max=tail_max, n_fit=n_fit)
 
 
-def _vanishes(fit: TrendFit, hard_threshold: float) -> bool:
+def tends_to_zero(fit: TrendFit, hard_threshold: float) -> bool:
+    """True when the fitted tail is below the threshold or the trend decays
+    to 0."""
     return fit.tail_max <= hard_threshold or fit.limit == 0.0
-
-
-def tends_to_zero(ns, values, hard_threshold: float) -> bool:
-    """True when the tail is below the threshold or the trend decays to 0."""
-    return _vanishes(fit_trend(ns, values), hard_threshold)
 
 
 def series_limit(ns, values, name: str = "values") -> tuple[float, TrendFit]:
@@ -174,7 +171,7 @@ def ladder_cauchy(ns, values, steps, names=("values",)) -> tuple[bool, list]:
     scales = np.maximum(_finite(ns, values, names).max(axis=0), 1.0)
     steps = _finite(ns, steps, [f"{name} step" for name in names], first=1)
     fits = [fit_trend(ns[1:], column) for column in steps.T]
-    return all(_vanishes(f, CAUCHY_REL_TOL * s)
+    return all(tends_to_zero(f, CAUCHY_REL_TOL * s)
                for f, s in zip(fits, scales)), fits
 
 
@@ -202,8 +199,8 @@ class LadderProbe:
 
 def ladder_probe(family: str, ns, ambient, values, steps,
                  names=("values",)) -> LadderProbe:
-    """Probe a family on the ladder ns: null by tends_to_zero(ns, ambient,
-    NULL_TOL), Cauchy by ladder_cauchy, limits by series_limit."""
+    """Probe a family on the ladder ns: null by tends_to_zero(fit_trend(ns,
+    ambient), NULL_TOL), Cauchy by ladder_cauchy, limits by series_limit."""
     names = tuple(names)
     ambient = _finite(ns, ambient, ["ambient"])[:, 0]
     values = _finite(ns, values, names)
@@ -211,13 +208,14 @@ def ladder_probe(family: str, ns, ambient, values, steps,
     cauchy, step_fits = ladder_cauchy(ns, values, steps, names)
     limits, value_fits = zip(*(series_limit(ns, column, name)
                                for column, name in zip(values.T, names)))
-    null = tends_to_zero(ns, ambient, NULL_TOL)
+    ambient_fit = fit_trend(ns, ambient)
+    null = tends_to_zero(ambient_fit, NULL_TOL)
     return LadderProbe(family=family, ns=ns, ambient=ambient, values=values,
                        steps=steps, names=names, null=null, cauchy=cauchy,
                        limits=limits,
                        counterexample=(null and cauchy
                                        and max(limits) > COUNTEREXAMPLE_TOL),
-                       ambient_slope=fit_trend(ns, ambient).slope,
+                       ambient_slope=ambient_fit.slope,
                        value_slopes=tuple(f.slope for f in value_fits),
                        step_slopes=tuple(f.slope for f in step_fits))
 

@@ -40,7 +40,7 @@ def test_form_closability_implies_operator_closability(m2_setup):
              for i, f in enumerate(np.eye(dim, dtype=complex))]
 
     def rep_map(coeffs):
-        return TruncatedOperator(rep.represent(m2.element(coeffs)))
+        return TruncatedOperator(rep.represent(coeffs))
 
     op_verdicts = {v.family: v for v in closability_check(
         COEFF_FAMILIES, rep_map, suite=suite,
@@ -94,7 +94,7 @@ def test_gns_vector_norms_match_shifted_form(m2_setup):
     for _ in range(25):
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        image = rep.represent(m2.element(a)) @ rep.vector(m2.element(b))
+        image = rep.represent(a) @ rep.projection @ b
         lhs = float(np.linalg.norm(image)) ** 2
         rhs = float(np.real(b_shifted_form(ctx, b).form(a, a)))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)

@@ -6,9 +6,9 @@ import pytest
 
 from qstarlab.algebra import (MissingUnitError, NonPositiveStateError, State,
                               StarAlgebra, cyclic_group_algebra,
-                              group_character_state, group_trace_state,
-                              matrix_unit_algebra, normalized_trace_state,
-                              scalar_algebra)
+                              evaluate_state, group_character_state,
+                              group_trace_state, matrix_unit_algebra, multiply,
+                              normalized_trace_state, scalar_algebra, star)
 from qstarlab.gns import GNSRep, gns_construct, verify_gns
 from qstarlab.serialize import complex_to_nested, gnsrep_to_dict
 
@@ -19,8 +19,7 @@ def brute_force_gram(algebra, state, n):
     """Oracle: omega(e_i* e_j) through dense matrix products."""
     d = algebra.dim
     gram = np.zeros((d, d), dtype=complex)
-    basis = [coeffs_to_matrix(algebra.basis_element(i).coeffs, n)
-             for i in range(d)]
+    basis = [coeffs_to_matrix(e_i, n) for e_i in np.eye(d)]
     weights = coeffs_to_matrix(state.values, n)
     for i in range(d):
         for j in range(d):
@@ -64,7 +63,7 @@ def test_gram_corner_state_rank_two(m2, corner2):
     assert np.allclose(gram, brute_force_gram(m2, corner2, 2), atol=1e-14)
     # SVD oracle for the rank; the kernel holds matrices with zero first column.
     assert np.linalg.matrix_rank(gram, tol=1e-10) == 2
-    e12 = m2.basis_element(1).coeffs
+    e12 = np.eye(4)[1]
     assert np.linalg.norm(gram @ e12) < 1e-14
 
 
@@ -90,7 +89,7 @@ def test_gns_m2_trace_faithful(m2, trace2):
     assert diag["cyclicity_rank"] == 4
     # Oracle: pi is similar to left multiplication, so traces must agree.
     for i in range(4):
-        left = m2.left_multiplier(m2.basis_element(i).coeffs)
+        left = m2.structure[i].T  # x -> e_i x on coefficient space
         assert abs(np.trace(rep.rep_matrices[i]) - np.trace(left)) < 1e-10
 
 
@@ -101,7 +100,7 @@ def test_gns_corner_state_is_defining_representation(m2, corner2):
     assert diag["max_residual"] < 1e-10
     # Character oracle: traces match the defining 2x2 matrix units.
     for i in range(4):
-        dense = coeffs_to_matrix(m2.basis_element(i).coeffs, 2)
+        dense = coeffs_to_matrix(np.eye(4)[i], 2)
         assert abs(np.trace(rep.rep_matrices[i]) - np.trace(dense)) < 1e-10
 
 
@@ -158,9 +157,8 @@ def test_quotient_inner_product_reproduces_state(m2, corner2):
     for i in range(4):
         for j in range(4):
             lhs = complex(np.vdot(rep.projection[:, j], rep.projection[:, i]))
-            e_i, e_j = m2.basis_element(i), m2.basis_element(j)
-            from qstarlab.algebra import evaluate_state, multiply, star
-            rhs = evaluate_state(corner2, multiply(star(e_j), e_i))
+            e_i, e_j = np.eye(4)[i], np.eye(4)[j]
+            rhs = evaluate_state(corner2, multiply(m2, star(m2, e_j), e_i))
             assert abs(lhs - rhs) < 1e-10
 
 

@@ -196,13 +196,13 @@ def test_fit_trend_exact_zero_tail():
     values = np.array([1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
     fit = fit_trend(ns, values)
     assert fit.limit == 0.0
-    assert tends_to_zero(ns, values, 1e-12)
+    assert tends_to_zero(fit, 1e-12)
 
 
 def test_tends_to_zero_hard_threshold():
     ns = np.array([1, 2, 4, 8, 16])
-    assert tends_to_zero(ns, np.full(5, 1e-10), 1e-8)
-    assert not tends_to_zero(ns, np.full(5, 1e-2), 1e-8)
+    assert tends_to_zero(fit_trend(ns, np.full(5, 1e-10)), 1e-8)
+    assert not tends_to_zero(fit_trend(ns, np.full(5, 1e-2)), 1e-8)
 
 
 def test_increment_growth_ratio():
