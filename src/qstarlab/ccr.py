@@ -538,8 +538,8 @@ def submultiplicativity_probe(k: int, n_pairs: int = 40,
         kept = denom != 0
         ratios += (_graph_seminorms(_trig_products(phi, chi), k)[kept]
                    / denom[kept]).tolist()
-    half = max(ratios[:max(1, len(ratios) // 2)])
-    worst = max(ratios)
+    half = float(np.max(ratios[:max(1, len(ratios) // 2)]))
+    worst = float(np.max(ratios))
     # stable: doubling the sample must not blow the estimate up
     return {"k": k, "max_ratio": worst, "half_sample_ratio": half,
             "n_pairs": len(ratios), "stable": worst <= 2.0 * max(half, 1.0)}
@@ -584,12 +584,12 @@ def faithfulness_defect(q: CCRPolynomial, n_trunc: int) -> float:
         return 0.0
     op = ccr_represent(q, n_trunc)
     dim = 2 * n_trunc + 1
-    worst = 0.0
+    norms = []
     for m in range(min(q.degree, n_trunc - q.max_freq) + 1):
         probe = np.zeros(dim, dtype=complex)
         probe[m + n_trunc] = 1.0
-        worst = max(worst, float(np.linalg.norm(op.apply(probe))))
-    return worst
+        norms.append(float(np.linalg.norm(op.apply(probe))))
+    return float(np.max(norms, initial=0.0))
 
 
 def uniform_seminorm_identity(phi_vec: np.ndarray, test_polys,
@@ -598,20 +598,14 @@ def uniform_seminorm_identity(phi_vec: np.ndarray, test_polys,
 
     The left side pairs the convolution action against the test family;
     the right side pairs Phi directly against the products conj(f) g.
-    Returns (lhs, rhs); polynomially growing Phi vectors are fine.
+    Returns (lhs, rhs); polynomially growing Phi vectors are fine, and a
+    NaN in Phi makes both sides NaN.
     """
     phi_vec = np.asarray(phi_vec, dtype=complex)
     conv = np.array(_band_matrices(_evaluate(phi_vec[:, None]), n_trunc))
-    lhs = 0.0
-    for f in test_polys:
-        fv = f.to_vector(n_trunc)
-        img = conv @ fv
-        for g in test_polys:
-            gv = g.to_vector(n_trunc)
-            lhs = max(lhs, abs(complex(np.vdot(gv, img))))
-    rhs = 0.0
-    for f in test_polys:
-        for g in test_polys:
-            h = (f.conj() * g).to_vector(n_trunc)
-            rhs = max(rhs, abs(complex(np.vdot(h, phi_vec))))
-    return lhs, rhs
+    vectors = [f.to_vector(n_trunc) for f in test_polys]
+    images = [conv @ fv for fv in vectors]
+    lhs = [abs(complex(np.vdot(gv, img))) for img in images for gv in vectors]
+    rhs = [abs(complex(np.vdot((f.conj() * g).to_vector(n_trunc), phi_vec)))
+           for f in test_polys for g in test_polys]
+    return float(np.max(lhs, initial=0.0)), float(np.max(rhs, initial=0.0))

@@ -120,17 +120,17 @@ def b_shifted_form(ctx: FormContext, b) -> FormContext:
 
 
 def hermiticity_residual(ctx: FormContext, pairs) -> float:
-    return max(abs(ctx.form(a, b) - np.conj(ctx.form(b, a))) for a, b in pairs)
+    """max over pairs of |Omega(x,y) - conj(Omega(y,x))|; NaN if any form
+    value is NaN."""
+    return float(np.max([abs(ctx.form(a, b) - np.conj(ctx.form(b, a)))
+                         for a, b in pairs]))
 
 
 def cauchy_schwarz_residual(ctx: FormContext, pairs) -> float:
-    """max over pairs of |Omega(x,y)|^2 - Omega(x,x) Omega(y,y), clipped at 0."""
-    worst = 0.0
-    for a, b in pairs:
-        lhs = abs(ctx.form(a, b)) ** 2
-        rhs = ctx.diag(a) * ctx.diag(b)
-        worst = max(worst, lhs - rhs)
-    return worst
+    """max over pairs of |Omega(x,y)|^2 - Omega(x,x) Omega(y,y), clipped at 0;
+    NaN if any form value is NaN."""
+    return float(np.max([abs(ctx.form(a, b)) ** 2 - ctx.diag(a) * ctx.diag(b)
+                         for a, b in pairs], initial=0.0))
 
 
 def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,

@@ -229,7 +229,7 @@ def _weighted_form_suite(params: dict, seed: int) -> ScenarioOutcome:
     one = flab.GridFunction.from_callable(lambda x: np.ones_like(x), grid)
     mass = complex(flab.omega_form(one, one, weight)).real
     rng = np.random.default_rng(seed)
-    herm = 0.0
+    herms = []
     pos_ok = True
     for _ in range(50):
         a = rng.standard_normal(4)
@@ -240,9 +240,10 @@ def _weighted_form_suite(params: dict, seed: int) -> ScenarioOutcome:
         g = flab.GridFunction((b[0] + b[1] * grid.nodes
                                + 1j * b[2] * np.sin(2 * np.pi * grid.nodes)
                                + b[3]).astype(complex), grid)
-        herm = max(herm, abs(flab.omega_form(f, g, weight)
-                             - np.conj(flab.omega_form(g, f, weight))))
+        herms.append(abs(flab.omega_form(f, g, weight)
+                         - np.conj(flab.omega_form(g, f, weight))))
         pos_ok = pos_ok and flab.omega_form(f, f, weight).real >= -1e-10
+    herm = float(np.max(herms))
     mass_ok = abs(mass - 2.0) < 0.05
     return ScenarioOutcome(
         scenario_id="",
@@ -415,7 +416,7 @@ def _multiplication_extension_suite(params: dict, seed: int) -> ScenarioOutcome:
     alt = run_extension(grid, clipped_power_family(grid, 0.2, "plateau"),
                         "strongstar", seed=seed)
     suite = multiplication_suite(grid, "strongstar", seed=seed)
-    gap = max(fn(strong.limit - alt.limit) for _, fn in suite) \
+    gap = float(np.max([fn(strong.limit - alt.limit) for _, fn in suite])) \
         if (strong.limit and alt.limit) else float("inf")
     well_defined = gap < 1e-6
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomial_from_literal, polynomial_to_literal
+from qstarlab import ccr
 from qstarlab.ccr import (CCRPolynomial, TrigPoly, TwoPiScalar, adjoint_check,
                           ccr_mul, ccr_represent, ccr_star,
                           faithfulness_defect, freqs,
@@ -208,6 +209,10 @@ def test_faithfulness_probes():
         if q.is_zero():
             continue
         assert faithfulness_defect(q, 32) > 1e-8
+    # a NaN coefficient gives a NaN defect, not the 0 of the zero polynomial
+    spoiled = CCRPolynomial.from_terms([(0, TrigPoly({0: np.nan})),
+                                        (1, TrigPoly({0: 1.0}))])
+    assert np.isnan(faithfulness_defect(spoiled, 32))
 
 
 def test_safe_indices():
@@ -253,7 +258,7 @@ def test_graph_seminorm_poly_agrees_with_vector():
             graph_seminorm(phi.to_vector(4), k), rel=1e-12)
 
 
-def test_submultiplicativity_probe():
+def test_submultiplicativity_probe(monkeypatch):
     # unit mode pairs force c_k >= 1; products of single modes stay at 1
     assert graph_seminorm_poly(TrigPoly.one() * TrigPoly.one(), 0) \
         == pytest.approx(1.0)
@@ -263,6 +268,18 @@ def test_submultiplicativity_probe():
         report = submultiplicativity_probe(k, n_pairs=40, seed=0)
         assert np.isfinite(report["max_ratio"])
         assert report["stable"]
+    # a NaN product in the second pair must reach max_ratio and fail stable
+    products = ccr._trig_products
+
+    def spoiled(a, b):
+        out = products(a, b)
+        out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(ccr, "_trig_products", spoiled)
+    report = submultiplicativity_probe(1, n_pairs=40, seed=0)
+    assert np.isnan(report["max_ratio"])
+    assert not report["stable"]
 
 
 def test_polynomial_literal_roundtrip():
@@ -289,3 +306,10 @@ def test_uniform_seminorm_identity():
     dual = (freqs(16).astype(complex)) ** 2  # polynomially growing proxy
     lhs, rhs = uniform_seminorm_identity(dual, tests, 16)
     assert lhs == pytest.approx(rhs, abs=1e-12)
+    # a NaN at frequency 0 must spoil both sides, not drop out of a running
+    # maximum and leave an identity that reads as holding
+    spoiled = trig.copy()
+    spoiled[16] = np.nan
+    lhs, rhs = uniform_seminorm_identity(spoiled, tests, 16)
+    assert np.isnan(lhs) and np.isnan(rhs)
+    assert not abs(lhs - rhs) < 1e-10

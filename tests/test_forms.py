@@ -45,6 +45,11 @@ def test_form_axioms_on_random_pairs(m2_ctx):
     assert hermiticity_residual(m2_ctx, pairs) < 1e-10
     assert cauchy_schwarz_residual(m2_ctx, pairs) < 1e-10
     assert all(m2_ctx.diag(a) >= -1e-10 for a, _ in pairs)
+    # one NaN element, last so that a running maximum would keep the finite
+    # value, makes both residuals NaN
+    spoiled = pairs + [(np.full(4, np.nan, dtype=complex), pairs[0][1])]
+    assert np.isnan(hermiticity_residual(m2_ctx, spoiled))
+    assert np.isnan(cauchy_schwarz_residual(m2_ctx, spoiled))
 
 
 def test_star_form_of_trace_is_itself(m2_ctx):

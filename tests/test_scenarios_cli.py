@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from qstarlab.cli import main
@@ -232,6 +233,27 @@ def test_write_outcome_json_embeds_tables(tmp_path):
     assert "classification" in payload["tables"]
     assert payload["tables"]["classification"]["header"] == ["p", "r", "s",
                                                              "tag"]
+
+
+def test_weighted_form_suite_fails_on_a_nan_form_value(monkeypatch):
+    # One NaN among the later off-diagonal form values must reach the
+    # hermiticity residual and fail the scenario, not drop out of a
+    # running maximum.
+    from qstarlab import function_lab as flab
+
+    omega_form, calls = flab.omega_form, []
+
+    def spoiled(f, g, w=None):
+        if f is not g:
+            calls.append(None)
+            if len(calls) == 7:
+                return complex(np.nan, 0.0)
+        return omega_form(f, g, w)
+
+    monkeypatch.setattr(flab, "omega_form", spoiled)
+    outcome = run_scenario(SCENARIOS["ex-2.6-2"], seed=0)
+    assert math.isnan(outcome.details["hermiticity_residual"])
+    assert not outcome.passed
 
 
 def test_outputs_deterministic(tmp_path):
