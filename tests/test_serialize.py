@@ -4,7 +4,8 @@ The JSON writer's bytes are pinned two ways: against the reference
 json.dumps(plain(data), sort_keys=True, indent=1) + newline on generated
 data, and byte for byte against `run --format json --seed 0` output
 recorded in tests/data/closure_json_seed0 (the seven GNS representations
-of the closure sweep, two extensions with embedded tables, lemma24, an Lp
+of the closure sweep, all nine of its extensions by closure with their
+embedded tables, so every topology's seminorm values, lemma24, an Lp
 probe, an unboundedness witness and a submultiplicativity probe).
 """
 
@@ -181,7 +182,17 @@ def test_closure_json_outputs_match_recorded_bytes(tmp_path):
         {"id": "ext-strongstar-power", "module": "op-topologies",
          "operation": "extend_by_closure",
          "parameters": {"topology": "strongstar", "target": "power"}},
+        {"id": "ext-strongstar-plateau", "module": "op-topologies",
+         "operation": "extend_by_closure",
+         "parameters": {"topology": "strongstar", "target": "power",
+                        "variant": "plateau"}},
     ]
+    scenarios += [
+        {"id": f"ext-{topology}-{target}", "module": "op-topologies",
+         "operation": "extend_by_closure",
+         "parameters": {"topology": topology, "target": target}}
+        for topology in ("uniform", "strong", "weak")
+        for target in ("power", "step")]
     config = tmp_path / "closure.json"
     config.write_text(json.dumps({"scenarios": scenarios}), encoding="utf-8")
     out = tmp_path / "out"
