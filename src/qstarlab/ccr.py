@@ -450,11 +450,6 @@ def graph_seminorm(phi, k: int) -> float:
     return float(np.linalg.norm(graph_weights(n_trunc) ** k * phi))
 
 
-def graph_seminorm_poly(phi: TrigPoly, k: int) -> float:
-    """Graph seminorm straight off the coefficient map (no truncation)."""
-    return float(_graph_seminorms(phi._c[None], k)[0])
-
-
 def _graph_seminorms(c: np.ndarray, k: int) -> np.ndarray:
     """Graph seminorms of (s, n, j) TrigPoly arrays: the square root of
     sum_n (1 + 4 pi^2 n^2)^(2k) |phi_n|^2, added one frequency at a time in

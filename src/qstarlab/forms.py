@@ -138,57 +138,56 @@ def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
     """The series of a family on the ladder ns; only a member and its
     predecessor are held, since a member can be a full N x N block.
 
-    views are (rep_map, evaluators) pairs, evaluators (f, degree) pairs.
-    With r_n = rep_map(x_n) (x_n when rep_map is None) each f gives a value
-    column f(r_n) and a step column max(f(r_n - r_{n-1}), 0).  The ambient
-    series is tau_norm(n) when the family has one, else ambient_norm(x_n),
-    or None without ambient_norm.  Of a ScaledFamily only the last member
-    is built: base is evaluated once and scaled by |c_n|^d (the steps by
-    |c_n - c_{n-1}|^d), c_n = scale(n), as f is absolutely homogeneous of
-    degree d (1 for a seminorm or norm, 2 for a form diagonal) and rep_map
-    linear or antilinear.
+    views are (rep_map, f, degree) triples.  With r_n = rep_map(x_n) (x_n
+    when rep_map is None) f gives one value or a 1-D array of values, the
+    view's value columns f(r_n), and its step columns max(f(r_n - r_{n-1}),
+    0).  The ambient series is tau_norm(n) when the family has one, else
+    ambient_norm(x_n), or None without ambient_norm.  Of a ScaledFamily
+    only the last member is built: base is evaluated once and scaled by
+    |c_n|^d (the steps by |c_n - c_{n-1}|^d), c_n = scale(n), as f is
+    absolutely homogeneous of degree d (1 for a seminorm or norm, 2 for a
+    form diagonal) and rep_map linear or antilinear.
 
     Returns the ambient series, the value and the step columns split into
     one block per view, and the last member.
     """
-    columns = [(k, f, d) for k, (_, fs) in enumerate(views) for f, d in fs]
-    blocks = np.cumsum([len(fs) for _, fs in views])[:-1]
-
     def represent(x):
-        return [x if rep_map is None else rep_map(x) for rep_map, _ in views]
+        return [x if rep_map is None else rep_map(x) for rep_map, _, _ in views]
+
+    def evaluate(reps):
+        return [np.atleast_1d(f(r)) for (_, f, _), r in zip(views, reps)]
 
     if isinstance(family, ScaledFamily):
         c = np.array([family.scale(int(n)) for n in ns])
         size, gap = np.abs(c), np.abs(np.diff(c))
-        base = represent(family.base)
-        at_base = [(f(base[k]), d) for k, f, d in columns]
-        values = np.array([size ** d * v for v, d in at_base]
-                          ).reshape(len(columns), len(ns)).T
-        steps = np.array([gap ** d * max(v, 0.0) for v, d in at_base]
-                         ).reshape(len(columns), len(ns) - 1).T
+        at_base = evaluate(represent(family.base))
+        values = [np.outer(size ** d, v)
+                  for v, (_, _, d) in zip(at_base, views)]
+        steps = [np.outer(gap ** d, np.maximum(v, 0.0))
+                 for v, (_, _, d) in zip(at_base, views)]
         ambient = (None if ambient_norm is None
                    else size * ambient_norm(family.base))
-        x = family.scale(int(ns[-1])) * family.base
-    else:
-        ambient, values, steps, previous = [], [], [], None
-        for n in ns:
-            x = family.generate(int(n))
-            if family.tau_norm is not None:
-                ambient.append(family.tau_norm(int(n)))
-            elif ambient_norm is not None:
-                ambient.append(ambient_norm(x))
-            reps = represent(x)
-            values.append([f(reps[k]) for k, f, _ in columns])
-            if previous is not None:
-                differences = [r - p for r, p in zip(reps, previous)]
-                steps.append([max(f(differences[k]), 0.0)
-                              for k, f, _ in columns])
-            previous = reps
-        ambient = np.array(ambient) if ambient else None
-        values = np.array(values, dtype=float).reshape(len(ns), len(columns))
-        steps = np.array(steps, dtype=float).reshape(len(ns) - 1, len(columns))
-    return (ambient, np.split(values, blocks, axis=1),
-            np.split(steps, blocks, axis=1), x)
+        return ambient, values, steps, family.scale(int(ns[-1])) * family.base
+    ambient, values, steps, previous = [], [], [], None
+    for n in ns:
+        x = family.generate(int(n))
+        if family.tau_norm is not None:
+            ambient.append(family.tau_norm(int(n)))
+        elif ambient_norm is not None:
+            ambient.append(ambient_norm(x))
+        reps = represent(x)
+        row = evaluate(reps)
+        values.append(np.concatenate(row))
+        if previous is not None:
+            steps.append(np.maximum(np.concatenate(evaluate(
+                [r - p for r, p in zip(reps, previous)])), 0.0))
+        previous = reps
+    blocks = np.cumsum([len(v) for v in row])[:-1]
+    values = np.array(values)
+    steps = np.array(steps).reshape(len(ns) - 1, values.shape[1])
+    return (np.array(ambient) if ambient else None,
+            np.split(values, blocks, axis=1), np.split(steps, blocks, axis=1),
+            x)
 
 
 def closability_probe(ctx: FormContext, family: ProbeFamily | ScaledFamily,
@@ -203,7 +202,7 @@ def closability_probe(ctx: FormContext, family: ProbeFamily | ScaledFamily,
     """
     ns = geometric_ladder(n_max, points=points)
     ambient, (values,), (steps,), _ = ladder_series(
-        family, ns, ctx.ambient_norm, [(None, [(ctx.diag, 2)])])
+        family, ns, ctx.ambient_norm, [(None, ctx.diag, 2)])
     return ladder_probe(family.name, ns, ambient, values, steps,
                         names=("omega",))
 
@@ -224,7 +223,7 @@ def check_lemma24(ctx: FormContext, families, shifts, n_max: int) -> dict:
     columns = {"omega": ctx, "omega_star": star_form(ctx)}
     for label, b in shifts:
         columns[f"omega_B[{label}]"] = b_shifted_form(ctx, b)
-    diagonals = [(None, [(c.diag, 2) for c in columns.values()])]
+    diagonals = [(None, lambda x: [c.diag(x) for c in columns.values()], 2)]
     ns = geometric_ladder(n_max, points=PROBE_POINTS)
     rows = []
     counterexamples = []

@@ -360,8 +360,8 @@ def gaussian_poly_probe(families: dict, n_max: int = 24,
     """
     grid = grid or gauss_hermite_grid()
     ns = geometric_ladder(n_max, points=10)
-    sandwiches = [(None, [(lambda p, j=j: sandwich_seminorm(p.coef, grid, j),
-                           1) for j in SANDWICH_DECAY_ORDERS])]
+    sandwiches = [(None, lambda p: [sandwich_seminorm(p.coef, grid, j)
+                                    for j in SANDWICH_DECAY_ORDERS], 1)]
     verdicts = []
     for name, gen in families.items():
         def member(n: int) -> np.polynomial.Polynomial:

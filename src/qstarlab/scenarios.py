@@ -27,8 +27,8 @@ from .gns import gns_construct, verify_gns
 from .matrix_lab import NON_CAUCHY_FAMILIES, NULL_FAMILIES
 from .rates import LadderProbe, geometric_ladder
 from .serialize import atomic_write, dump_json, gnsrep_to_dict
-from .topologies import (TOPOLOGIES, closability_check, extend_by_closure,
-                         suite_from_bounded_sets)
+from .topologies import (TOPOLOGIES, Suite, closability_check,
+                         extend_by_closure, seminorm)
 
 
 class ConfigError(ValueError):
@@ -112,7 +112,7 @@ def multiplication_suite(grid: flab.Grid, topology: str, seed: int = 0):
                 flab.smooth_ball_set(grid, 2.0, count=4, seed=seed)]
 
     if topology == "uniform":
-        return suite_from_bounded_sets("uniform", bounded_sets())
+        return Suite("uniform", bounded_sets())
     p = MULTIPLICATION_P
     phis = [("one", flab.embed_vector(flab.GridFunction.from_callable(
         lambda x: np.ones_like(x), grid))),
@@ -128,8 +128,8 @@ def multiplication_suite(grid: flab.Grid, topology: str, seed: int = 0):
                  for i, (a, _) in enumerate(phis)
                  for j, (b, _) in enumerate(phis) if i <= j]
         pairs.append(("midspike", mid_spike, mid_spike))
-        return suite_from_bounded_sets("weak", [], weak_pairs=pairs)
-    return suite_from_bounded_sets(topology, bounded_sets(), phis=phis)
+        return Suite("weak", weak_pairs=pairs)
+    return Suite(topology, bounded_sets(), phis=phis)
 
 
 def run_extension(grid: flab.Grid, family: ProbeFamily, topology: str,
@@ -416,7 +416,7 @@ def _multiplication_extension_suite(params: dict, seed: int) -> ScenarioOutcome:
     alt = run_extension(grid, clipped_power_family(grid, 0.2, "plateau"),
                         "strongstar", seed=seed)
     suite = multiplication_suite(grid, "strongstar", seed=seed)
-    gap = float(np.max([fn(strong.limit - alt.limit) for _, fn in suite])) \
+    gap = float(np.max(seminorm(strong.limit - alt.limit, suite))) \
         if (strong.limit and alt.limit) else float("inf")
     well_defined = gap < 1e-6
 

@@ -13,7 +13,7 @@ the finite suite in use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
 
 import numpy as np
 
@@ -153,95 +153,88 @@ def pairing(u, psi) -> complex:
     return complex(np.vdot(np.asarray(psi, dtype=complex), np.asarray(u)))
 
 
-def seminorm(a: TruncatedOperator, topology: str, m: BoundedSet | None = None,
-             phi=None, psi=None) -> float:
-    """Topology seminorm of one operator.
+class Suite:
+    """A seminorm suite: one topology over finite test data.
 
-    uniform needs m; strong and strongstar need m and phi; weak needs phi
-    and psi.  Over the canonical basis (m.is_basis) the pairings are the
-    operator's entries, so uniform is max |A_ij| and strong max |(A phi)_i|,
-    read without the product with I.  For finite entries the values equal
-    the product's bit for bit (each product entry is A_ij * 1 plus exact
-    zeros, and abs drops signed zeros); an inf entry gives inf where the
-    product would give nan (0 * inf).
+    uniform takes bounded sets; strong and strongstar take bounded sets and
+    phis, (label, vector) pairs; weak takes weak_pairs, (label, phi, psi)
+    triples.  names labels the seminorms: set-major, then vector, for
+    strong and strongstar.  The suite is checked once, here: an unknown
+    topology, missing test data or an empty suite raise.
     """
-    if topology == "uniform":
-        if m is None:
-            raise ValueError("uniform seminorm needs a bounded set")
-        if m.is_basis:
-            entries = a.diag if a.diag is not None else a.matrix
-            return float(np.max(np.abs(entries)))
-        d = a._real_diag
-        left = m.conj_rows * d if d is not None else m.conj_rows @ a.matrix
-        grid = left @ m.rows.T  # [psi index, phi index]
-        return float(np.max(np.abs(grid)))
-    if topology == "strong":
-        if m is None or phi is None:
-            raise ValueError("strong seminorm needs a bounded set and a vector")
-        img = a.apply(phi)
-        if not m.is_basis:
-            img = m.conj_rows @ img
-        return float(np.max(np.abs(img)))
-    if topology == "strongstar":
-        if m is None or phi is None:
-            raise ValueError("strong* seminorm needs a bounded set and a vector")
-        return max(seminorm(a, "strong", m, phi),
-                   seminorm(a.adjoint(), "strong", m, phi))
-    if topology == "weak":
-        if phi is None or psi is None:
-            raise ValueError("weak seminorm needs two vectors")
-        return abs(pairing(a.apply(phi), psi))
-    raise ValueError(f"unknown topology {topology!r}; expected one of {TOPOLOGIES}")
+
+    __slots__ = ("topology", "bounded_sets", "phis", "weak_pairs", "names")
+
+    def __init__(self, topology: str, bounded_sets=(), phis=(), weak_pairs=()):
+        self.topology = topology
+        self.bounded_sets = tuple(bounded_sets)
+        self.phis = tuple(phis)
+        self.weak_pairs = tuple(weak_pairs)
+        if topology == "uniform":
+            names = [f"uniform|{m.name}" for m in self.bounded_sets]
+        elif topology in ("strong", "strongstar"):
+            if not self.phis:
+                raise ValueError(f"{topology} suite needs test vectors")
+            names = [f"{topology}|{m.name}|{label}"
+                     for m in self.bounded_sets for label, _ in self.phis]
+        elif topology == "weak":
+            if not self.weak_pairs:
+                raise ValueError("weak suite needs vector pairs: two vectors "
+                                 "per seminorm")
+            names = [f"weak|{label}" for label, _, _ in self.weak_pairs]
+        else:
+            raise ValueError(f"unknown topology {topology!r}; expected one of "
+                             f"{TOPOLOGIES}")
+        if not names:
+            raise ValueError(f"empty {topology} seminorm suite: no bounded set")
+        self.names = tuple(names)
 
 
-def strongstar_hilbert_seminorm(a: TruncatedOperator, f) -> float:
-    """max(|A f|, |A' f|) with the Hilbert norm; the strong* seminorm used
-    for operators mapping the domain into the Hilbert space itself."""
-    return max(float(np.linalg.norm(a.apply(f))),
-               float(np.linalg.norm(a.adjoint().apply(f))))
+def seminorm(a: TruncatedOperator, suite: Suite) -> np.ndarray:
+    """Every seminorm of the suite on one operator, in suite.names order.
 
-
-# ---------------------------------------------------------------------------
-# Seminorm suites
-
-Suite = Sequence[tuple[str, Callable[[TruncatedOperator], float]]]
-
-
-def suite_from_bounded_sets(topology: str, bounded_sets,
-                            phis=None, weak_pairs=None) -> list:
-    """Named seminorm evaluators for a topology over finite test data.
-
-    phis: (label, vector) pairs for strong/strong*; weak_pairs: (label,
-    phi, psi) triples for the weak topology.
+    uniform is sup |<A phi, psi>| over M x M, strong sup over psi in M of
+    |<A phi, psi>|, strongstar the larger of the strong values of A and its
+    adjoint, weak |<A phi, psi>|.  Each test vector is applied once (and
+    for strongstar once to the adjoint), one matrix-vector product, and
+    its image is shared across the bounded sets.  Over the canonical basis
+    (m.is_basis) the pairings are the operator's entries, so uniform is
+    max |A_ij| and strong max |(A phi)_i|, read without the product with
+    I.  For finite entries the values equal the product's bit for bit
+    (each product entry is A_ij * 1 plus exact zeros, and abs drops signed
+    zeros); an inf entry gives inf where the product would give nan
+    (0 * inf).
     """
-    suite = []
-    if topology == "uniform":
-        for m in bounded_sets:
-            suite.append((f"uniform|{m.name}",
-                          lambda a, m=m: seminorm(a, "uniform", m)))
-    elif topology in ("strong", "strongstar"):
-        if not phis:
-            raise ValueError(f"{topology} suite needs test vectors")
-        for m in bounded_sets:
-            for label, phi in phis:
-                suite.append((f"{topology}|{m.name}|{label}",
-                              lambda a, m=m, phi=phi, t=topology:
-                              seminorm(a, t, m, phi)))
-    elif topology == "weak":
-        if not weak_pairs:
-            raise ValueError("weak suite needs vector pairs")
-        for label, phi, psi in weak_pairs:
-            suite.append((f"weak|{label}",
-                          lambda a, phi=phi, psi=psi:
-                          seminorm(a, "weak", phi=phi, psi=psi)))
-    else:
-        raise ValueError(f"unknown topology {topology!r}")
-    return suite
+    sets = suite.bounded_sets
+    if suite.topology == "uniform":
+        return np.array([_uniform_seminorm(a, m) for m in sets])
+    if suite.topology == "weak":
+        return np.array([abs(pairing(a.apply(phi), psi))
+                         for _, phi, psi in suite.weak_pairs])
+    adjoint = a.adjoint() if suite.topology == "strongstar" else None
+    values = np.empty((len(sets), len(suite.phis)))
+    for j, (_, phi) in enumerate(suite.phis):
+        values[:, j] = _sup_pairings(sets, a.apply(phi))
+        if adjoint is not None:
+            values[:, j] = np.maximum(values[:, j], _sup_pairings(
+                sets, adjoint.apply(phi)))
+    return values.ravel()
 
 
-def _seminorms(suite: Suite) -> list:
-    """The suite as ladder_series evaluators: seminorms, of degree 1."""
-    return [(fn, 1) for _, fn in suite]
+def _uniform_seminorm(a: TruncatedOperator, m: BoundedSet) -> float:
+    if m.is_basis:
+        entries = a.diag if a.diag is not None else a.matrix
+        return float(np.max(np.abs(entries)))
+    d = a._real_diag
+    left = m.conj_rows * d if d is not None else m.conj_rows @ a.matrix
+    grid = left @ m.rows.T  # [psi index, phi index]
+    return float(np.max(np.abs(grid)))
+
+
+def _sup_pairings(sets, img: np.ndarray) -> list:
+    """sup over psi in m of |<img, psi>|, for each bounded set m."""
+    return [float(np.max(np.abs(img if m.is_basis else m.conj_rows @ img)))
+            for m in sets]
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +277,12 @@ def extend_by_closure(ambient_norm, family, rep_map, ns, topology: str, *,
     """
     if not len(ns):
         raise ValueError("empty ladder")
-    if not suite:
-        raise ValueError("empty seminorm suite")
     # subtracting representatives of two truncations raises
     _, (ambient, values), (ambient_res, residuals), last = ladder_series(
-        family, ns, None, [(None, [(ambient_norm, 1)]),
-                           (rep_map, _seminorms(suite))])
-    names = [name for name, _ in suite]
+        family, ns, None, [(None, ambient_norm, 1),
+                           (rep_map, partial(seminorm, suite=suite), 1)])
     converged = len(ns) >= 3 and ladder_cauchy(ns, values, residuals,
-                                               names)[0]
+                                               suite.names)[0]
     ambient_cauchy = len(ns) >= 3 and ladder_cauchy(ns, ambient, ambient_res,
                                                     ("ambient",))[0]
 
@@ -304,7 +294,7 @@ def extend_by_closure(ambient_norm, family, rep_map, ns, topology: str, *,
                   "operator_cauchy": converged, "domain": domain}
     limit = rep_map(last) if converged else None
     return ExtensionResult(converged=converged, limit=limit, topology=topology,
-                           membership=membership, seminorm_names=tuple(names),
+                           membership=membership, seminorm_names=suite.names,
                            residual_trace=residuals,
                            ambient_residuals=ambient_res[:, 0])
 
@@ -322,14 +312,15 @@ def closability_check(null_families, rep_map, *, suite: Suite,
     has a seminorm bounded away from 0 is a closability counterexample.
     """
     ns = geometric_ladder(n_max, points=16)
-    names = [name for name, _ in suite]
+    view = (rep_map, partial(seminorm, suite=suite), 1)
     verdicts = []
     for fam in null_families:
         if ambient_norm is None and getattr(fam, "tau_norm", None) is None:
             raise ValueError(f"family {fam.name} carries no ambient norm")
-        tau, (values,), (steps,), _ = ladder_series(
-            fam, ns, ambient_norm, [(rep_map, _seminorms(suite))])
-        verdicts.append(ladder_probe(fam.name, ns, tau, values, steps, names))
+        tau, (values,), (steps,), _ = ladder_series(fam, ns, ambient_norm,
+                                                    [view])
+        verdicts.append(ladder_probe(fam.name, ns, tau, values, steps,
+                                     suite.names))
     return verdicts
 
 
@@ -357,16 +348,16 @@ def quasi_algebra_closure_test(extension_samples, a_o_elements, rep_map,
     if not skipped and star is None:
         raise ValueError("involution check needs a star operation")
     # one view per right shift, then the involution's
-    views = [(lambda x, b=b: rep_map(mul(x, b)), _seminorms(suite))
+    values_of = partial(seminorm, suite=suite)
+    views = [(lambda x, b=b: rep_map(mul(x, b)), values_of, 1)
              for _, b in a_o_elements]
     if not skipped:
-        views.append((lambda x: rep_map(star(x)), _seminorms(suite)))
+        views.append((lambda x: rep_map(star(x)), values_of, 1))
     ns = geometric_ladder(n_max, points=12)
-    names = [name for name, _ in suite]
     right, involution = [], []
     for fam in extension_samples:
         _, values, steps, _ = ladder_series(fam, ns, None, views)
-        flags = [ladder_cauchy(ns, v, s, names)[0]
+        flags = [ladder_cauchy(ns, v, s, suite.names)[0]
                  for v, s in zip(values, steps)]
         right.extend((fam.name, label, flag)
                      for (label, _), flag in zip(a_o_elements, flags))

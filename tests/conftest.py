@@ -6,6 +6,7 @@ from qstarlab.algebra import (corner_state, cyclic_group_algebra,
                               normalized_trace_state, scalar_algebra)
 from qstarlab.ccr import (CCRPolynomial, TrigPoly, _evaluate, _frequencies,
                           _nonzero_rows, _random_coefficients)
+from qstarlab.topologies import Suite, seminorm
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +66,17 @@ def structure_report(algebra) -> dict:
     else:
         report["unit_law"] = None
     return report
+
+
+def one_seminorm(a, topology, m=None, phi=None, psi=None) -> float:
+    """One seminorm of a topology, the value of a one-entry Suite: uniform
+    takes m, strong and strongstar m and phi, weak phi and psi."""
+    suite = Suite(topology, [] if m is None else [m],
+                  phis=[] if phi is None else [("phi", phi)],
+                  weak_pairs=([] if phi is None or psi is None
+                              else [("pair", phi, psi)]))
+    (value,) = seminorm(a, suite)
+    return float(value)
 
 
 def coeffs_to_matrix(coeffs, n):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import qstarlab
+from conftest import one_seminorm
 from qstarlab import ccr
 from qstarlab import function_lab as flab
 from qstarlab import matrix_lab as mlab
@@ -225,21 +226,21 @@ def test_criterion_8_topology_ordering():
                       for _ in range(4)))
         m = BoundedSet(vecs, name="M")
         phi, psi = vecs[0], vecs[1]
-        weak = seminorm(op, "weak", phi=phi, psi=psi)
-        strong = seminorm(op, "strong", m, phi=phi)
-        sstar = seminorm(op, "strongstar", m, phi=phi)
-        uniform = seminorm(op, "uniform", m)
+        weak = one_seminorm(op, "weak", phi=phi, psi=psi)
+        strong = one_seminorm(op, "strong", m, phi=phi)
+        sstar = one_seminorm(op, "strongstar", m, phi=phi)
+        uniform = one_seminorm(op, "uniform", m)
         chain_ok = chain_ok and (weak <= strong + 1e-12
                                  and strong <= sstar + 1e-12
                                  and strong <= uniform + 1e-12)
         adj = op.adjoint()
         invol_ok = invol_ok and abs(
-            seminorm(adj, "uniform", m) - uniform) <= 1e-12
+            one_seminorm(adj, "uniform", m) - uniform) <= 1e-12
         invol_ok = invol_ok and abs(
-            seminorm(adj, "strongstar", m, phi=phi) - sstar) <= 1e-12
-        sym = max(weak, seminorm(op, "weak", phi=psi, psi=phi))
-        sym_adj = max(seminorm(adj, "weak", phi=phi, psi=psi),
-                      seminorm(adj, "weak", phi=psi, psi=phi))
+            one_seminorm(adj, "strongstar", m, phi=phi) - sstar) <= 1e-12
+        sym = max(weak, one_seminorm(op, "weak", phi=psi, psi=phi))
+        sym_adj = max(one_seminorm(adj, "weak", phi=phi, psi=psi),
+                      one_seminorm(adj, "weak", phi=psi, psi=phi))
         invol_ok = invol_ok and abs(sym_adj - sym) <= 1e-12
     _report(8, "topology ordering (200 samples)", {
         "weak <= strong <= strong* <= uniform": chain_ok,
@@ -257,7 +258,7 @@ def test_criterion_9_extension_well_defined():
         b = run_extension(grid, clipped_power_family(grid, beta, "plateau"),
                           "strongstar")
         both = a.converged and b.converged
-        gap = max(fn(a.limit - b.limit) for _, fn in suite) if both else \
+        gap = max(seminorm(a.limit - b.limit, suite)) if both else \
             float("inf")
         conditions[f"beta {beta} gap < 1e-6"] = both and gap < 1e-6
     _report(9, "extension well-definedness", conditions)

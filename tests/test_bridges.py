@@ -8,8 +8,8 @@ from qstarlab import function_lab as flab
 from qstarlab.algebra import matrix_unit_algebra, normalized_trace_state
 from qstarlab.forms import ProbeFamily, closability_probe, form_from_state
 from qstarlab.gns import gns_construct
-from qstarlab.topologies import (TruncatedOperator, closability_check,
-                                 strongstar_hilbert_seminorm)
+from qstarlab.topologies import (BoundedSet, Suite, TruncatedOperator,
+                                 closability_check)
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +35,13 @@ def test_form_closability_implies_operator_closability(m2_setup):
     # strong*-closability probe of the induced cyclic representation finds
     # none on the same family.
     m2, state, ctx, rep = m2_setup
+    # strong* over the canonical basis, with the e_i as test vectors: each
+    # value is within a factor sqrt(rank) = 2 of the Hilbert norms
+    # max(|A e_i|, |A* e_i|)
     dim = rep.rank
-    suite = [(f"ss|e{i}", lambda a, f=f: strongstar_hilbert_seminorm(a, f))
-             for i, f in enumerate(np.eye(dim, dtype=complex))]
+    suite = Suite("strongstar", [BoundedSet.basis(dim, "e")],
+                  phis=[(f"e{i}", f)
+                        for i, f in enumerate(np.eye(dim, dtype=complex))])
 
     def rep_map(coeffs):
         return TruncatedOperator(rep.represent(coeffs))
@@ -64,10 +68,9 @@ def test_gaussian_polynomial_closability_through_operator_layer():
         vals = np.polynomial.polynomial.polyval(x, np.asarray(coeffs))
         return TruncatedOperator(np.diag(vals.astype(complex)))
 
-    suite = [(f"sandwich-j{j}",
-              lambda a, j=j: float(np.max(np.abs(np.diag(a.matrix))
-                                          / (1.0 + x ** 2) ** (2 * j))))
-             for j in (1, 2, 3, 4)]
+    suite = Suite("strong", [BoundedSet.basis(grid.n_nodes, "nodes")],
+                  phis=[(f"j{j}", (1 + x ** 2) ** (-2 * j))
+                        for j in (1, 2, 3, 4)])
     fams = [
         ProbeFamily(name="x/n", generate=lambda n: np.array([0.0, 1.0 / n]),
                     tau_norm=lambda n: flab.gaussian_l1_norm(

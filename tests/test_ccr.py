@@ -10,7 +10,7 @@ from qstarlab import ccr
 from qstarlab.ccr import (CCRPolynomial, TrigPoly, TwoPiScalar, adjoint_check,
                           ccr_mul, ccr_represent, ccr_star,
                           faithfulness_defect, freqs,
-                          graph_seminorm, graph_seminorm_poly, graph_weights,
+                          graph_seminorm, graph_weights,
                           homomorphism_check, momentum_matrix,
                           random_ccr_polynomial, safe_indices,
                           submultiplicativity_probe, uniform_seminorm_identity)
@@ -251,19 +251,24 @@ def test_graph_seminorm_monotone_in_k():
             assert graph_seminorm(v, k) <= graph_seminorm(v, k + 1) + 1e-12
 
 
-def test_graph_seminorm_poly_agrees_with_vector():
+def poly_graph_seminorm(phi: TrigPoly, k: int) -> float:
+    """The graph seminorm of one TrigPoly, a batch of one."""
+    return float(ccr._graph_seminorms(phi._c[None], k)[0])
+
+
+def test_trig_poly_graph_seminorm_agrees_with_vector():
     phi = TrigPoly({0: 1.0, 2: -1j, -1: 0.5})
     for k in (0, 1, 2):
-        assert graph_seminorm_poly(phi, k) == pytest.approx(
+        assert poly_graph_seminorm(phi, k) == pytest.approx(
             graph_seminorm(phi.to_vector(4), k), rel=1e-12)
 
 
 def test_submultiplicativity_probe(monkeypatch):
     # unit mode pairs force c_k >= 1; products of single modes stay at 1
-    assert graph_seminorm_poly(TrigPoly.one() * TrigPoly.one(), 0) \
+    assert poly_graph_seminorm(TrigPoly.one() * TrigPoly.one(), 0) \
         == pytest.approx(1.0)
     e1 = TrigPoly.mode(1)
-    assert graph_seminorm_poly(e1 * e1, 0) == pytest.approx(1.0)
+    assert poly_graph_seminorm(e1 * e1, 0) == pytest.approx(1.0)
     for k in (0, 1, 2):
         report = submultiplicativity_probe(k, n_pairs=40, seed=0)
         assert np.isfinite(report["max_ratio"])

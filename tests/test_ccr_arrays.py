@@ -16,8 +16,7 @@ from conftest import (polynomial_from_literal, polynomial_to_literal,
                       random_trig_poly)
 from qstarlab import ccr
 from qstarlab.ccr import (CCRPolynomial, TrigPoly, TwoPiScalar, ccr_mul,
-                          ccr_star, exact_identities,
-                          graph_seminorm_poly, homomorphism_check,
+                          ccr_star, exact_identities, homomorphism_check,
                           random_ccr_polynomial)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "ccr_golden.json")
@@ -58,7 +57,7 @@ def test_golden_submultiplicativity_seminorms():
     for expected in golden["seminorms"]:
         phi = random_trig_poly(rng, golden["max_freq"], integer=False)
         chi = random_trig_poly(rng, golden["max_freq"], integer=False)
-        assert [graph_seminorm_poly(phi * chi, k)
+        assert [float(ccr._graph_seminorms((phi * chi)._c[None], k)[0])
                 for k in golden["ks"]] == expected
 
 
@@ -222,7 +221,8 @@ def trig_cells(phi) -> dict:
 
 
 def reference_graph_seminorm(phi, k) -> float:
-    """graph_seminorm_poly as a Python loop over the frequencies."""
+    """The graph seminorm of one TrigPoly as a Python loop over the
+    frequencies."""
     total = 0.0
     for n, scalar in sorted(phi.coeffs.items()):
         value = sum((v * (2 * math.pi) ** j
@@ -256,7 +256,8 @@ def test_batched_trig_products_and_seminorms_match_the_loop():
         norms = ccr._graph_seminorms(stacked(phis), k)
         assert norms.tolist() == [reference_graph_seminorm(phi, k)
                                   for phi in phis]
-        assert norms.tolist() == [graph_seminorm_poly(phi, k) for phi in phis]
+        assert norms.tolist() == [ccr._graph_seminorms(phi._c[None], k)[0]
+                                  for phi in phis]
 
 
 def test_batched_draws_follow_the_sequential_stream():

@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import one_seminorm
 from qstarlab import function_lab as flab
-from qstarlab.topologies import (TOPOLOGIES, BoundedSet, TruncatedOperator,
-                                 seminorm, strongstar_hilbert_seminorm)
+from qstarlab.topologies import (TOPOLOGIES, BoundedSet, Suite,
+                                 TruncatedOperator, seminorm)
 
 GRID = flab.simpson_grid(65)
 DIM = GRID.n_nodes
@@ -41,10 +42,8 @@ def test_diagonal_seminorms_equal_dense(set_name, complex_valued):
         phi, psi = random_vector(rng), random_vector(rng)
         args = {"m": m, "phi": phi, "psi": psi}
         for topology in TOPOLOGIES:
-            assert seminorm(diag, topology, **args) == \
-                seminorm(dense, topology, **args), topology
-        assert strongstar_hilbert_seminorm(diag, phi) == \
-            strongstar_hilbert_seminorm(dense, phi)
+            assert one_seminorm(diag, topology, **args) == \
+                one_seminorm(dense, topology, **args), topology
 
 
 @pytest.mark.parametrize("complex_valued", [False, True])
@@ -139,6 +138,11 @@ def product_reference(a, topology, m, phi):
     return max(strong(a.matrix), strong(a.matrix.conj().T))
 
 
+def weak_reference(a, phi, psi):
+    """The weak seminorm computed with the dense matrix."""
+    return abs(complex(np.vdot(psi, a.matrix @ phi)))
+
+
 def sample_operators(rng, dim):
     d = rng.standard_normal(dim)
     dense = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -157,8 +161,33 @@ def test_node_spike_seminorms_equal_products(n_nodes):
         phi = rng.standard_normal(n_nodes) + 1j * rng.standard_normal(n_nodes)
         for kind, a in sample_operators(rng, n_nodes).items():
             for topology in SPIKE_TOPOLOGIES:
-                assert seminorm(a, topology, spikes, phi) == \
+                assert one_seminorm(a, topology, spikes, phi) == \
                     product_reference(a, topology, spikes, phi), (kind, topology)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_suite_values_follow_its_names(topology):
+    # Two bounded sets and three test vectors (three pairs for weak): the
+    # values come set by set, each set's in vector order, as the names do.
+    rng = np.random.default_rng(31)
+    sets = [flab.node_spike_set(GRID), random_set(rng)]
+    phis = [(f"v{i}", random_vector(rng)) for i in range(3)]
+    pairs = [(f"{a}|{b}", u, v) for (a, u), (b, v)
+             in zip(phis, phis[1:] + phis[:1])]
+    suite = Suite(topology, sets, phis=phis, weak_pairs=pairs)
+    for kind, a in sample_operators(rng, DIM).items():
+        if topology == "weak":
+            expected = {f"weak|{label}": weak_reference(a, phi, psi)
+                        for label, phi, psi in pairs}
+        elif topology == "uniform":
+            expected = {f"uniform|{m.name}":
+                        product_reference(a, topology, m, None) for m in sets}
+        else:
+            expected = {f"{topology}|{m.name}|{label}":
+                        product_reference(a, topology, m, phi)
+                        for m in sets for label, phi in phis}
+        assert suite.names == tuple(expected)
+        assert seminorm(a, suite).tolist() == list(expected.values()), kind
 
 
 def test_node_spikes_build_no_identity():
@@ -168,8 +197,8 @@ def test_node_spikes_build_no_identity():
         spikes = flab.node_spike_set(flab.simpson_grid(1025))
         a = TruncatedOperator(diag=np.arange(1025.0))
         phi = np.ones(1025, dtype=complex)
-        assert seminorm(a, "uniform", spikes) == 1024.0
-        assert seminorm(a, "strong", spikes, phi) == 1024.0
+        assert one_seminorm(a, "uniform", spikes) == 1024.0
+        assert one_seminorm(a, "strong", spikes, phi) == 1024.0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -190,8 +219,8 @@ def test_basis_is_declared_not_detected():
     phi = rng.standard_normal(DIM) + 1j * rng.standard_normal(DIM)
     for kind, a in sample_operators(rng, DIM).items():
         for topology in SPIKE_TOPOLOGIES:
-            assert seminorm(a, topology, given, phi) == \
-                seminorm(a, topology, declared, phi), (kind, topology)
+            assert one_seminorm(a, topology, given, phi) == \
+                one_seminorm(a, topology, declared, phi), (kind, topology)
     assert np.array_equal(declared.stack(), given.stack())
 
 
@@ -218,7 +247,7 @@ def test_near_basis_sets_keep_the_product_path(set_name):
     phi = rng.standard_normal(DIM) + 1j * rng.standard_normal(DIM)
     for kind, a in sample_operators(rng, DIM).items():
         for topology in SPIKE_TOPOLOGIES:
-            assert seminorm(a, topology, m, phi) == \
+            assert one_seminorm(a, topology, m, phi) == \
                 product_reference(a, topology, m, phi), (kind, topology)
 
 
@@ -231,13 +260,13 @@ def test_node_spike_seminorms_of_non_finite_entries():
     for bad in (np.inf, -np.inf):
         d = np.ones(DIM)
         d[5] = bad
-        assert seminorm(TruncatedOperator(np.diag(d)), "uniform", spikes) \
+        assert one_seminorm(TruncatedOperator(np.diag(d)), "uniform", spikes) \
             == np.inf
         for topology in SPIKE_TOPOLOGIES:
-            assert seminorm(TruncatedOperator(diag=d), topology, spikes,
+            assert one_seminorm(TruncatedOperator(diag=d), topology, spikes,
                             phi) == np.inf
     d = np.ones(DIM)
     d[5] = np.nan
     for a in (TruncatedOperator(diag=d), TruncatedOperator(np.diag(d))):
         for topology in SPIKE_TOPOLOGIES:
-            assert np.isnan(seminorm(a, topology, spikes, phi))
+            assert np.isnan(one_seminorm(a, topology, spikes, phi))

@@ -15,8 +15,8 @@ from qstarlab.rates import (COUNTEREXAMPLE_TOL, DECAY_RATIO, GROWTH_RATIO,
                             increment_growth_ratio, increments_shrink,
                             ladder_cauchy, ladder_probe, series_limit,
                             tends_to_zero)
-from qstarlab.topologies import (BoundedSet, TruncatedOperator,
-                                 closability_check, suite_from_bounded_sets)
+from qstarlab.topologies import (BoundedSet, Suite, TruncatedOperator,
+                                 closability_check)
 
 
 def test_geometric_ladder_basic():
@@ -325,8 +325,7 @@ def _operator_probes():
                             tau_norm=lambda n: 1.0 / n),
                 ProbeFamily("one/n", lambda n: 1.0 / n,
                             tau_norm=lambda n: 1.0 / n)]
-    suite = suite_from_bounded_sets("uniform",
-                                    [BoundedSet(tuple(np.eye(8)))])
+    suite = Suite("uniform", [BoundedSet(tuple(np.eye(8)))])
     return closability_check(
         families, lambda c: TruncatedOperator(diag=np.full(8, c)),
         suite=suite, n_max=64)

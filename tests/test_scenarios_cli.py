@@ -426,8 +426,8 @@ def test_non_finite_series_fail_the_scenario(tmp_path, monkeypatch):
     from qstarlab import function_lab as flab, matrix_lab as mlab
     from qstarlab.forms import FormContext, ProbeFamily, closability_probe
     from qstarlab.scenarios import ScenarioOutcome
-    from qstarlab.topologies import (TruncatedOperator, closability_check,
-                                     suite_from_bounded_sets)
+    from qstarlab.topologies import (Suite, TruncatedOperator,
+                                     closability_check)
 
     def nan_form(params, seed):
         base = mlab.trace_form_context(8)
@@ -444,8 +444,7 @@ def test_non_finite_series_fail_the_scenario(tmp_path, monkeypatch):
             [ProbeFamily("null-but-constant-rep", lambda n: n,
                          tau_norm=lambda n: 1.0 / n)],
             rep_map=lambda n: spoiled if n == 4 else one,
-            suite=suite_from_bounded_sets("uniform",
-                                          [flab.node_spike_set(grid)]),
+            suite=Suite("uniform", [flab.node_spike_set(grid)]),
             n_max=64)
         return ScenarioOutcome("", not verdicts[0].counterexample, {}, {})
 

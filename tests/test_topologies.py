@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import one_seminorm
 from qstarlab import function_lab as flab
 from qstarlab.ccr import CCRPolynomial, ccr_represent, graph_seminorm
 from qstarlab.forms import ProbeFamily
 from qstarlab.rates import NonFiniteSeriesError, geometric_ladder
-from qstarlab.topologies import (BoundedSet, TruncatedOperator,
+from qstarlab.topologies import (BoundedSet, Suite, TruncatedOperator,
                                  closability_check, extend_by_closure, pairing,
-                                 quasi_algebra_closure_test, seminorm,
-                                 strongstar_hilbert_seminorm,
-                                 suite_from_bounded_sets)
+                                 quasi_algebra_closure_test, seminorm)
 
 
 def basis(dim, i):
@@ -25,16 +24,16 @@ def pair_set():
 
 def test_seminorm_zero_operator(pair_set):
     zero = TruncatedOperator(np.zeros((3, 3)))
-    assert seminorm(zero, "uniform", pair_set) == 0.0
-    assert seminorm(zero, "strong", pair_set, phi=basis(3, 0)) == 0.0
-    assert seminorm(zero, "strongstar", pair_set, phi=basis(3, 0)) == 0.0
-    assert seminorm(zero, "weak", phi=basis(3, 0), psi=basis(3, 1)) == 0.0
+    assert one_seminorm(zero, "uniform", pair_set) == 0.0
+    assert one_seminorm(zero, "strong", pair_set, phi=basis(3, 0)) == 0.0
+    assert one_seminorm(zero, "strongstar", pair_set, phi=basis(3, 0)) == 0.0
+    assert one_seminorm(zero, "weak", phi=basis(3, 0), psi=basis(3, 1)) == 0.0
 
 
 def test_seminorm_identity_uniform(pair_set):
     ident = TruncatedOperator(np.eye(3))
     # sup over the four pairs of |<phi, psi>| on an orthonormal pair is 1
-    assert seminorm(ident, "uniform", pair_set) == pytest.approx(1.0)
+    assert one_seminorm(ident, "uniform", pair_set) == pytest.approx(1.0)
 
 
 def test_momentum_weak_seminorm():
@@ -42,29 +41,19 @@ def test_momentum_weak_seminorm():
     p_op = ccr_represent(CCRPolynomial.momentum(), 2)
     assert isinstance(p_op, TruncatedOperator)
     e1 = basis(5, 3)  # frequency n=1 on the centered window
-    assert seminorm(p_op, "weak", phi=e1, psi=e1) == pytest.approx(2 * np.pi)
-
-
-def test_strongstar_hilbert_seminorm_examples():
-    sa = TruncatedOperator(np.array([[2.0, 0], [0, -1.0]], dtype=complex))
-    f = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert strongstar_hilbert_seminorm(sa, f) == pytest.approx(
-        float(np.linalg.norm(sa.matrix @ f)))
-    shift = TruncatedOperator(np.array([[0, 1.0], [0, 0]], dtype=complex))
-    assert strongstar_hilbert_seminorm(shift, basis(2, 1)) == pytest.approx(1.0)
-    assert strongstar_hilbert_seminorm(shift, np.zeros(2)) == 0.0
+    assert one_seminorm(p_op, "weak", phi=e1, psi=e1) == pytest.approx(2 * np.pi)
 
 
 def test_seminorm_argument_errors(pair_set):
     op = TruncatedOperator(np.eye(3))
     with pytest.raises(ValueError, match="bounded set"):
-        seminorm(op, "uniform")
+        one_seminorm(op, "uniform")
     with pytest.raises(ValueError, match="vector"):
-        seminorm(op, "strong", pair_set)
+        one_seminorm(op, "strong", pair_set)
     with pytest.raises(ValueError, match="two vectors"):
-        seminorm(op, "weak", phi=basis(3, 0))
+        one_seminorm(op, "weak", phi=basis(3, 0))
     with pytest.raises(ValueError, match="unknown topology"):
-        seminorm(op, "norm", pair_set)
+        one_seminorm(op, "norm", pair_set)
     with pytest.raises(ValueError):
         BoundedSet(())
 
@@ -80,10 +69,10 @@ def test_topology_comparison_chain():
                  for _ in range(4))]
         m = BoundedSet(tuple(vecs), name="M")
         phi, psi = vecs[0], vecs[1]
-        weak = seminorm(op, "weak", phi=phi, psi=psi)
-        strong = seminorm(op, "strong", m, phi=phi)
-        sstar = seminorm(op, "strongstar", m, phi=phi)
-        uniform = seminorm(op, "uniform", m)
+        weak = one_seminorm(op, "weak", phi=phi, psi=psi)
+        strong = one_seminorm(op, "strong", m, phi=phi)
+        sstar = one_seminorm(op, "strongstar", m, phi=phi)
+        uniform = one_seminorm(op, "uniform", m)
         assert weak <= strong + 1e-12
         assert strong <= sstar + 1e-12
         assert strong <= uniform + 1e-12
@@ -100,16 +89,16 @@ def test_involution_invariance():
                      (rng.standard_normal((dim,)) + 1j * rng.standard_normal((dim,))
                       for _ in range(3)))
         m = BoundedSet(vecs, name="M")
-        assert seminorm(adj, "uniform", m) == pytest.approx(
-            seminorm(op, "uniform", m), abs=1e-12)
+        assert one_seminorm(adj, "uniform", m) == pytest.approx(
+            one_seminorm(op, "uniform", m), abs=1e-12)
         phi = vecs[0]
-        assert seminorm(adj, "strongstar", m, phi=phi) == pytest.approx(
-            seminorm(op, "strongstar", m, phi=phi), abs=1e-12)
+        assert one_seminorm(adj, "strongstar", m, phi=phi) == pytest.approx(
+            one_seminorm(op, "strongstar", m, phi=phi), abs=1e-12)
         psi = vecs[1]
-        sym = max(seminorm(op, "weak", phi=phi, psi=psi),
-                  seminorm(op, "weak", phi=psi, psi=phi))
-        sym_adj = max(seminorm(adj, "weak", phi=phi, psi=psi),
-                      seminorm(adj, "weak", phi=psi, psi=phi))
+        sym = max(one_seminorm(op, "weak", phi=phi, psi=psi),
+                  one_seminorm(op, "weak", phi=psi, psi=phi))
+        sym_adj = max(one_seminorm(adj, "weak", phi=phi, psi=psi),
+                      one_seminorm(adj, "weak", phi=psi, psi=phi))
         assert sym_adj == pytest.approx(sym, abs=1e-12)
 
 
@@ -129,7 +118,7 @@ def test_extend_by_closure_constant_sequence():
     f = flab.GridFunction.from_callable(
         lambda x: np.cos(2 * np.pi * x).astype(complex), grid)
     op = flab.mult_operator(f)
-    suite = suite_from_bounded_sets("uniform", [flab.node_spike_set(grid)])
+    suite = Suite("uniform", [flab.node_spike_set(grid)])
     result = extend_by_closure(lambda g: flab.lp_norm(g, 1.0),
                                ProbeFamily("constant", lambda n: f),
                                lambda g: op, np.arange(1, 7), "uniform",
@@ -141,7 +130,7 @@ def test_extend_by_closure_constant_sequence():
 
 
 def test_extend_by_closure_validation():
-    suite = [("s", lambda a: 0.0)]
+    suite = Suite("uniform", [BoundedSet.basis(2, "e")])
     index = ProbeFamily("n", lambda n: n)
     with pytest.raises(ValueError, match="empty"):
         extend_by_closure(lambda x: 0.0, index, TruncatedOperator, [],
@@ -151,10 +140,9 @@ def test_extend_by_closure_validation():
         extend_by_closure(lambda x: 0.0, index,
                           lambda n: TruncatedOperator(np.eye(n + 1)),
                           np.array([1, 2]), "uniform", suite=suite)
+    # an empty suite is refused when it is built
     with pytest.raises(ValueError, match="suite"):
-        extend_by_closure(lambda x: 0.0, index,
-                          lambda n: TruncatedOperator(np.eye(2)),
-                          np.array([1]), "uniform", suite=[])
+        Suite("uniform", [])
 
 
 def test_operator_and_suite_construction_errors():
@@ -164,18 +152,19 @@ def test_operator_and_suite_construction_errors():
     with pytest.raises(ValueError, match="dimensions differ"):
         a + b
     with pytest.raises(ValueError, match="test vectors"):
-        suite_from_bounded_sets("strong", [BoundedSet((np.ones(2),))])
+        Suite("strong", [BoundedSet((np.ones(2),))])
     with pytest.raises(ValueError, match="vector pairs"):
-        suite_from_bounded_sets("weak", [])
+        Suite("weak", [])
     with pytest.raises(ValueError, match="unknown topology"):
-        suite_from_bounded_sets("norm", [])
+        Suite("norm", [])
 
 
 def test_closability_check_requires_some_norm():
     fam = ProbeFamily(name="f", generate=lambda n: np.ones(2) / n)
     with pytest.raises(ValueError, match="ambient norm"):
         closability_check([fam], rep_map=lambda x: TruncatedOperator(np.eye(2)),
-                          suite=[("s", lambda a: 0.0)], n_max=32)
+                          suite=Suite("uniform", [BoundedSet.basis(2, "e")]),
+                          n_max=32)
 
 
 def test_quasi_algebra_closure_requires_star():
@@ -185,7 +174,7 @@ def test_quasi_algebra_closure_requires_star():
             [fam], [("b", np.ones(2))],
             rep_map=lambda x: TruncatedOperator(np.diag(x)),
             mul=lambda x, y: x * y, topology="strongstar",
-            suite=[("s", lambda a: float(np.max(np.abs(a.matrix))))],
+            suite=Suite("uniform", [BoundedSet.basis(2, "e")]),
             n_max=32)
 
 
@@ -202,7 +191,7 @@ def test_limit_present_iff_converged():
 
 def test_closability_check_null_families():
     grid = flab.simpson_grid(257)
-    suite = suite_from_bounded_sets(
+    suite = Suite(
         "uniform", [flab.node_spike_set(grid)])
     fams = [ProbeFamily(name="one/n",
                         generate=lambda n: flab.GridFunction.from_callable(
@@ -224,7 +213,7 @@ def test_closability_check_flags_synthetic_counterexample():
                         generate=lambda n: flab.GridFunction.from_callable(
                             lambda x: np.ones_like(x) / n, grid))]
     verdicts = closability_check(fams, rep_map=lambda f: one_op,
-                                 suite=suite_from_bounded_sets(
+                                 suite=Suite(
                                      "uniform", [flab.node_spike_set(grid)]),
                                  ambient_norm=lambda f: flab.lp_norm(f, 1.0),
                                  n_max=256)
@@ -278,7 +267,7 @@ def test_completeness_proxy_at_fixed_truncation():
         sets.append(BoundedSet(tuple(v / graph_seminorm(v, k) for v in vecs),
                                name=f"ball-k{k}"))
     phis = [("e0", np.eye(9, dtype=complex)[4])]
-    suite = suite_from_bounded_sets("strongstar", sets, phis=phis)
+    suite = Suite("strongstar", sets, phis=phis)
     result = extend_by_closure(
         lambda x: 0.0, ProbeFamily("base+bump/n", lambda n: n),
         lambda n: TruncatedOperator(base + bump / n),
@@ -286,7 +275,7 @@ def test_completeness_proxy_at_fixed_truncation():
         space_complete=True)
     assert result.converged
     assert result.membership["domain"] == "A"
-    gap = max(fn(result.limit - TruncatedOperator(base)) for _, fn in suite)
+    gap = max(seminorm(result.limit - TruncatedOperator(base), suite))
     assert gap < 1e-3
 
 
@@ -296,8 +285,8 @@ def test_uniform_seminorm_monotone_under_refinement():
     op = TruncatedOperator(mat)
     small = BoundedSet((basis(4, 0), basis(4, 1)), name="small")
     big = BoundedSet(small.vectors + (basis(4, 2),), name="big")
-    q_small = seminorm(op, "uniform", small)
-    q_big = seminorm(op, "uniform", big)
+    q_small = one_seminorm(op, "uniform", small)
+    q_big = one_seminorm(op, "uniform", big)
     assert q_big >= q_small
 
 
