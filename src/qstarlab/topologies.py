@@ -186,24 +186,21 @@ class Suite:
             raise ValueError(f"unknown topology {topology!r}; expected one of "
                              f"{TOPOLOGIES}")
         if not names:
-            raise ValueError(f"empty {topology} seminorm suite: no bounded set")
+            raise ValueError(f"empty {topology} suite: no bounded set")
         self.names = tuple(names)
 
 
 def seminorm(a: TruncatedOperator, suite: Suite) -> np.ndarray:
     """Every seminorm of the suite on one operator, in suite.names order.
 
-    uniform is sup |<A phi, psi>| over M x M, strong sup over psi in M of
-    |<A phi, psi>|, strongstar the larger of the strong values of A and its
-    adjoint, weak |<A phi, psi>|.  Each test vector is applied once (and
-    for strongstar once to the adjoint), one matrix-vector product, and
-    its image is shared across the bounded sets.  Over the canonical basis
+    Each test vector is applied once (for strongstar also to the adjoint,
+    the larger value kept by np.maximum, which keeps a NaN), and its image
+    is shared across the bounded sets.  Over the canonical basis
     (m.is_basis) the pairings are the operator's entries, so uniform is
     max |A_ij| and strong max |(A phi)_i|, read without the product with
     I.  For finite entries the values equal the product's bit for bit
     (each product entry is A_ij * 1 plus exact zeros, and abs drops signed
-    zeros); an inf entry gives inf where the product would give nan
-    (0 * inf).
+    zeros); an inf entry gives inf where the product would give nan (0 * inf).
     """
     sets = suite.bounded_sets
     if suite.topology == "uniform":
