@@ -167,10 +167,13 @@ def series_limit(ns, values, name: str = "values") -> tuple[float, TrendFit]:
 def ladder_cauchy(ns, values, steps, names=("values",)) -> tuple[bool, list]:
     """Whether each value series (column; rows follow ns) has step residuals
     (rows follow ns[1:]) below CAUCHY_REL_TOL * max(its largest value, 1)
-    at the tail or clearly decaying; with the residual fits."""
+    at the tail or clearly decaying; with the residual fits.  A residual
+    is the largest step at or after its rung: an interleave of two limits
+    has zero steps between members of one, and read by them, looks null."""
     scales = np.maximum(_finite(ns, values, names).max(axis=0), 1.0)
     steps = _finite(ns, steps, [f"{name} step" for name in names], first=1)
-    fits = [fit_trend(ns[1:], column) for column in steps.T]
+    residuals = np.maximum.accumulate(steps[::-1], axis=0)[::-1]
+    fits = [fit_trend(ns[1:], column) for column in residuals.T]
     return all(tends_to_zero(f, CAUCHY_REL_TOL * s)
                for f, s in zip(fits, scales)), fits
 

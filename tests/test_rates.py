@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qstarlab import function_lab as flab, matrix_lab as mlab, rates
-from qstarlab.forms import ProbeFamily, closability_probe
+from qstarlab.forms import ProbeFamily, ScaledFamily, closability_probe
 from qstarlab.rates import (COUNTEREXAMPLE_TOL, DECAY_RATIO, GROWTH_RATIO,
                             LADDER_MIN_RATIO, SLOPE_TOL, TAIL_WINDOW,
                             VALUE_FLOOR, LadderProbe, NonFiniteSeriesError,
@@ -266,6 +266,54 @@ def test_ladder_cauchy_threshold_scales_with_the_series():
     both = np.stack([10.0 * small, small], axis=1)
     assert not ladder_cauchy(ns, both, np.stack([steps, steps], axis=1),
                              names=("big", "small"))[0]
+
+
+def _interleave_probe(scale, n_max: int, points: int = 24):
+    """The form probe of n -> scale(n) E11 in the trace form on 64 x 64
+    matrices: its diagonal is scale(n)^2."""
+    return closability_probe(
+        mlab.trace_form_context(64),
+        ScaledFamily("interleave", mlab.WeightedMatrix([[1.0]], 64), scale),
+        n_max, points=points)
+
+
+@pytest.mark.parametrize("scale, n_max", [
+    (lambda n: 1.0 + (n % 3 == 0), 16),
+    (lambda n: 1.0 + (n % 3 == 0), 256),
+    (lambda n: 1.0 + n % 2, 16),
+], ids=["n-mod-3-at-16", "n-mod-3-at-256", "n-mod-2-at-16"])
+def test_interleave_of_two_limits_is_not_cauchy(scale, n_max):
+    # The diagonal takes the values 1 and 4 without end.  The raw steps
+    # are zero between two members of one limit, so on these ladders most
+    # of the tail steps are zero.
+    assert not _interleave_probe(scale, n_max).cauchy
+
+
+@st.composite
+def _interleaves(draw):
+    """An interleave by n mod k of two clearly different values, and a
+    ladder whose last step goes from one value to the other."""
+    k = draw(st.integers(2, 5))
+    high_residues = draw(st.sets(st.integers(0, k - 1), min_size=1,
+                                 max_size=k - 1))
+    low = draw(st.floats(0.1, 10.0))
+    high = low * draw(st.floats(1.5, 10.0))
+    n_max = draw(st.integers(8, 1024))
+    points = draw(st.sampled_from((12, 16, 24)))
+
+    def scale(n):
+        return high if n % k in high_residues else low
+
+    ns = geometric_ladder(n_max, points=points)
+    assume(scale(ns[-1]) != scale(ns[-2]))
+    return scale, n_max, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(_interleaves())
+def test_an_interleave_changing_at_the_last_step_is_never_cauchy(case):
+    scale, n_max, points = case
+    assert not _interleave_probe(scale, n_max, points).cauchy
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
