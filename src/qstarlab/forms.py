@@ -155,12 +155,12 @@ def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
         return [x if rep_map is None else rep_map(x) for rep_map, _, _ in views]
 
     def evaluate(reps):
-        return [np.atleast_1d(f(r)) for (_, f, _), r in zip(views, reps)]
+        return [f(r) for (_, f, _), r in zip(views, reps)]
 
     if isinstance(family, ScaledFamily):
         c = np.array([family.scale(int(n)) for n in ns])
         size, gap = np.abs(c), np.abs(np.diff(c))
-        at_base = evaluate(represent(family.base))
+        at_base = [np.atleast_1d(v) for v in evaluate(represent(family.base))]
         values = [np.outer(size ** d, v)
                   for v, (_, _, d) in zip(at_base, views)]
         steps = [np.outer(gap ** d, np.maximum(v, 0.0))
@@ -176,18 +176,19 @@ def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
         elif ambient_norm is not None:
             ambient.append(ambient_norm(x))
         reps = represent(x)
-        row = evaluate(reps)
-        values.append(np.concatenate(row))
+        values.append(evaluate(reps))
         if previous is not None:
-            steps.append(np.maximum(np.concatenate(evaluate(
-                [r - p for r, p in zip(reps, previous)])), 0.0))
+            steps.append(evaluate([r - p for r, p in zip(reps, previous)]))
         previous = reps
-    blocks = np.cumsum([len(v) for v in row])[:-1]
-    values = np.array(values)
-    steps = np.array(steps).reshape(len(ns) - 1, values.shape[1])
-    return (np.array(ambient) if ambient else None,
-            np.split(values, blocks, axis=1), np.split(steps, blocks, axis=1),
-            x)
+
+    def columns(rows, k, width):  # view k's block, a column per value
+        return np.array([row[k] for row in rows],
+                        dtype=float).reshape(len(rows), width)
+
+    values = [columns(values, k, -1) for k in range(len(views))]
+    steps = [np.maximum(columns(steps, k, v.shape[1]), 0.0)
+             for k, v in enumerate(values)]
+    return np.array(ambient) if ambient else None, values, steps, x
 
 
 def closability_probe(ctx: FormContext, family: ProbeFamily | ScaledFamily,
