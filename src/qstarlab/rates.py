@@ -169,7 +169,7 @@ def ladder_cauchy(ns, values, steps, names=("values",)) -> tuple[bool, list]:
     (rows follow ns[1:]) below CAUCHY_REL_TOL * max(its largest value, 1)
     at the tail or clearly decaying; with the residual fits.  A residual
     is the largest step at or after its rung: an interleave of two limits
-    has zero steps between members of one, and read by them, looks null."""
+    has zero steps between members of one limit, and raw they look null."""
     scales = np.maximum(_finite(ns, values, names).max(axis=0), 1.0)
     steps = _finite(ns, steps, [f"{name} step" for name in names], first=1)
     residuals = np.maximum.accumulate(steps[::-1], axis=0)[::-1]
