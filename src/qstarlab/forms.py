@@ -19,7 +19,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .algebra import StarAlgebra, State, multiply, star
-from .rates import LadderProbe, geometric_ladder, ladder_probe
+from .rates import (LadderProbe, _judge_ambient, _judged_probe,
+                    geometric_ladder, ladder_probe)
 
 # check_ips_conditions treats x as degenerate when form(x, x) is at most
 # this fraction of the largest diagonal value (or of 1).
@@ -231,8 +232,9 @@ def check_lemma24(ctx: FormContext, families, shifts, n_max: int) -> dict:
     for fam in families:
         ambient, (values,), (steps,), _ = ladder_series(
             fam, ns, ctx.ambient_norm, diagonals)
-        verdicts = {key: ladder_probe(fam.name, ns, ambient, values[:, j],
-                                      steps[:, j], names=("omega",))
+        judged = _judge_ambient(ns, ambient)  # one null verdict per family
+        verdicts = {key: _judged_probe(fam.name, ns, judged, values[:, j],
+                                       steps[:, j], ("omega",))
                     for j, key in enumerate(columns)}
         flags = {key: v.counterexample for key, v in verdicts.items()}
         rows.append({"family": fam.name, "flags": flags, "verdicts": verdicts})

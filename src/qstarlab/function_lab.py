@@ -9,6 +9,7 @@ quadrature sums under grid doubling rather than from any fixed cutoff.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +34,11 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Quadrature nodes and weights for one of the two supported schemes."""
+    """Quadrature nodes and weights for one of the two supported schemes.
+
+    The grids of simpson_grid and gauss_hermite_grid are shared by every
+    caller asking for the same node count, so their arrays are read-only.
+    """
 
     kind: str  # "simpson" on [0,1] or "gauss-hermite" on R
     nodes: np.ndarray
@@ -43,41 +48,73 @@ class Grid:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
+    @functools.cached_property
     def cell(self) -> float:
         """Spacing proxy: the minimal node gap."""
         return float(np.min(np.diff(self.nodes)))
 
+    @functools.cached_property
+    def offset_nodes(self) -> np.ndarray:
+        """The nodes, those within half a cell of 0 moved to half a cell,
+        so that power singularities stay finite; read-only."""
+        half = self.cell / 2
+        x = np.where(np.abs(self.nodes) < half, half, self.nodes)
+        x.flags.writeable = False
+        return x
+
 
 def simpson_grid(n_nodes: int = DEFAULT_SIMPSON_NODES) -> Grid:
-    """Composite Simpson rule on [0,1]; n_nodes must be odd."""
+    """Composite Simpson rule on [0,1]; n_nodes must be odd.  One shared,
+    read-only grid per node count."""
     if n_nodes < MIN_NODES + 1:
         raise ValueError(f"need at least {MIN_NODES + 1} nodes, got {n_nodes}")
     if n_nodes % 2 == 0:
         raise ValueError("composite Simpson needs an odd node count")
+    return _cached_simpson(n_nodes)
+
+
+def gauss_hermite_grid(n_nodes: int = DEFAULT_HERMITE_NODES) -> Grid:
+    """Nodes and weights for integrals against exp(-x^2/2) dx on R.  One
+    shared, read-only grid per node count."""
+    if n_nodes < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} nodes, got {n_nodes}")
+    return _cached_hermite(n_nodes)
+
+
+# Plain functions wrap these caches, so simpson_grid and gauss_hermite_grid
+# stay function objects (an lru_cache wrapper is not one).
+@functools.lru_cache(maxsize=16)
+def _cached_simpson(n_nodes: int) -> Grid:
     nodes = np.linspace(0.0, 1.0, n_nodes)
     h = 1.0 / (n_nodes - 1)
     weights = np.full(n_nodes, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
-    return Grid("simpson", nodes, weights * (h / 3.0))
+    return _frozen_grid("simpson", nodes, weights * (h / 3.0))
 
 
-def gauss_hermite_grid(n_nodes: int = DEFAULT_HERMITE_NODES) -> Grid:
-    """Nodes and weights for integrals against exp(-x^2/2) dx on R."""
-    if n_nodes < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes, got {n_nodes}")
+@functools.lru_cache(maxsize=4)
+def _cached_hermite(n_nodes: int) -> Grid:
     t, w = np.polynomial.hermite.hermgauss(n_nodes)
-    return Grid("gauss-hermite", np.sqrt(2.0) * t, np.sqrt(2.0) * w)
+    return _frozen_grid("gauss-hermite", np.sqrt(2.0) * t, np.sqrt(2.0) * w)
+
+
+def _frozen_grid(kind: str, nodes: np.ndarray, weights: np.ndarray) -> Grid:
+    nodes.flags.writeable = weights.flags.writeable = False
+    return Grid(kind, nodes, weights)
 
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
+    """Values of a function at the nodes of a grid: float64 for real
+    values, complex128 only when the values are complex."""
+
     values: np.ndarray
     grid: Grid
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.values)
+        v = v.astype(complex if np.iscomplexobj(v) else float, copy=False)
         if v.shape != self.grid.nodes.shape:
             raise GridMismatchError("value vector does not match the grid")
         object.__setattr__(self, "values", v)
@@ -85,12 +122,10 @@ class GridFunction:
     @classmethod
     def from_callable(cls, f: Callable, grid: Grid,
                       singular_offset: bool = False) -> "GridFunction":
-        """Sample f at the nodes; with singular_offset, the node at 0 is
-        evaluated half a cell in, so power singularities stay finite."""
-        x = grid.nodes
-        if singular_offset:
-            x = np.where(np.abs(x) < grid.cell / 2, grid.cell / 2, x)
-        return cls(np.asarray(f(x), dtype=complex) * np.ones_like(x), grid)
+        """Sample f at the nodes; with singular_offset, at grid.offset_nodes,
+        so power singularities stay finite."""
+        x = grid.offset_nodes if singular_offset else grid.nodes
+        return cls(np.asarray(f(x)) * np.ones_like(x), grid)
 
     def _check(self, other: "GridFunction") -> None:
         if self.grid is not other.grid:
@@ -108,7 +143,9 @@ class GridFunction:
         if isinstance(other, GridFunction):
             self._check(other)
             return GridFunction(self.values * other.values, self.grid)
-        return GridFunction(complex(other) * self.values, self.grid)
+        if not np.isscalar(other):
+            return NotImplemented
+        return GridFunction(other * self.values, self.grid)
 
     __rmul__ = __mul__
 
@@ -129,7 +166,9 @@ def omega_form(f: GridFunction, g: GridFunction,
                w: GridFunction | None = None) -> complex:
     """The integral form of f against conj(g), optionally with a weight;
     computed without a numpy warning when finite functions overflow it
-    (the value is then not finite, which rates._finite reports)."""
+    (the value is then not finite, which rates._finite reports).  The sum
+    is a complex dot even for real functions: a real one rounds
+    differently."""
     f._check(g)
     if w is not None:
         f._check(w)
@@ -137,7 +176,8 @@ def omega_form(f: GridFunction, g: GridFunction,
         integrand = f.values * g.values.conj()
         if w is not None:
             integrand = integrand * w.values
-        return complex(np.dot(f.grid.weights, integrand))
+        return complex(np.dot(f.grid.weights,
+                              integrand.astype(complex, copy=False)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +300,20 @@ def unboundedness_witness(p: float, n_max: int = 256,
 # ---------------------------------------------------------------------------
 # Membership verdicts by refinement stability
 
-def _refinement_verdict(builder: Callable[[Grid], GridFunction],
-                        q: float) -> tuple[bool, float]:
-    """Track the quadrature sum of |f|^q over the doubling MEMBERSHIP_LADDER:
+def _ladder_samples(builder: Callable[[Grid], GridFunction]) -> list:
+    """The function built on each grid of the doubling MEMBERSHIP_LADDER."""
+    return [builder(simpson_grid(n)) for n in MEMBERSHIP_LADDER]
+
+
+def _refinement_verdict(samples: list, q: float) -> tuple[bool, float]:
+    """Track the quadrature sum of |f|^q over the ladder samples:
     (member, growth_ratio).
 
     Shrinking increments (growth ratio < 1) mean the integral converges;
     steady or growing increments mean divergence under refinement.
     """
-    sums = [float(np.dot(grid.weights, np.abs(builder(grid).values) ** q))
-            for grid in map(simpson_grid, MEMBERSHIP_LADDER)]
+    sums = [float(np.dot(f.grid.weights, np.abs(f.values) ** q))
+            for f in samples]
     return increments_shrink(MEMBERSHIP_LADDER, sums, f"L^{q:g} sums")
 
 
@@ -281,7 +325,7 @@ def a_omega_membership(builder: Callable[[Grid], GridFunction],
     range)."""
     if not 1 <= p < 2:
         raise ValueError(f"the unbounded regime needs 1 <= p < 2, got {p}")
-    return _refinement_verdict(builder, 2.0)
+    return _refinement_verdict(_ladder_samples(builder), 2.0)
 
 
 def ls_membership(builder: Callable[[Grid], GridFunction], p: float) -> dict:
@@ -296,13 +340,11 @@ def ls_membership(builder: Callable[[Grid], GridFunction], p: float) -> dict:
     if p <= 2:
         raise ValueError(f"need p > 2, got {p}")
     s = 2.0 * p / (p - 2.0)
-    member, growth_ratio = _refinement_verdict(builder, s)
+    samples = _ladder_samples(builder)
+    member, growth_ratio = _refinement_verdict(samples, s)
     alpha = 1.0 / p - ALPHA_MARGIN
-
-    def product_builder(grid: Grid) -> GridFunction:
-        return builder(grid) * power_function(grid, alpha)
-
-    cross_member, _ = _refinement_verdict(product_builder, 2.0)
+    cross_member, _ = _refinement_verdict(
+        [f * power_function(f.grid, alpha) for f in samples], 2.0)
     return {"member": member, "s": s, "growth_ratio": growth_ratio,
             "cross_member": cross_member, "agrees": member == cross_member}
 
@@ -313,18 +355,27 @@ def ls_membership(builder: Callable[[Grid], GridFunction], p: float) -> dict:
 SANDWICH_DECAY_ORDERS = (1, 2, 3, 4)
 
 
-def sandwich_seminorm(coeffs, grid: Grid, j: int) -> float:
-    """Norm of the multiplication operator by (1+x^2)^(-j) p (1+x^2)^(-j)
-    on the grid: the weighted sup of the sandwiched polynomial."""
-    x = grid.nodes
-    p_vals = np.polynomial.polynomial.polyval(x, np.asarray(coeffs))
-    return float(np.max(np.abs(p_vals) / (1.0 + x ** 2) ** (2 * j)))
-
-
 def gaussian_l1_norm(coeffs, grid: Grid) -> float:
+    return float(np.dot(grid.weights, np.abs(_poly_values(coeffs, grid))))
+
+
+def _poly_values(coeffs, grid: Grid) -> np.ndarray:
+    return np.polynomial.polynomial.polyval(grid.nodes, np.asarray(coeffs))
+
+
+def _sandwich_sups(magnitudes: np.ndarray, grid: Grid) -> list:
+    """The sandwich seminorms of a polynomial p, given |p| at the nodes:
+    the norms of the multiplication operators by (1+x^2)^(-j) p
+    (1+x^2)^(-j) on the grid, max |p| / (1+x^2)^(2j), for each j in
+    SANDWICH_DECAY_ORDERS."""
+    return [float(np.max(magnitudes / decay))
+            for decay in _sandwich_decays(grid)]
+
+
+@functools.lru_cache(maxsize=4)
+def _sandwich_decays(grid: Grid) -> tuple:
     x = grid.nodes
-    return float(np.dot(grid.weights,
-                        np.abs(np.polynomial.polynomial.polyval(x, np.asarray(coeffs)))))
+    return tuple((1.0 + x ** 2) ** (2 * j) for j in SANDWICH_DECAY_ORDERS)
 
 
 def make_gaussian_families(grid: Grid) -> dict:
@@ -337,8 +388,7 @@ def make_gaussian_families(grid: Grid) -> dict:
     def hermite_tail(n: int):
         degree = min(4 + n, grid.n_nodes // 2)
         coeffs = hermite_e.herme2poly([0.0] * degree + [1.0])
-        scale = max(sandwich_seminorm(coeffs, grid, j)
-                    for j in SANDWICH_DECAY_ORDERS)
+        scale = max(_sandwich_sups(np.abs(_poly_values(coeffs, grid)), grid))
         return coeffs / (n * (1.0 + scale))
 
     def constant_one(n: int):
@@ -356,12 +406,19 @@ def gaussian_poly_probe(families: dict, n_max: int = 24,
     Families with L^1-null members must have sandwich seminorms that, when
     convergent, converge to 0; anything else is a counterexample.  A family
     that is not L^1-null (probe.null false) is inapplicable.  A step is the
-    seminorm of the difference of two consecutive members.
+    seminorm of the difference of two consecutive members.  Each member
+    and each difference is evaluated on the grid once, and that one
+    evaluation gives its L^1 norm and all its sandwich seminorms.
     """
     grid = grid or gauss_hermite_grid()
     ns = geometric_ladder(n_max, points=10)
-    sandwiches = [(None, lambda p: [sandwich_seminorm(p.coef, grid, j)
-                                    for j in SANDWICH_DECAY_ORDERS], 1)]
+
+    def l1_and_sandwiches(p: np.polynomial.Polynomial) -> list:
+        magnitudes = np.abs(_poly_values(p.coef, grid))
+        return [float(np.dot(grid.weights, magnitudes)),
+                *_sandwich_sups(magnitudes, grid)]
+
+    view = [(None, l1_and_sandwiches, 1)]
     verdicts = []
     for name, gen in families.items():
         def member(n: int) -> np.polynomial.Polynomial:
@@ -372,11 +429,11 @@ def gaussian_poly_probe(families: dict, n_max: int = 24,
                                  f"grid resolution {grid.n_nodes // 2}")
             return p
 
-        l1, (values,), (steps,), _ = ladder_series(
-            ProbeFamily(name, member), ns,
-            lambda p: gaussian_l1_norm(p.coef, grid), sandwiches)
+        # column 0 is the L^1 norm, the ambient series (its steps unused)
+        _, (values,), (steps,), _ = ladder_series(
+            ProbeFamily(name, member), ns, None, view)
         verdicts.append(ladder_probe(
-            name, ns, l1, values, steps,
+            name, ns, values[:, 0], values[:, 1:], steps[:, 1:],
             names=[f"{name} sandwich j={j}" for j in SANDWICH_DECAY_ORDERS]))
     return verdicts
 
@@ -408,12 +465,13 @@ def smooth_ball_set(grid: Grid, p: float, count: int = 6,
     """Random trigonometric samples normalized to the unit L^p sphere and
     embedded in grid coordinates."""
     rng = np.random.default_rng(seed)
+    x = grid.nodes
+    cos2, sin2, cos4 = (np.cos(2 * np.pi * x), np.sin(2 * np.pi * x),
+                        np.cos(4 * np.pi * x))
     vecs = []
     for _ in range(count):
         a = rng.standard_normal(4)
-        vals = (a[0] + a[1] * np.cos(2 * np.pi * grid.nodes)
-                + a[2] * np.sin(2 * np.pi * grid.nodes)
-                + a[3] * np.cos(4 * np.pi * grid.nodes))
-        f = GridFunction(vals.astype(complex), grid)
+        vals = a[0] + a[1] * cos2 + a[2] * sin2 + a[3] * cos4
+        f = GridFunction(vals, grid)
         vecs.append(embed_vector((1.0 / lp_norm(f, p)) * f))
     return BoundedSet(tuple(vecs), name=f"L{p:g}-ball")

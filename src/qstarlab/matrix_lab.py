@@ -294,7 +294,10 @@ def d_omega_identification() -> list:
     """
     verdicts = []
     for name, (rule, oracle) in ENTRY_RULES.items():
-        sums = [float(np.sum(np.abs(_rule_matrix(rule, n)) ** 2))
+        # one sample at the largest truncation; a leading block equals the
+        # smaller sample entry for entry, and contiguous it sums the same
+        squares = np.abs(_rule_matrix(rule, MEMBERSHIP_LADDER[-1])) ** 2
+        sums = [float(np.sum(np.ascontiguousarray(squares[:n, :n])))
                 for n in MEMBERSHIP_LADDER]
         member, ratio = increments_shrink(MEMBERSHIP_LADDER, sums,
                                           f"{name} HS sums")

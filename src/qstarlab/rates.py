@@ -204,15 +204,29 @@ def ladder_probe(family: str, ns, ambient, values, steps,
                  names=("values",)) -> LadderProbe:
     """Probe a family on the ladder ns: null by tends_to_zero(fit_trend(ns,
     ambient), NULL_TOL), Cauchy by ladder_cauchy, limits by series_limit."""
-    names = tuple(names)
+    return _judged_probe(family, ns, _judge_ambient(ns, ambient), values,
+                         steps, names)
+
+
+def _judge_ambient(ns, ambient) -> tuple[np.ndarray, TrendFit, bool]:
+    """The ambient series as floats, its fit and whether it is null; one
+    judgement serves every value series probed against that series."""
     ambient = _finite(ns, ambient, ["ambient"])[:, 0]
+    fit = fit_trend(ns, ambient)
+    return ambient, fit, tends_to_zero(fit, NULL_TOL)
+
+
+def _judged_probe(family: str, ns, judged_ambient, values, steps,
+                  names) -> LadderProbe:
+    """ladder_probe with the ambient series already judged by
+    _judge_ambient."""
+    names = tuple(names)
+    ambient, ambient_fit, null = judged_ambient
     values = _finite(ns, values, names)
     steps = _finite(ns, steps, [f"{name} step" for name in names], first=1)
     cauchy, step_fits = ladder_cauchy(ns, values, steps, names)
     limits, value_fits = zip(*(series_limit(ns, column, name)
                                for column, name in zip(values.T, names)))
-    ambient_fit = fit_trend(ns, ambient)
-    null = tends_to_zero(ambient_fit, NULL_TOL)
     return LadderProbe(family=family, ns=ns, ambient=ambient, values=values,
                        steps=steps, names=names, null=null, cauchy=cauchy,
                        limits=limits,

@@ -86,8 +86,7 @@ def clipped_power_family(grid: flab.Grid, beta: float,
 
     def generate(n: int) -> flab.GridFunction:
         cap = float(n) if variant == "height" else float(n) ** beta
-        return flab.GridFunction(np.minimum(target.values.real, cap)
-                                 .astype(complex), grid)
+        return flab.GridFunction(np.minimum(target.values, cap), grid)
 
     return ProbeFamily(name=f"clip-{variant}[beta={beta:g}]", generate=generate)
 
@@ -98,7 +97,7 @@ def ramp_family(grid: flab.Grid) -> ProbeFamily:
 
     def generate(n: int) -> flab.GridFunction:
         vals = np.clip(0.5 + n * (0.5 - grid.nodes), 0.0, 1.0)
-        return flab.GridFunction(vals.astype(complex), grid)
+        return flab.GridFunction(vals, grid)
 
     return ProbeFamily(name="ramp-to-step", generate=generate)
 
@@ -117,7 +116,7 @@ def multiplication_suite(grid: flab.Grid, topology: str, seed: int = 0):
     phis = [("one", flab.embed_vector(flab.GridFunction.from_callable(
         lambda x: np.ones_like(x), grid))),
         ("cos", flab.embed_vector(flab.GridFunction.from_callable(
-            lambda x: np.cos(2 * np.pi * x).astype(complex), grid))),
+            lambda x: np.cos(2 * np.pi * x), grid))),
         ("power", flab.embed_vector(
             (1.0 / flab.lp_norm(flab.power_function(grid, 1.0 / p - 0.02), p))
             * flab.power_function(grid, 1.0 / p - 0.02)))]
@@ -229,17 +228,17 @@ def _weighted_form_suite(params: dict, seed: int) -> ScenarioOutcome:
     one = flab.GridFunction.from_callable(lambda x: np.ones_like(x), grid)
     mass = complex(flab.omega_form(one, one, weight)).real
     rng = np.random.default_rng(seed)
+    x = grid.nodes
+    cos2, sin2 = np.cos(2 * np.pi * x), np.sin(2 * np.pi * x)
     herms = []
     pos_ok = True
     for _ in range(50):
         a = rng.standard_normal(4)
         b = rng.standard_normal(4)
-        f = flab.GridFunction((a[0] + a[1] * grid.nodes
-                               + a[2] * np.cos(2 * np.pi * grid.nodes)
-                               + 1j * a[3] * grid.nodes).astype(complex), grid)
-        g = flab.GridFunction((b[0] + b[1] * grid.nodes
-                               + 1j * b[2] * np.sin(2 * np.pi * grid.nodes)
-                               + b[3]).astype(complex), grid)
+        f = flab.GridFunction(a[0] + a[1] * x + a[2] * cos2 + 1j * a[3] * x,
+                              grid)
+        g = flab.GridFunction(b[0] + b[1] * x + 1j * b[2] * sin2 + b[3],
+                              grid)
         herms.append(abs(flab.omega_form(f, g, weight)
                          - np.conj(flab.omega_form(g, f, weight))))
         pos_ok = pos_ok and flab.omega_form(f, f, weight).real >= -1e-10

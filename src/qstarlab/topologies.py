@@ -194,8 +194,9 @@ def seminorm(a: TruncatedOperator, suite: Suite) -> np.ndarray:
     """Every seminorm of the suite on one operator, in suite.names order.
 
     Each test vector is applied once (for strongstar also to the adjoint,
-    the larger value kept by np.maximum, which keeps a NaN), and its image
-    is shared across the bounded sets.  Over the canonical basis
+    the larger value kept by np.maximum, which keeps a NaN; a real
+    diagonal is self-adjoint and has one image), and its image is shared
+    across the bounded sets.  Over the canonical basis
     (m.is_basis) the pairings are the operator's entries, so uniform is
     max |A_ij| and strong max |(A phi)_i|, read without the product with
     I.  For finite entries the values equal the product's bit for bit
@@ -208,7 +209,9 @@ def seminorm(a: TruncatedOperator, suite: Suite) -> np.ndarray:
     if suite.topology == "weak":
         return np.array([abs(pairing(a.apply(phi), psi))
                          for _, phi, psi in suite.weak_pairs])
-    adjoint = a.adjoint() if suite.topology == "strongstar" else None
+    # a real diagonal is its own adjoint, and np.maximum(x, x) is x
+    adjoint = (a.adjoint() if suite.topology == "strongstar"
+               and a._real_diag is None else None)
     values = np.empty((len(sets), len(suite.phis)))
     for j, (_, phi) in enumerate(suite.phis):
         values[:, j] = _sup_pairings(sets, a.apply(phi))

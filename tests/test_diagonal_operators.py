@@ -190,6 +190,31 @@ def test_suite_values_follow_its_names(topology):
         assert seminorm(a, suite).tolist() == list(expected.values()), kind
 
 
+def test_strongstar_takes_one_image_of_a_real_diagonal_only():
+    rng = np.random.default_rng(41)
+    sets = [flab.node_spike_set(GRID), random_set(rng),
+            flab.smooth_ball_set(GRID, 2.0, count=4, seed=3)]
+    phis = [(f"v{i}", random_vector(rng)) for i in range(3)]
+    suite = Suite("strongstar", sets, phis=phis)
+    d = rng.standard_normal(DIM)
+    for entry in (0.0, np.nan):
+        d[5] = entry
+        real = TruncatedOperator(diag=d)
+        np.testing.assert_array_equal(
+            seminorm(real, suite),
+            [product_reference(real, "strongstar", m, phi)
+             for m in sets for _, phi in phis])
+        assert real._adjoint is None  # its adjoint was never needed
+    # a complex diagonal is not self-adjoint: against this set its image
+    # pairs to 0 and only the adjoint's image gives the value sqrt(2)
+    a = TruncatedOperator(diag=[1j, 1.0])
+    tilted = BoundedSet((np.array([1.0, 1j]) / np.sqrt(2),), name="tilted")
+    phi = np.array([1.0, 1.0])
+    assert one_seminorm(a, "strong", tilted, phi) == pytest.approx(0.0, abs=1e-15)
+    assert one_seminorm(a, "strongstar", tilted, phi) == pytest.approx(np.sqrt(2))
+    assert a._adjoint is not None
+
+
 def test_node_spikes_build_no_identity():
     # A materialized 1025 x 1025 complex identity takes 16.8 MB.
     tracemalloc.start()

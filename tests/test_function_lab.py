@@ -33,6 +33,62 @@ def test_grid_size_floor():
         flab.gauss_hermite_grid(16)
 
 
+def test_grids_are_shared_and_read_only():
+    for make, n_nodes in ((flab.simpson_grid, 257),
+                          (flab.gauss_hermite_grid, 64)):
+        grid = make(n_nodes)
+        assert make(n_nodes) is grid
+        for array in (grid.nodes, grid.weights, grid.offset_nodes):
+            assert not array.flags.writeable
+        assert grid.offset_nodes is grid.offset_nodes
+    assert flab.simpson_grid() is flab.simpson_grid(flab.DEFAULT_SIMPSON_NODES)
+    for _ in range(2):  # checked on every call, not only the first
+        with pytest.raises(ValueError):
+            flab.simpson_grid(31)
+        with pytest.raises(ValueError):
+            flab.simpson_grid(100)
+        with pytest.raises(ValueError):
+            flab.gauss_hermite_grid(16)
+
+
+def test_real_samples_stay_real(grid):
+    real = [flab.GridFunction.from_callable(lambda x: x, grid),
+            flab.GridFunction.from_callable(lambda x: 1, grid),
+            flab.power_function(grid, 0.25), flab.tent_function(grid, 8, 0.5)]
+    for f in real:
+        assert f.values.dtype == np.float64
+        assert (0.5 * f).values.dtype == (f * f).values.dtype == np.float64
+        assert (1j * f).values.dtype == np.complex128
+    offset = flab.power_function(grid, 0.5)
+    assert offset.values[0] == pytest.approx((grid.cell / 2) ** -0.5,
+                                             rel=1e-14)
+    assert np.allclose(offset.values[1:], grid.nodes[1:] ** -0.5,
+                       rtol=1e-14, atol=0.0)
+    wave = flab.GridFunction.from_callable(
+        lambda x: np.exp(2j * np.pi * x), grid)
+    assert wave.values.dtype == np.complex128
+    assert (wave + real[0]).values.dtype == np.complex128
+
+
+def test_omega_form_of_real_functions_equals_the_complex_value(grid):
+    # the sum stays a complex dot: a real one rounds these differently
+    def as_complex(f):
+        return flab.GridFunction(f.values.astype(complex), grid)
+
+    weight = flab.power_function(grid, 0.5)
+    one = flab.GridFunction.from_callable(lambda x: np.ones_like(x), grid)
+    functions = ([flab.tent_function(grid, int(n), 0.5)
+                  for n in geometric_ladder(256, points=12, n_min=4)]
+                 + [flab.power_function(grid, beta)
+                    for beta in (0.1, 0.25, 0.45)] + [one])
+    for f in functions:
+        for w in (None, weight):
+            got = flab.omega_form(f, f, w)
+            want = flab.omega_form(as_complex(f), as_complex(f),
+                                   None if w is None else as_complex(w))
+            assert (got.real, got.imag) == (want.real, want.imag)
+
+
 def test_lp_norm_examples(grid):
     one = flab.GridFunction.from_callable(lambda x: np.ones_like(x), grid)
     for p in (1.0, 2.0, 3.5):
