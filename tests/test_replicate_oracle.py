@@ -6,9 +6,10 @@ seed writes (the seven `<id>.json` verdicts and their CSV tables).  A rerun
 must write the same files with the same booleans, integers and strings, and
 floats equal to 1e-12 relative.  The files named by BYTE_EXACT must also
 equal the recorded ones byte for byte: their numbers come from quadrature
-sums, matrix sums and seminorm suites whose rounding is pinned.  The two
-ex-2.6-3 replay tables differ from the current output in the last bits and
-are held to the tolerance only.
+sums, matrix sums, seminorm suites and exact CCR arithmetic whose rounding
+is pinned.  The ex-2.6-3 replay tables of decaying_column and
+rank_one_decay differ from the current output in the last bits and are
+held to the tolerance only.
 """
 
 import csv
@@ -21,8 +22,12 @@ from qstarlab.cli import main
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 REL_TOL = 1e-12
-BYTE_EXACT = ("ex-2.6-1*", "ex-2.6-2*", "ex-2.6-3__domain_identification.csv",
-              "ex-3.8-1*", "ex-3.8-2*")
+BYTE_EXACT = ("ex-2.6-1*", "ex-2.6-2*", "ex-2.6-3.json",
+              "ex-2.6-3__domain_identification.csv",
+              "ex-2.6-3__replay_scaled_corner.csv",
+              "ex-2.6-3__replay_shrinking_block.csv",
+              "ex-2.6-3__replay_summary.csv",
+              "ex-3.2-1*", "ex-3.2-2*", "ex-3.8-1*", "ex-3.8-2*")
 
 
 def _cell(text: str):
@@ -70,7 +75,7 @@ def _check_replicate(seed: int, out_dir) -> None:
                      _load(os.path.join(oracle_dir, name)), name)
     exact = [name for name in names
              if any(fnmatch.fnmatchcase(name, p) for p in BYTE_EXACT)]
-    assert len(exact) == 15, exact
+    assert len(exact) == 24, exact
     for name in exact:
         with open(out_dir / name, "rb") as got, \
                 open(os.path.join(oracle_dir, name), "rb") as want:
