@@ -108,11 +108,6 @@ class State:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
 
-    def hermiticity_residual(self, algebra: StarAlgebra) -> float:
-        """max_i |omega(e_i*) - conj(omega(e_i))|."""
-        starred = algebra.involution @ self.values
-        return float(np.max(np.abs(starred - self.values.conj())))
-
     def gram(self, algebra: StarAlgebra) -> np.ndarray:
         """G[i, j] = omega(e_i* e_j)."""
         s, c = algebra.involution, algebra.structure

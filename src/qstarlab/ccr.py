@@ -51,11 +51,6 @@ def _frequencies(c: np.ndarray) -> np.ndarray:
     return np.arange(c.shape[-2]) - c.shape[-2] // 2
 
 
-def _nonzero_rows(c: np.ndarray) -> list:
-    """Per (power of p and) frequency: has the coefficient a nonzero part?"""
-    return (c != 0).any(axis=-1).tolist()
-
-
 def _evaluate(c: np.ndarray) -> np.ndarray:
     """sum_j c[..., j] (2 pi)^j, added in ascending j starting from zero."""
     out = np.zeros(c.shape[:-1], complex)
@@ -94,7 +89,7 @@ def _same(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 class _Coefficients:
-    """Linear structure shared by the three array-backed types; `_c` is
+    """Linear structure shared by the two array-backed types; `_c` is
     always trimmed and read-only."""
 
     __slots__ = ("_c",)
@@ -124,40 +119,6 @@ class _Coefficients:
         return self._from_array(self._c * complex(factor))
 
 
-class TwoPiScalar(_Coefficients):
-    """Exact scalar sum_j c_j (2 pi)^j: the array C[0, j] of one frequency.
-    TrigPoly.coeffs hands its coefficients out in this form."""
-
-    __slots__ = ()
-
-    def __init__(self, parts: dict | complex = 0):
-        """parts: {power of 2*pi: complex}, or one complex for power 0."""
-        parts = parts if isinstance(parts, dict) else {0: parts}
-        if any(j < 0 for j in parts):
-            raise ValueError(f"negative power of 2*pi in {parts!r}")
-        c = np.zeros((1, max(parts, default=-1) + 1), complex)
-        for j, v in parts.items():
-            c[0, j] = v
-        self._c = _trim(c)
-
-    @property
-    def parts(self) -> dict:
-        return {j: v for j, v in enumerate(self._c[0].tolist()) if v}
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __mul__(self, other: "TwoPiScalar") -> "TwoPiScalar":
-        return self._from_array(
-            (TrigPoly._from_array(self._c) * TrigPoly._from_array(other._c))._c)
-
-    def conj(self) -> "TwoPiScalar":
-        return self._from_array(self._c.conj())
-
-    def __repr__(self):
-        return f"TwoPiScalar({self.parts!r})"
-
-
 class TrigPoly(_Coefficients):
     """Trigonometric polynomial sum_n c_n exp(2 pi i n x) on [0,1], stored
     as the array C[n + F, j] of the coefficients of (2 pi)^j."""
@@ -165,14 +126,17 @@ class TrigPoly(_Coefficients):
     __slots__ = ()
 
     def __init__(self, coeffs: dict | None = None):
-        """coeffs: {frequency: complex or TwoPiScalar}."""
-        cols = {int(n): (c if isinstance(c, TwoPiScalar) else TwoPiScalar(c))._c[0]
+        """coeffs: {frequency: complex, or {power of 2*pi: complex}}."""
+        cols = {int(n): c if isinstance(c, dict) else {0: c}
                 for n, c in (coeffs or {}).items()}
+        powers = [j for parts in cols.values() for j in parts]
+        if any(j < 0 for j in powers):
+            raise ValueError(f"negative power of 2*pi in {coeffs!r}")
         f = max(map(abs, cols), default=0)
-        c = np.zeros((2 * f + 1, max(map(len, cols.values()), default=0)),
-                     complex)
-        for n, col in cols.items():
-            c[n + f, :len(col)] = col
+        c = np.zeros((2 * f + 1, max(powers, default=-1) + 1), complex)
+        for n, parts in cols.items():
+            for j, v in parts.items():
+                c[n + f, j] = v
         self._c = _trim(c)
 
     @classmethod
@@ -185,11 +149,11 @@ class TrigPoly(_Coefficients):
 
     @property
     def coeffs(self) -> dict:
-        """{frequency: TwoPiScalar} for the nonzero coefficients."""
-        return {n: TwoPiScalar._from_array(col[None])
-                for n, col, present in zip(_frequencies(self._c).tolist(),
-                                           self._c, _nonzero_rows(self._c))
-                if present}
+        """{frequency: {power of 2*pi: complex}} for the nonzero
+        coefficients, each without its zero parts."""
+        cols = zip(_frequencies(self._c).tolist(), self._c.tolist())
+        return {n: parts for n, col in cols
+                if (parts := {j: v for j, v in enumerate(col) if v})}
 
     @property
     def max_freq(self) -> int:
@@ -265,12 +229,6 @@ class CCRPolynomial(_Coefficients):
     @property
     def max_freq(self) -> int:
         return self._c.shape[1] // 2
-
-    def __mul__(self, other: "CCRPolynomial") -> "CCRPolynomial":
-        return ccr_mul(self, other)
-
-    def star(self) -> "CCRPolynomial":
-        return ccr_star(self)
 
     def __repr__(self):
         return f"CCRPolynomial({list(self.coeffs)!r})"
@@ -386,11 +344,6 @@ def _batches(draws: np.ndarray):
 
 def freqs(n_trunc: int) -> np.ndarray:
     return np.arange(-n_trunc, n_trunc + 1)
-
-
-def momentum_matrix(n_trunc: int) -> np.ndarray:
-    """The momentum acts diagonally: the n-th mode has eigenvalue 2 pi n."""
-    return np.diag(TWO_PI * freqs(n_trunc)).astype(complex)
 
 
 def _band_matrices(values: np.ndarray, n_trunc: int) -> np.ndarray:
@@ -563,7 +516,7 @@ def adjoint_check(q: CCRPolynomial, n_trunc: int) -> float:
     restricted, since the adjoint of a clipped band differs at the edge)."""
     margin = max(q.max_freq, ccr_star(q).max_freq)
     safe = safe_indices(n_trunc, margin)
-    lhs = ccr_represent(q, n_trunc).adjoint_matrix
+    lhs = ccr_represent(q, n_trunc).adjoint().matrix
     rhs = ccr_represent(ccr_star(q), n_trunc).matrix
     return float(np.max(np.abs((lhs - rhs)[np.ix_(safe, safe)])))
 

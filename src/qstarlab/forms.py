@@ -120,20 +120,6 @@ def b_shifted_form(ctx: FormContext, b) -> FormContext:
                        star=ctx.star, mul=ctx.mul, unit=ctx.unit)
 
 
-def hermiticity_residual(ctx: FormContext, pairs) -> float:
-    """max over pairs of |Omega(x,y) - conj(Omega(y,x))|; NaN if any form
-    value is NaN."""
-    return float(np.max([abs(ctx.form(a, b) - np.conj(ctx.form(b, a)))
-                         for a, b in pairs]))
-
-
-def cauchy_schwarz_residual(ctx: FormContext, pairs) -> float:
-    """max over pairs of |Omega(x,y)|^2 - Omega(x,x) Omega(y,y), clipped at 0;
-    NaN if any form value is NaN."""
-    return float(np.max([abs(ctx.form(a, b)) ** 2 - ctx.diag(a) * ctx.diag(b)
-                         for a, b in pairs], initial=0.0))
-
-
 def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
                   views) -> tuple:
     """The series of a family on the ladder ns; only a member and its
@@ -168,7 +154,7 @@ def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
                  for v, (_, _, d) in zip(at_base, views)]
         ambient = (None if ambient_norm is None
                    else size * ambient_norm(family.base))
-        return ambient, values, steps, family.scale(int(ns[-1])) * family.base
+        return ambient, values, steps, family.generate(int(ns[-1]))
     ambient, values, steps, previous = [], [], [], None
     for n in ns:
         x = family.generate(int(n))

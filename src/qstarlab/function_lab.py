@@ -131,10 +131,6 @@ class GridFunction:
         if self.grid is not other.grid:
             raise GridMismatchError("grid functions live on different grids")
 
-    def __add__(self, other):
-        self._check(other)
-        return GridFunction(self.values + other.values, self.grid)
-
     def __sub__(self, other):
         self._check(other)
         return GridFunction(self.values - other.values, self.grid)
@@ -353,10 +349,6 @@ def ls_membership(builder: Callable[[Grid], GridFunction], p: float) -> dict:
 # Polynomial algebra on the Gaussian-weighted line
 
 SANDWICH_DECAY_ORDERS = (1, 2, 3, 4)
-
-
-def gaussian_l1_norm(coeffs, grid: Grid) -> float:
-    return float(np.dot(grid.weights, np.abs(_poly_values(coeffs, grid))))
 
 
 def _poly_values(coeffs, grid: Grid) -> np.ndarray:

@@ -57,14 +57,10 @@ class GNSRep:
         return np.einsum("...i,ijk->...jk", a, self.rep_matrices)
 
 
-def gns_construct(algebra: StarAlgebra, state: State, *,
-                  eigen_order: str = "descending") -> GNSRep:
+def gns_construct(algebra: StarAlgebra, state: State) -> GNSRep:
     """Build the cyclic representation defined by a normalized state.
 
-    eigen_order only changes the orthonormalization pivoting ("descending"
-    or "ascending" eigenvalue order); the resulting representations are
-    unitarily equivalent, which the test suite checks through the map
-    a -> <class(unit), pi(a) class(unit)>.
+    The quotient basis is ordered by descending Gram eigenvalue.
     """
     if algebra.unit is None:
         raise MissingUnitError(
@@ -82,10 +78,6 @@ def gns_construct(algebra: StarAlgebra, state: State, *,
         raise ValueError("state Gram matrix has numerical rank 0")
     kept = slice(0, rank)
     vals, vecs = eigvals[kept], _fix_phases(eigvecs[:, kept])
-    if eigen_order == "ascending":
-        vals, vecs = vals[::-1], vecs[:, ::-1]
-    elif eigen_order != "descending":
-        raise ValueError(f"unknown eigen_order {eigen_order!r}")
 
     scale = np.sqrt(vals)
     quotient_basis = vecs / scale[np.newaxis, :]

@@ -37,13 +37,15 @@ class WeightedMatrix:
     entries is the top-left r x c block of an N x N truncation (N is
     `truncation`); every entry outside the block is zero.  Real blocks are
     float64.  Without a truncation the block must be square and is the
-    whole truncation, so a plain square ndarray is a full block.  Sums and
-    differences pad to the larger block; `np.asarray` gives the dense
+    whole truncation, so a plain square ndarray is a full block.
+    Differences pad to the larger block; `np.asarray` gives the dense
     N x N embedding.
     """
 
     __slots__ = ("entries", "truncation")
-    __array_ufunc__ = None  # ndarray - block defers to __rsub__
+    # numpy defers every operator to the block, so np.float64 * block
+    # reaches __rmul__ instead of multiplying the dense embedding
+    __array_ufunc__ = None
 
     def __init__(self, entries, truncation: int | None = None):
         a = np.asarray(entries)
@@ -69,17 +71,19 @@ class WeightedMatrix:
         dense[:r, :c] = self.entries
         return dense
 
-    def __add__(self, other):
-        return _padded(np.add, self, other)
-
-    def __radd__(self, other):
-        return _padded(np.add, other, self)
-
     def __sub__(self, other):
-        return _padded(np.subtract, self, other)
-
-    def __rsub__(self, other):
-        return _padded(np.subtract, other, self)
+        """self - other entrywise over the larger of the two blocks."""
+        other = _block(other)
+        n = _common_truncation(self, other)
+        ea, eb = self.entries, other.entries
+        if ea.shape == eb.shape:
+            return WeightedMatrix(ea - eb, n)
+        out = np.zeros((max(ea.shape[0], eb.shape[0]),
+                        max(ea.shape[1], eb.shape[1])),
+                       dtype=np.result_type(ea, eb))
+        out[:ea.shape[0], :ea.shape[1]] = ea
+        out[:eb.shape[0], :eb.shape[1]] -= eb
+        return WeightedMatrix(out, n)
 
     def __rmul__(self, scalar):
         """scalar * block, entrywise; a real scalar keeps a real block."""
@@ -97,21 +101,6 @@ def _common_truncation(a: WeightedMatrix, b: WeightedMatrix) -> int:
         raise ValueError(f"truncation mismatch: {a.truncation} vs "
                          f"{b.truncation}")
     return a.truncation
-
-
-def _padded(op, a, b) -> WeightedMatrix:
-    """op(a, b) entrywise over the larger of the two blocks."""
-    a, b = _block(a), _block(b)
-    n = _common_truncation(a, b)
-    ea, eb = a.entries, b.entries
-    if ea.shape == eb.shape:
-        return WeightedMatrix(op(ea, eb), n)
-    out = np.zeros((max(ea.shape[0], eb.shape[0]), max(ea.shape[1], eb.shape[1])),
-                   dtype=np.result_type(ea, eb))
-    out[:ea.shape[0], :ea.shape[1]] = ea
-    head = out[:eb.shape[0], :eb.shape[1]]
-    op(head, eb, out=head)
-    return WeightedMatrix(out, n)
 
 
 def _star(a) -> WeightedMatrix:
@@ -133,11 +122,6 @@ def weighted_norm(a) -> float:
     r, c = a.entries.shape
     w = weight_matrix(a.truncation)[:r, :c]
     return float(np.sqrt(np.sum(w * np.abs(a.entries) ** 2)))
-
-
-def hs_norm(a) -> float:
-    """Plain Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(_block(a).entries))
 
 
 def trace_form(a, b) -> complex:

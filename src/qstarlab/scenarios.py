@@ -783,16 +783,26 @@ def parse_config(data: dict) -> list[Scenario]:
             raise ConfigError(
                 f"{where}: unknown operation {key[0]}/{key[1]}")
         OPERATIONS[key].resolve(params, where)
+        scenario_id = entry.get("id", f"scenario-{i}")
+        if not isinstance(scenario_id, str) or not scenario_id:
+            raise ConfigError(f"{where}: 'id' must be a non-empty string")
         output_path = entry.get("output_path")
-        if output_path is not None and (not isinstance(output_path, str)
-                                        or os.path.isabs(output_path)):
-            raise ConfigError(f"{where}: 'output_path' must be a relative path")
+        if output_path is not None and not isinstance(output_path, str):
+            raise ConfigError(f"{where}: 'output_path' must be a string")
         scenario = Scenario(
-            scenario_id=entry.get("id", f"scenario-{i}"),
+            scenario_id=scenario_id,
             module=entry["module"], operation=entry["operation"],
             description=entry.get("description", ""), parameters=params,
             output_path=output_path)
-        stem = os.path.normpath(str(scenario.output_stem))
+        # the stem names files under the output directory, so it must
+        # normalise to a relative path that stays inside it
+        stem = os.path.normpath(scenario.output_stem)
+        if (os.path.isabs(stem) or stem == "."
+                or stem.split(os.sep)[0] == ".."):
+            source = "output_path" if output_path else "id"
+            raise ConfigError(f"{where}: output stem {scenario.output_stem!r} "
+                              f"from '{source}' must be a relative path "
+                              f"inside the output directory")
         if stem in stems:
             raise ConfigError(f"{where}: output stem {stem!r} clashes with "
                               f"scenarios[{stems[stem]}]")

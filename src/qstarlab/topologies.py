@@ -28,7 +28,7 @@ class TruncatedOperator:
 
     A diagonal operator, such as multiplication by a function on grid
     nodes, can be given by its diagonal alone: TruncatedOperator(diag=d).
-    Sums, differences and adjoints of two diagonal operators stay diagonal;
+    Differences of two diagonal operators and adjoints of one stay diagonal;
     a diagonal/dense pair goes through the dense matrices, and .matrix
     builds the dense matrix on demand.  A real diagonal is applied
     elementwise, which equals the dense product bit for bit.  A complex
@@ -65,10 +65,6 @@ class TruncatedOperator:
     def dim(self) -> int:
         return len(self.diag) if self._matrix is None else self._matrix.shape[0]
 
-    @property
-    def adjoint_matrix(self) -> np.ndarray:
-        return self.adjoint().matrix
-
     def adjoint(self) -> "TruncatedOperator":
         if self._adjoint is None:
             self._adjoint = (TruncatedOperator(self._matrix.conj().T)
@@ -76,19 +72,13 @@ class TruncatedOperator:
                              else TruncatedOperator(diag=self.diag.conj()))
         return self._adjoint
 
-    def _combine(self, other: "TruncatedOperator", op) -> "TruncatedOperator":
+    def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         if self.dim != other.dim:
             raise ValueError(f"inconsistent truncation: dimensions differ "
                              f"({self.dim} and {other.dim})")
         if self.diag is not None and other.diag is not None:
-            return TruncatedOperator(diag=op(self.diag, other.diag))
-        return TruncatedOperator(op(self.matrix, other.matrix))
-
-    def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return self._combine(other, np.subtract)
-
-    def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return self._combine(other, np.add)
+            return TruncatedOperator(diag=self.diag - other.diag)
+        return TruncatedOperator(self.matrix - other.matrix)
 
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
@@ -101,12 +91,11 @@ class BoundedSet:
     """Finite stand-in for a bounded subset of the domain.
 
     The vectors are stacked once, on construction, into the read-only
-    `rows` matrix (one vector per row) and its conjugate `conj_rows`;
-    `vectors` are the rows of that one array.  `BoundedSet.basis(dim,
-    name)` declares the canonical basis of dimension dim instead
-    (`is_basis`), for which seminorms read operator entries instead of
-    multiplying by I.  It holds no array: `rows`, `conj_rows` and
-    `vectors` (the identity) are built only if read.
+    `rows` matrix (one vector per row) and its conjugate `conj_rows`.
+    `BoundedSet.basis(dim, name)` declares the canonical basis of
+    dimension dim instead (`is_basis`), for which seminorms read operator
+    entries instead of multiplying by I.  It holds no array: `rows` (the
+    identity) and `conj_rows` are built only if read.
     """
 
     __slots__ = ("name", "is_basis", "_dim", "_vectors", "_rows",
@@ -135,8 +124,8 @@ class BoundedSet:
         rows.flags.writeable = False
         conj_rows = rows.conj()
         conj_rows.flags.writeable = False
-        self._rows, self._conj_rows = rows, conj_rows
-        self._vectors = tuple(rows)
+        # stack() reads the set's own copy, not the caller's vectors
+        self._rows, self._conj_rows, self._vectors = rows, conj_rows, rows
 
     def _read(self, attr: str):
         if self._rows is None:
@@ -145,7 +134,6 @@ class BoundedSet:
 
     rows = property(lambda self: self._read("_rows"))
     conj_rows = property(lambda self: self._read("_conj_rows"))
-    vectors = property(lambda self: self._read("_vectors"))
 
 
 def pairing(u, psi) -> complex:
@@ -246,7 +234,7 @@ class ExtensionResult:
     limit: TruncatedOperator | None
     topology: str
     # the extension domain reached, and why: the keys ambient_limit,
-    # operator_cauchy and domain ("A", "Atilde" or "none")
+    # operator_cauchy and domain ("Atilde" or "none")
     membership: dict
     seminorm_names: tuple
     residual_trace: np.ndarray   # (steps-1, n_seminorms)
@@ -262,8 +250,7 @@ class ExtensionResult:
 
 
 def extend_by_closure(ambient_norm, family, rep_map, ns, topology: str, *,
-                      suite: Suite,
-                      space_complete: bool = False) -> ExtensionResult:
+                      suite: Suite) -> ExtensionResult:
     """Drive one approximating family through the closure engine.
 
     The family's members on the ladder ns are the ambient elements, rep_map
@@ -271,9 +258,9 @@ def extend_by_closure(ambient_norm, family, rep_map, ns, topology: str, *,
     seminorm in the suite has Cauchy residuals that vanish (hard threshold
     relative to the largest seminorm seen, or clear power-law decay); the
     ambient residuals are judged the same way against the ambient norms.  The
-    membership verdict distinguishes the extension domain reached: the
-    Cauchy domain when the operator space is not complete for the chosen
-    topology, the full extension domain when it is.
+    membership domain is "Atilde", the Cauchy domain, when both converge
+    and "none" otherwise; whether the limit also lies in the full
+    extension domain "A" is not measured.
     """
     if not len(ns):
         raise ValueError("empty ladder")
@@ -286,12 +273,10 @@ def extend_by_closure(ambient_norm, family, rep_map, ns, topology: str, *,
     ambient_cauchy = len(ns) >= 3 and ladder_cauchy(ns, ambient, ambient_res,
                                                     ("ambient",))[0]
 
-    if converged and ambient_cauchy:
-        domain = "A" if space_complete else "Atilde"
-    else:
-        domain = "none"
     membership = {"ambient_limit": ambient_cauchy,
-                  "operator_cauchy": converged, "domain": domain}
+                  "operator_cauchy": converged,
+                  "domain": "Atilde" if converged and ambient_cauchy
+                  else "none"}
     limit = rep_map(last) if converged else None
     return ExtensionResult(converged=converged, limit=limit, topology=topology,
                            membership=membership, seminorm_names=suite.names,

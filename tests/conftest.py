@@ -4,8 +4,8 @@ import pytest
 from qstarlab.algebra import (corner_state, cyclic_group_algebra,
                               group_trace_state, matrix_unit_algebra,
                               normalized_trace_state, scalar_algebra)
-from qstarlab.ccr import (CCRPolynomial, TrigPoly, _evaluate, _frequencies,
-                          _nonzero_rows, _random_coefficients)
+from qstarlab.ccr import (TWO_PI, CCRPolynomial, TrigPoly, _evaluate,
+                          _frequencies, _random_coefficients, freqs)
 from qstarlab.topologies import Suite, seminorm
 
 
@@ -103,12 +103,37 @@ def polynomial_to_literal(q: CCRPolynomial) -> list:
     scalar coefficients evaluated to [re, im] pairs."""
     literal = []
     for k, (values, present) in enumerate(zip(_evaluate(q._c).tolist(),
-                                              _nonzero_rows(q._c))):
+                                              (q._c != 0).any(axis=-1).tolist())):
         entries = [[n, [v.real, v.imag]] for n, v, hit
                    in zip(_frequencies(q._c).tolist(), values, present) if hit]
         if entries:
             literal.append([k, entries])
     return literal
+
+
+def momentum_matrix(n_trunc: int) -> np.ndarray:
+    """The momentum acts diagonally: the n-th mode has eigenvalue 2 pi n."""
+    return np.diag(TWO_PI * freqs(n_trunc)).astype(complex)
+
+
+def hermiticity_residual(ctx, pairs) -> float:
+    """max over pairs of |Omega(x,y) - conj(Omega(y,x))|; NaN if any form
+    value is NaN."""
+    return float(np.max([abs(ctx.form(a, b) - np.conj(ctx.form(b, a)))
+                         for a, b in pairs]))
+
+
+def cauchy_schwarz_residual(ctx, pairs) -> float:
+    """max over pairs of |Omega(x,y)|^2 - Omega(x,x) Omega(y,y), clipped at 0;
+    NaN if any form value is NaN."""
+    return float(np.max([abs(ctx.form(a, b)) ** 2 - ctx.diag(a) * ctx.diag(b)
+                         for a, b in pairs], initial=0.0))
+
+
+def state_hermiticity_residual(state, algebra) -> float:
+    """max_i |omega(e_i*) - conj(omega(e_i))|."""
+    starred = algebra.involution @ state.values
+    return float(np.max(np.abs(starred - state.values.conj())))
 
 
 def random_trig_poly(rng, max_freq: int, integer: bool = True) -> TrigPoly:

@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 import qstarlab
-from conftest import one_seminorm
+from conftest import (cauchy_schwarz_residual, hermiticity_residual,
+                      momentum_matrix, one_seminorm)
 from qstarlab import ccr
 from qstarlab import function_lab as flab
 from qstarlab import matrix_lab as mlab
 from qstarlab.algebra import (corner_state, matrix_unit_algebra,
                               normalized_trace_state)
-from qstarlab.forms import (cauchy_schwarz_residual, check_lemma24,
-                            form_from_state, hermiticity_residual)
+from qstarlab.forms import check_lemma24, form_from_state
 from qstarlab.gns import gns_construct, verify_gns
 from qstarlab.matrix_lab import NON_CAUCHY_FAMILIES, NULL_FAMILIES
 from qstarlab.scenarios import (clipped_power_family, multiplication_suite,
@@ -193,7 +193,7 @@ def test_criterion_7_ccr_suite():
 
     phi = ccr.TrigPoly({0: 1.0, 1: 0.5 + 0.25j, -1: 0.5 - 0.25j, 2: -0.125j,
                         -2: 0.125j, 3: 0.25})
-    p_mat = ccr.momentum_matrix(64)
+    p_mat = momentum_matrix(64)
     f_mat = ccr.ccr_represent(ccr.CCRPolynomial.multiplication(phi), 64).matrix
     comm = p_mat @ f_mat - f_mat @ p_mat
     target = ccr.ccr_represent(

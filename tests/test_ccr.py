@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polynomial_from_literal, polynomial_to_literal
+from conftest import (momentum_matrix, polynomial_from_literal,
+                      polynomial_to_literal)
 from qstarlab import ccr
-from qstarlab.ccr import (CCRPolynomial, TrigPoly, TwoPiScalar, adjoint_check,
+from qstarlab.ccr import (CCRPolynomial, TrigPoly, adjoint_check,
                           ccr_mul, ccr_represent, ccr_star,
                           faithfulness_defect, freqs,
                           graph_seminorm, graph_weights,
-                          homomorphism_check, momentum_matrix,
+                          homomorphism_check,
                           random_ccr_polynomial, safe_indices,
                           submultiplicativity_probe, uniform_seminorm_identity)
 
@@ -19,25 +20,21 @@ TWO_PI = 2 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# Exact scalar layer
+# Trigonometric polynomials
 
-def test_two_pi_scalar_arithmetic():
-    a = TwoPiScalar({0: 1 + 1j, 1: 2})
-    b = TwoPiScalar({1: -2, 2: 0.5})
-    assert (a + b).parts == {0: 1 + 1j, 2: 0.5}
-    prod = a * b
-    assert prod.parts == {1: (1 + 1j) * -2, 2: (1 + 1j) * 0.5 - 4, 3: 1.0}
-    assert a.conj().parts == {0: 1 - 1j, 1: 2}
-    assert (a - a).parts == {}
-    assert TwoPiScalar(3).parts == {0: 3}
-    assert TwoPiScalar({1: 1}).parts == {1: 1}
+def test_trig_poly_coefficient_dicts():
+    phi = TrigPoly({0: 3, 1: {0: 1 + 1j, 1: 2, 2: 0}, -1: {3: 0}})
+    assert phi.coeffs == {0: {0: 3}, 1: {0: 1 + 1j, 1: 2}}
+    assert TrigPoly(phi.coeffs) == phi
+    with pytest.raises(ValueError, match="negative power"):
+        TrigPoly({0: {-1: 1}})
 
 
 def test_trig_poly_product_and_derivative():
     e1 = TrigPoly.mode(1)
     assert (e1 * e1) == TrigPoly.mode(2)
     d = e1.derivative()
-    assert d.coeffs[1].parts == {1: 1j}
+    assert d.coeffs == {1: {1: 1j}}
     assert TrigPoly.mode(0, 5).derivative().is_zero()
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import (polynomial_from_literal, polynomial_to_literal,
                       random_trig_poly)
 from qstarlab import ccr
-from qstarlab.ccr import (CCRPolynomial, TrigPoly, TwoPiScalar, ccr_mul,
+from qstarlab.ccr import (CCRPolynomial, TrigPoly, ccr_mul,
                           ccr_star, exact_identities, homomorphism_check,
                           random_ccr_polynomial)
 
@@ -95,8 +95,8 @@ def test_trailing_zeros_do_not_change_equality_or_hash():
     assert padded(phi, n=3, j=2) == phi
     assert hash(padded(phi, n=3, j=2)) == hash(phi)
     # explicit zeros through the public constructors
-    assert TrigPoly({0: 1, 4: 0, -2: TwoPiScalar({1: 0})}) == TrigPoly.one()
-    assert TwoPiScalar({0: 2, 3: 0}) == TwoPiScalar(2)
+    assert TrigPoly({0: 1, 4: 0, -2: {1: 0}}) == TrigPoly.one()
+    assert TrigPoly({0: {0: 2, 3: 0}}) == TrigPoly({0: 2})
     assert CCRPolynomial([{1: 1j}, TrigPoly(), {}]) \
         == CCRPolynomial([{1: 1j}])
     # a signed zero is zero
@@ -119,8 +119,8 @@ def test_arrays_are_trimmed_and_read_only():
 def cells(q) -> dict:
     """{(power of p, frequency, power of 2*pi): coefficient}."""
     return {(k, n, j): v for k, phi in enumerate(q.coeffs)
-            for n, scalar in phi.coeffs.items()
-            for j, v in scalar.parts.items()}
+            for n, parts in phi.coeffs.items()
+            for j, v in parts.items()}
 
 
 def reference_mul(q1, q2) -> dict:
@@ -160,8 +160,8 @@ def gaussian_polys(draw, max_degree=3, max_freq=2, max_power=1):
     coeffs = []
     for _ in range(degree + 1):
         freq = draw(st.integers(0, max_freq))
-        coeffs.append(TrigPoly({n: TwoPiScalar(
-            {j: draw(gauss) for j in range(draw(st.integers(0, max_power)) + 1)})
+        coeffs.append(TrigPoly({
+            n: {j: draw(gauss) for j in range(draw(st.integers(0, max_power)) + 1)}
             for n in range(-freq, freq + 1)}))
     return CCRPolynomial(coeffs)
 
@@ -216,17 +216,17 @@ def reference_trig_mul(phi, chi) -> dict:
 
 
 def trig_cells(phi) -> dict:
-    return {(n, j): v for n, scalar in phi.coeffs.items()
-            for j, v in scalar.parts.items()}
+    return {(n, j): v for n, parts in phi.coeffs.items()
+            for j, v in parts.items()}
 
 
 def reference_graph_seminorm(phi, k) -> float:
     """The graph seminorm of one TrigPoly as a Python loop over the
     frequencies."""
     total = 0.0
-    for n, scalar in sorted(phi.coeffs.items()):
+    for n, parts in sorted(phi.coeffs.items()):
         value = sum((v * (2 * math.pi) ** j
-                     for j, v in sorted(scalar.parts.items())), 0j)
+                     for j, v in sorted(parts.items())), 0j)
         total += (1.0 + (2 * math.pi * n) ** 2) ** (2 * k) * abs(value) ** 2
     return math.sqrt(total)
 

@@ -52,13 +52,11 @@ def test_diagonal_arithmetic_equals_dense(complex_valued):
     a, b = random_vector(rng, complex_valued), random_vector(rng, complex_valued)
     da, db = np.diag(a.astype(complex)), np.diag(b.astype(complex))
     op_a, op_b = TruncatedOperator(diag=a), TruncatedOperator(diag=b)
-    difference, total = op_a - op_b, op_a + op_b
-    assert difference.diag is not None and total.diag is not None
+    difference = op_a - op_b
+    assert difference.diag is not None
     assert np.array_equal(difference.matrix, da - db)
-    assert np.array_equal(total.matrix, da + db)
     assert op_a.adjoint().diag is not None
     assert np.array_equal(op_a.adjoint().matrix, da.conj().T)
-    assert np.array_equal(op_a.adjoint_matrix, da.conj().T)
     v = random_vector(rng)
     assert np.array_equal(op_a.apply(v), da @ v)
     assert np.array_equal(op_a.adjoint().apply(v), da.conj().T @ v)
@@ -73,8 +71,7 @@ def test_mixed_diagonal_dense_arithmetic():
     mat = rng.standard_normal((DIM, DIM)) + 1j * rng.standard_normal((DIM, DIM))
     diag, dense = TruncatedOperator(diag=d), TruncatedOperator(mat)
     for result, expected in ((diag - dense, np.diag(d) - mat),
-                             (dense - diag, mat - np.diag(d)),
-                             (diag + dense, np.diag(d) + mat)):
+                             (dense - diag, mat - np.diag(d))):
         assert result.diag is None
         assert np.array_equal(result.matrix, expected)
     with pytest.raises(ValueError, match="dimensions differ"):
@@ -103,21 +100,18 @@ def test_bounded_set_stacks_once_read_only():
     rng = np.random.default_rng(17)
     raw = [random_vector(rng, complex_valued=False) for _ in range(4)]
     m = BoundedSet(tuple(raw), name="M")
-    assert np.array_equal(m.stack(), np.stack(m.vectors))
+    assert np.array_equal(m.stack(), m.rows)
     assert np.array_equal(m.stack(), np.stack(raw).astype(complex))
     assert np.array_equal(m.conj_rows, m.rows.conj())
-    assert all(v.base is m.rows for v in m.vectors)
-    with pytest.raises(ValueError):
-        m.vectors[0][0] = 5.0
     with pytest.raises(ValueError):
         m.rows[0, 0] = 5.0
     with pytest.raises(ValueError):
         m.conj_rows[0, 0] = 5.0
     fresh = m.stack()
     fresh[0, 0] = 5.0
-    assert m.vectors[0][0] == raw[0][0]
+    assert m.rows[0, 0] == raw[0][0]
     raw[0][0] = 7.0
-    assert m.vectors[0][0] != 7.0
+    assert m.rows[0, 0] != 7.0 and m.stack()[0, 0] != 7.0
 
 
 # The canonical basis (node spikes) reads operator entries; the seminorms
@@ -231,7 +225,6 @@ def test_node_spikes_build_no_identity():
     assert spikes.is_basis and spikes.name == "node-spikes"
     assert np.array_equal(spikes.rows, np.eye(1025))
     assert np.array_equal(spikes.conj_rows, np.eye(1025))
-    assert len(spikes.vectors) == 1025 and spikes.vectors[0].base is spikes.rows
 
 
 def test_basis_is_declared_not_detected():

@@ -4,12 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import cauchy_schwarz_residual, hermiticity_residual
 from qstarlab import function_lab as flab
 from qstarlab import matrix_lab as mlab
 from qstarlab.forms import (FormContext, ProbeFamily, b_shifted_form,
-                            cauchy_schwarz_residual, check_ips_conditions,
-                            check_lemma24, closability_probe, form_from_state,
-                            hermiticity_residual, star_form)
+                            check_ips_conditions, check_lemma24,
+                            closability_probe, form_from_state, star_form)
 from qstarlab.matrix_lab import NON_CAUCHY_FAMILIES, NULL_FAMILIES
 from qstarlab.rates import LadderProbe
 from qstarlab.scenarios import (_matrix_shift_suite, cauchy_limit,

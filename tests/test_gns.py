@@ -145,13 +145,6 @@ def test_group_character_rank_one(z4):
     assert verify_gns(rep)["max_residual"] < 1e-12
 
 
-def test_pivoting_gives_unitarily_equivalent_reps(m2, trace2, corner2):
-    for state in (trace2, corner2):
-        a = gns_construct(m2, state, eigen_order="descending")
-        b = gns_construct(m2, state, eigen_order="ascending")
-        assert np.max(np.abs(state_vector(a) - state_vector(b))) < 1e-10
-
-
 def test_quotient_inner_product_reproduces_state(m2, corner2):
     rep = gns_construct(m2, corner2)
     for i in range(4):
@@ -168,8 +161,6 @@ def test_missing_unit_and_unnormalized_state(m2):
         gns_construct(nil, State(np.ones(1, dtype=complex)))
     with pytest.raises(ValueError, match="normalized"):
         gns_construct(m2, State(2.0 * normalized_trace_state(2).values))
-    with pytest.raises(ValueError, match="eigen_order"):
-        gns_construct(m2, normalized_trace_state(2), eigen_order="random")
 
 
 def test_golden_file_regression(m2, trace2):

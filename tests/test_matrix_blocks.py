@@ -4,15 +4,15 @@ N x N embedding.
 A block is the top-left r x c corner of an N x N truncation; `np.asarray`
 embeds it densely.  Norms and the form agree with the dense computation to
 1e-13 relative (the sums skip zeros, which reorders them), and exactly for
-real blocks with one nonzero entry; sums, differences and the involution
-are exact.
+real blocks with one nonzero entry; differences and the involution are
+exact.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qstarlab.matrix_lab import (WeightedMatrix, hs_norm, trace_form,
+from qstarlab.matrix_lab import (WeightedMatrix, trace_form,
                                  trace_form_context, weight_matrix,
                                  weighted_norm)
 
@@ -69,7 +69,6 @@ def test_norms_and_form_match_dense(pair):
     assert da.shape == (a.truncation, a.truncation)
     want_w = float(np.sqrt(np.sum(_dense_weight(a.truncation) * np.abs(da) ** 2)))
     _close(weighted_norm(a), want_w, want_w)
-    _close(hs_norm(a), float(np.linalg.norm(da)), float(np.linalg.norm(da)))
     scale = float(np.linalg.norm(da) * np.linalg.norm(db))
     _close(trace_form(a, b), complex(np.vdot(db, da)), scale)
     _close(trace_form(a, a), complex(np.vdot(da, da)), np.linalg.norm(da) ** 2)
@@ -80,9 +79,7 @@ def test_norms_and_form_match_dense(pair):
 def test_arithmetic_matches_dense(pair):
     a, b = pair
     da, db = np.asarray(a), np.asarray(b)
-    for got, want in ((a - b, da - db), (a + b, da + db),
-                      (da - b, da - db), (a - db, da - db),
-                      (da + b, da + db)):
+    for got, want in ((a - b, da - db), (a - db, da - db)):
         assert isinstance(got, WeightedMatrix)
         assert np.array_equal(np.asarray(got), want)
     star = CTX.star(a)
@@ -102,7 +99,6 @@ def test_one_entry_blocks_are_exact(pair):
     da, db = np.asarray(a), np.asarray(b)
     w = _dense_weight(a.truncation)
     assert weighted_norm(a) == float(np.sqrt(np.sum(w * np.abs(da) ** 2)))
-    assert hs_norm(a) == float(np.linalg.norm(da))
     assert trace_form(a, b) == complex(np.vdot(db, da))
     assert np.array_equal(np.asarray(CTX.mul(a, b)), da @ db)
 
@@ -123,7 +119,7 @@ def test_truncation_mismatch_and_oversized_blocks_rejected():
     with pytest.raises(ValueError, match="mismatch"):
         a - b
     with pytest.raises(ValueError, match="mismatch"):
-        np.ones((5, 5)) - a
+        a - np.ones((5, 5))
     for shape in ((5, 3), (3, 5)):
         with pytest.raises(ValueError):
             WeightedMatrix(np.ones(shape), 4)

@@ -3,7 +3,7 @@ import pytest
 
 from qstarlab.matrix_lab import (ENTRY_RULES, NON_CAUCHY_FAMILIES,
                                  NULL_FAMILIES, WeightedMatrix,
-                                 d_omega_identification, hs_norm, m_constant,
+                                 d_omega_identification, m_constant,
                                  matrix_closability_replay, matrix_family,
                                  trace_form, trace_form_context,
                                  weight_matrix, weighted_norm)
@@ -30,13 +30,6 @@ def test_weighted_norm_examples():
     assert weighted_norm(a) == pytest.approx(np.sqrt(oracle), rel=1e-12)
 
 
-def test_hs_norm_examples():
-    assert hs_norm(unit_entry(2, 0, 1)) == pytest.approx(1.0)
-    assert hs_norm(np.ones((2, 2))) == pytest.approx(2.0)
-    for n in (4, 9):
-        assert hs_norm(np.eye(n)) == pytest.approx(np.sqrt(n))
-
-
 def test_trace_form_examples():
     e12 = unit_entry(2, 0, 1)
     assert trace_form(e12, e12) == pytest.approx(1.0)
@@ -44,7 +37,8 @@ def test_trace_form_examples():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert trace_form(a, a).real >= 0.0
-    assert trace_form(a, a).real == pytest.approx(hs_norm(a) ** 2, rel=1e-12)
+    assert trace_form(a, a).real == pytest.approx(
+        np.linalg.norm(np.asarray(a)) ** 2, rel=1e-12)
     with pytest.raises(ValueError, match="mismatch"):
         trace_form(np.eye(2), np.eye(3))
 
@@ -62,11 +56,12 @@ def test_trace_form_hermitian_cauchy_schwarz():
 def test_weighted_below_hs_strict_off_corner():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 6))
-    assert weighted_norm(a) <= hs_norm(a) + 1e-12
+    assert weighted_norm(a) <= np.linalg.norm(np.asarray(a)) + 1e-12
     off = unit_entry(4, 2, 3)
-    assert weighted_norm(off) < hs_norm(off)
+    assert weighted_norm(off) < np.linalg.norm(np.asarray(off))
     corner = unit_entry(4, 0, 0)
-    assert weighted_norm(corner) == pytest.approx(hs_norm(corner))
+    assert weighted_norm(corner) == pytest.approx(
+        np.linalg.norm(np.asarray(corner)))
 
 
 def test_weighted_matrix_wrapper():
@@ -83,7 +78,7 @@ def test_moving_bump_closed_forms():
     a16 = fam.generate(16)
     assert weighted_norm(a16) == pytest.approx(16 ** -2)
     a9 = fam.generate(9)
-    assert hs_norm(a16 - a9) == pytest.approx(np.sqrt(2))
+    assert np.linalg.norm(np.asarray(a16 - a9)) == pytest.approx(np.sqrt(2))
 
 
 def test_replay_null_families_reach_zero():

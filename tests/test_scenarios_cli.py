@@ -136,6 +136,42 @@ def test_output_path_override(tmp_path):
                                      "output_path": "/abs/path"}]})
 
 
+GNS = {"module": "gns", "operation": "gns_construct"}
+
+
+@pytest.mark.parametrize("entry, source", [
+    ({"id": "../escaped"}, "id"),
+    ({"id": "/abs/absid"}, "id"),
+    ({"id": "a/../../b"}, "id"),
+    ({"id": "."}, "id"),
+    ({"id": "ok", "output_path": "../esc2"}, "output_path"),
+    ({"id": "ok", "output_path": "nested/../.."}, "output_path"),
+])
+def test_output_stem_must_stay_inside_the_out_dir(entry, source):
+    with pytest.raises(ConfigError, match=rf"scenarios\[1\]: output stem "
+                       rf".* from '{source}'"):
+        parse_config({"scenarios": [{"id": "first", **GNS}, {**entry, **GNS}]})
+
+
+@pytest.mark.parametrize("sid", [5, ["x"], None, ""])
+def test_scenario_id_must_be_a_nonempty_string(sid):
+    with pytest.raises(ConfigError, match=r"scenarios\[1\]: 'id' must be a "
+                       "non-empty string"):
+        parse_config({"scenarios": [{"id": "a", **GNS}, {"id": sid, **GNS}]})
+
+
+@pytest.mark.parametrize("bad", [{"id": 5}, {"id": "../escaped"}])
+def test_bad_id_exits_2_before_anything_runs(tmp_path, capsys, bad):
+    cfg = tmp_path / "ids.json"
+    cfg.write_text(json.dumps({"scenarios": [{"id": "a", **GNS},
+                                             {**bad, **GNS}]}))
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "scenarios[1]" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["ids.json"]
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
