@@ -102,8 +102,9 @@ def polynomial_to_literal(q: CCRPolynomial) -> list:
     """Deterministic literal form: entries sorted by power and frequency,
     scalar coefficients evaluated to [re, im] pairs."""
     literal = []
+    nonzero = (q._c != 0).any(axis=-1).tolist()  # per power and frequency
     for k, (values, present) in enumerate(zip(_evaluate(q._c).tolist(),
-                                              (q._c != 0).any(axis=-1).tolist())):
+                                              nonzero)):
         entries = [[n, [v.real, v.imag]] for n, v, hit
                    in zip(_frequencies(q._c).tolist(), values, present) if hit]
         if entries:
