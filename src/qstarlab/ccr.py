@@ -19,6 +19,7 @@ centred.  A single polynomial is the batch of one.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -119,6 +120,14 @@ class _Coefficients:
         return self._from_array(self._c * complex(factor))
 
 
+def _integer(key, what: str, coeffs) -> int:
+    """key as an int; ValueError naming it unless it is an integer (a
+    Python or a numpy one), so that 1.5 or 1.0 is not read as 1."""
+    if not isinstance(key, numbers.Integral):
+        raise ValueError(f"{what} {key!r} in {coeffs!r} is not an integer")
+    return int(key)
+
+
 class TrigPoly(_Coefficients):
     """Trigonometric polynomial sum_n c_n exp(2 pi i n x) on [0,1], stored
     as the array C[n + F, j] of the coefficients of (2 pi)^j."""
@@ -127,7 +136,9 @@ class TrigPoly(_Coefficients):
 
     def __init__(self, coeffs: dict | None = None):
         """coeffs: {frequency: complex, or {power of 2*pi: complex}}."""
-        cols = {int(n): c if isinstance(c, dict) else {0: c}
+        cols = {_integer(n, "frequency", coeffs):
+                {_integer(j, "power of 2*pi", coeffs): v for j, v in c.items()}
+                if isinstance(c, dict) else {0: c}
                 for n, c in (coeffs or {}).items()}
         powers = [j for parts in cols.values() for j in parts]
         if any(j < 0 for j in powers):

@@ -39,6 +39,11 @@ class FormContext:
     |c| ambient_norm(a).  The probes of a ScaledFamily rely on both.  star
     and mul act on domain elements and may be None when the domain does
     not support them.
+
+    ladder_series hands a stacked ladder of grid functions to
+    ambient_norm and diag as one stack (a.stacked), for one value per row.
+    diagonal, when given, is a -> Re form(a, a) on one element or on such
+    a stack; without it diag evaluates form one row at a time.
     """
 
     name: str
@@ -47,8 +52,13 @@ class FormContext:
     star: Callable[[Any], Any] | None = None
     mul: Callable[[Any, Any], Any] | None = None
     unit: Any | None = None
+    diagonal: Callable[[Any], Any] | None = None
 
-    def diag(self, a) -> float:
+    def diag(self, a):
+        if self.diagonal is not None:
+            return self.diagonal(a)
+        if getattr(a, "stacked", False):
+            return np.array([self.diag(x) for x in a.unstack()])
         return float(np.real(self.form(a, a)))
 
 
@@ -101,29 +111,31 @@ def form_from_state(algebra: StarAlgebra, state: State) -> FormContext:
 
 
 def star_form(ctx: FormContext) -> FormContext:
-    """The companion form (a, b) -> form(b*, a*)."""
+    """The companion form (a, b) -> form(b*, a*); its diagonal takes a* once."""
     if ctx.star is None:
         raise ValueError(f"context {ctx.name} has no involution")
     return FormContext(name=ctx.name + "*",
                        form=lambda a, b: ctx.form(ctx.star(b), ctx.star(a)),
                        ambient_norm=ctx.ambient_norm,
-                       star=ctx.star, mul=ctx.mul, unit=ctx.unit)
+                       star=ctx.star, mul=ctx.mul, unit=ctx.unit,
+                       diagonal=lambda a: ctx.diag(ctx.star(a)))
 
 
 def b_shifted_form(ctx: FormContext, b) -> FormContext:
-    """The right-shifted form (x, y) -> form(x b, y b)."""
+    """The right-shifted form (x, y) -> form(x b, y b); its diagonal takes
+    x b once."""
     if ctx.mul is None:
         raise ValueError(f"context {ctx.name} has no multiplication")
     return FormContext(name=ctx.name + "[B-shift]",
                        form=lambda x, y: ctx.form(ctx.mul(x, b), ctx.mul(y, b)),
                        ambient_norm=ctx.ambient_norm,
-                       star=ctx.star, mul=ctx.mul, unit=ctx.unit)
+                       star=ctx.star, mul=ctx.mul, unit=ctx.unit,
+                       diagonal=lambda x: ctx.diag(ctx.mul(x, b)))
 
 
 def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
                   views) -> tuple:
-    """The series of a family on the ladder ns; only a member and its
-    predecessor are held, since a member can be a full N x N block.
+    """The series of a family on the ladder ns.
 
     views are (rep_map, f, degree) triples.  With r_n = rep_map(x_n) (x_n
     when rep_map is None) f gives one value or a 1-D array of values, the
@@ -135,19 +147,26 @@ def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
     absolutely homogeneous of degree d (1 for a seminorm or norm, 2 for a
     form diagonal) and rep_map linear or antilinear.
 
+    The member type decides how the ladder is held.  Members that stack
+    (grid functions, x.stacks(len(ns)): a ladder small enough to stay in
+    cache) are built at once and evaluated as two stacks, the members and
+    their differences, from their type's stack_ladder: f, and
+    ambient_norm, take a stack and give one row per member, the same bits
+    as one member at a time.  So are the representatives of a view when
+    their type has a stack_ladder (diagonal operators) that does not
+    decline; others are evaluated one at a time.  Other members stream,
+    only a member and its predecessor held, since a member can be a full
+    N x N block.
+
     Returns the ambient series, the value and the step columns split into
     one block per view, and the last member.
     """
-    def represent(x):
-        return [x if rep_map is None else rep_map(x) for rep_map, _, _ in views]
-
-    def evaluate(reps):
-        return [f(r) for (_, f, _), r in zip(views, reps)]
-
     if isinstance(family, ScaledFamily):
         c = np.array([family.scale(int(n)) for n in ns])
         size, gap = np.abs(c), np.abs(np.diff(c))
-        at_base = [np.atleast_1d(v) for v in evaluate(represent(family.base))]
+        at_base = [np.atleast_1d(f(family.base if rep_map is None
+                                   else rep_map(family.base)))
+                   for rep_map, f, _ in views]
         values = [np.outer(size ** d, v)
                   for v, (_, _, d) in zip(at_base, views)]
         steps = [np.outer(gap ** d, np.maximum(v, 0.0))
@@ -155,27 +174,67 @@ def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
         ambient = (None if ambient_norm is None
                    else size * ambient_norm(family.base))
         return ambient, values, steps, family.generate(int(ns[-1]))
+    x = family.generate(int(ns[0]))
+    if getattr(x, "stacks", None) and x.stacks(len(ns)):
+        members = [x] + [family.generate(int(n)) for n in ns[1:]]
+        stacks = type(x).stack_ladder(members)
+        if family.tau_norm is not None:
+            ambient = np.array([family.tau_norm(int(n)) for n in ns])
+        else:
+            ambient = (None if ambient_norm is None
+                       else np.asarray(ambient_norm(stacks[0]), dtype=float))
+        values, steps = [], []
+        for rep_map, f, _ in views:
+            if rep_map is None:
+                v, s = _ladder_columns(members, f, stacks)
+            else:
+                reps = [rep_map(m) for m in members]
+                stack_ladder = getattr(type(reps[0]), "stack_ladder", None)
+                v, s = _ladder_columns(reps, f, None if stack_ladder is None
+                                       else stack_ladder(reps))
+            values.append(v)
+            steps.append(s)
+        return ambient, values, steps, members[-1]
     ambient, values, steps, previous = [], [], [], None
     for n in ns:
-        x = family.generate(int(n))
+        if previous is not None:
+            x = family.generate(int(n))
         if family.tau_norm is not None:
             ambient.append(family.tau_norm(int(n)))
         elif ambient_norm is not None:
             ambient.append(ambient_norm(x))
-        reps = represent(x)
-        values.append(evaluate(reps))
+        reps = [x if rep_map is None else rep_map(x)
+                for rep_map, _, _ in views]
+        values.append([f(r) for (_, f, _), r in zip(views, reps)])
         if previous is not None:
-            steps.append(evaluate([r - p for r, p in zip(reps, previous)]))
+            steps.append([f(r - p) for (_, f, _), r, p
+                          in zip(views, reps, previous)])
         previous = reps
-
-    def columns(rows, k, width):  # view k's block, a column per value
-        return np.array([row[k] for row in rows],
-                        dtype=float).reshape(len(rows), width)
-
-    values = [columns(values, k, -1) for k in range(len(views))]
-    steps = [np.maximum(columns(steps, k, v.shape[1]), 0.0)
+    values = [_columns([row[k] for row in values], len(values), -1)
+              for k in range(len(views))]
+    steps = [np.maximum(_columns([row[k] for row in steps], len(steps),
+                                 v.shape[1]), 0.0)
              for k, v in enumerate(values)]
     return np.array(ambient) if ambient else None, values, steps, x
+
+
+def _columns(rows, length: int, width: int) -> np.ndarray:
+    """A view's values, one row per member, a column per value."""
+    return np.array(rows, dtype=float).reshape(length, width)
+
+
+def _ladder_columns(reps: list, f, stacks) -> tuple:
+    """The value and the step columns of f on the held representatives:
+    on stacks, the two of their stack_ladder, or one representative at a
+    time when stacks is None."""
+    if stacks is not None:
+        values, steps = f(stacks[0]), f(stacks[1])
+    else:
+        values = [f(r) for r in reps]
+        steps = [f(r - p) for r, p in zip(reps[1:], reps)]
+    values = _columns(values, len(reps), -1)
+    return values, np.maximum(_columns(steps, len(reps) - 1,
+                                       values.shape[1]), 0.0)
 
 
 def closability_probe(ctx: FormContext, family: ProbeFamily | ScaledFamily,
@@ -211,7 +270,9 @@ def check_lemma24(ctx: FormContext, families, shifts, n_max: int) -> dict:
     columns = {"omega": ctx, "omega_star": star_form(ctx)}
     for label, b in shifts:
         columns[f"omega_B[{label}]"] = b_shifted_form(ctx, b)
-    diagonals = [(None, lambda x: [c.diag(x) for c in columns.values()], 2)]
+    # one column per form; over a stack of members, one row per member
+    diagonals = [(None, lambda x: np.array(
+        [c.diag(x) for c in columns.values()]).T, 2)]
     ns = geometric_ladder(n_max, points=PROBE_POINTS)
     rows = []
     counterexamples = []

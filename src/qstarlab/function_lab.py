@@ -26,6 +26,11 @@ DEFAULT_HERMITE_NODES = 128
 MEMBERSHIP_LADDER = (1025, 2049, 4097, 8193, 16385)
 # ls_membership's cross-check weight x^(-alpha) has alpha = 1/p - this.
 ALPHA_MARGIN = 0.02
+# The most values a ladder of grid functions is stacked with (256 KB of
+# float64).  Beyond the cache a stack only adds memory traffic: 24 tents
+# on 4097 nodes took 2.7 ms stacked against 1.0 ms one at a time, while
+# 14 functions on 257 nodes take a third to a half of the per-member time.
+STACK_VALUES = 2 ** 15
 
 
 class GridMismatchError(ValueError):
@@ -107,7 +112,14 @@ def _frozen_grid(kind: str, nodes: np.ndarray, weights: np.ndarray) -> Grid:
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Values of a function at the nodes of a grid: float64 for real
-    values, complex128 only when the values are complex."""
+    values, complex128 only when the values are complex.
+
+    Two-dimensional values are a stack, one function per row
+    (`stacked`): `stack_ladder` builds the stacks that
+    `forms.ladder_series` evaluates a ladder of grid functions on.
+    Arithmetic broadcasts, and `lp_norm` and `omega_form` give one value
+    per row, each equal bit for bit to that of the row alone.
+    """
 
     values: np.ndarray
     grid: Grid
@@ -115,9 +127,32 @@ class GridFunction:
     def __post_init__(self):
         v = np.asarray(self.values)
         v = v.astype(complex if np.iscomplexobj(v) else float, copy=False)
-        if v.shape != self.grid.nodes.shape:
+        if v.shape[-1:] != self.grid.nodes.shape or v.ndim > 2:
             raise GridMismatchError("value vector does not match the grid")
         object.__setattr__(self, "values", v)
+
+    @property
+    def stacked(self) -> bool:
+        return self.values.ndim == 2
+
+    def stacks(self, length: int) -> bool:
+        """Whether a ladder of length functions like this one is evaluated
+        as stacks: when they hold at most STACK_VALUES values."""
+        return length * self.values.size <= STACK_VALUES
+
+    @classmethod
+    def stack_ladder(cls, members) -> tuple:
+        """The members, on one grid, as one stack and their consecutive
+        differences as another."""
+        for f in members[1:]:
+            members[0]._check(f)
+        values = np.stack([f.values for f in members])
+        grid = members[0].grid
+        return cls(values, grid), cls(values[1:], grid) - cls(values[:-1], grid)
+
+    def unstack(self) -> list:
+        """The rows of a stack, one grid function each."""
+        return [GridFunction(v, self.grid) for v in self.values]
 
     @classmethod
     def from_callable(cls, f: Callable, grid: Grid,
@@ -149,18 +184,25 @@ class GridFunction:
         return GridFunction(self.values.conj(), self.grid)
 
 
-def lp_norm(f: GridFunction, p: float) -> float:
+def lp_norm(f: GridFunction, p: float):
     """Quadrature approximation of the L^p norm (against the grid measure);
-    inf, without a numpy warning, when |f|^p overflows."""
+    inf, without a numpy warning, when |f|^p overflows.  A float, or an
+    array with one norm per row of a stack."""
     if p < 1:
         raise ValueError(f"L^p norms need p >= 1, got {p}")
     with np.errstate(over="ignore"):
-        return float(np.dot(f.grid.weights, np.abs(f.values) ** p) ** (1.0 / p))
+        powers = np.abs(f.values) ** p
+        if not f.stacked:
+            return float(np.dot(f.grid.weights, powers) ** (1.0 / p))
+        # (1, N) @ (N, 1) per row is the dot product np.dot takes
+        sums = np.matmul(powers[:, None, :], f.grid.weights[:, None])
+        return np.array([s ** (1.0 / p) for s in sums[:, 0, 0]])
 
 
 def omega_form(f: GridFunction, g: GridFunction,
-               w: GridFunction | None = None) -> complex:
-    """The integral form of f against conj(g), optionally with a weight;
+               w: GridFunction | None = None):
+    """The integral form of f against conj(g), optionally with a weight,
+    a complex number (an array, one value per row, over stacks);
     computed without a numpy warning when finite functions overflow it
     (the value is then not finite, which rates._finite reports).  The sum
     is a complex dot even for real functions: a real one rounds
@@ -172,8 +214,11 @@ def omega_form(f: GridFunction, g: GridFunction,
         integrand = f.values * g.values.conj()
         if w is not None:
             integrand = integrand * w.values
-        return complex(np.dot(f.grid.weights,
-                              integrand.astype(complex, copy=False)))
+        integrand = integrand.astype(complex, copy=False)
+        if integrand.ndim == 1:
+            return complex(np.dot(f.grid.weights, integrand))
+        # over a stack, one (1, N) @ (N, 1) dot product per row
+        return np.matmul(f.grid.weights[None, :], integrand[..., None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +302,19 @@ def lp_form_context(p: float, grid: Grid,
                     weight: GridFunction | None = None) -> FormContext:
     """Integral form on continuous functions inside L^p([0,1])."""
     label = f"L^{p:g}" + ("" if weight is None else "[weighted]")
+
+    def diagonal(f: GridFunction):
+        d = np.real(omega_form(f, f, weight))
+        return d if f.stacked else float(d)
+
     return FormContext(
         name=label,
         form=lambda f, g: omega_form(f, g, weight),
         ambient_norm=lambda f: lp_norm(f, p),
         star=lambda f: f.conj(),
         mul=lambda f, g: f * g,
-        unit=GridFunction.from_callable(lambda x: np.ones_like(x), grid))
+        unit=GridFunction.from_callable(lambda x: np.ones_like(x), grid),
+        diagonal=diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +330,26 @@ def unboundedness_witness(p: float, n_max: int = 256,
     Returns the keys p, exponent and table, the (header, rows) of the
     series.
     """
-    grid = grid or simpson_grid()
-    ns = geometric_ladder(n_max, points=12, n_min=4)
-    tents = [tent_function(grid, int(n), 0.5) for n in ns]
+    ns, tents, diags = _witness_tents(grid or simpson_grid(), n_max)
     norms = _finite(ns, [lp_norm(f, p) for f in tents],
                     ["lp_norm"])[:, 0].tolist()
-    diags = [float(np.real(omega_form(f, f))) for f in tents]
     ratios = [diag / norm ** 2 for diag, norm in zip(diags, norms)]
     fit = fit_trend(ns, ratios)
     return {"p": p, "exponent": fit.slope,
             "table": (["n", "lp_norm", "omega_diag", "ratio"],
                       [[int(n), float(a), float(b), float(c)] for n, a, b, c
                        in zip(ns, norms, diags, ratios)])}
+
+
+@functools.lru_cache(maxsize=4)
+def _witness_tents(grid: Grid, n_max: int) -> tuple:
+    """The witness ladder, its read-only tents and their form diagonals;
+    they do not depend on p, so every p shares one build."""
+    ns = geometric_ladder(n_max, points=12, n_min=4)
+    tents = tuple(tent_function(grid, int(n), 0.5) for n in ns)
+    for f in tents:
+        f.values.flags.writeable = False
+    return ns, tents, [float(np.real(omega_form(f, f))) for f in tents]
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +397,21 @@ def ls_membership(builder: Callable[[Grid], GridFunction], p: float) -> dict:
     s = 2.0 * p / (p - 2.0)
     samples = _ladder_samples(builder)
     member, growth_ratio = _refinement_verdict(samples, s)
-    alpha = 1.0 / p - ALPHA_MARGIN
     cross_member, _ = _refinement_verdict(
-        [f * power_function(f.grid, alpha) for f in samples], 2.0)
+        [f * w for f, w in zip(samples, _cross_powers(1.0 / p - ALPHA_MARGIN))],
+        2.0)
     return {"member": member, "s": s, "growth_ratio": growth_ratio,
             "cross_member": cross_member, "agrees": member == cross_member}
+
+
+@functools.lru_cache(maxsize=4)
+def _cross_powers(alpha: float) -> tuple:
+    """ls_membership's cross-check weight x^(-alpha) on each grid of the
+    MEMBERSHIP_LADDER, built once per alpha; read-only."""
+    powers = _ladder_samples(lambda grid: power_function(grid, alpha))
+    for w in powers:
+        w.values.flags.writeable = False
+    return tuple(powers)
 
 
 # ---------------------------------------------------------------------------

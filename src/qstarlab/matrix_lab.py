@@ -4,9 +4,9 @@ The ambient norm is the weighted two-norm; the trace state induces the
 Hilbert-Schmidt inner product as its sesquilinear form.  Finitely supported
 matrices play the dense *-algebra, which has no unit (the identity fails
 the finite-support condition), so the trace-form context carries none.
-Each element is stored and evaluated as the top-left block that holds its
-support (`WeightedMatrix`).  Truncation growth stands in for the infinite
-setting everywhere.
+Each element is stored and evaluated as the block that holds its support,
+placed at its position in the truncation (`WeightedMatrix`).  Truncation
+growth stands in for the infinite setting everywhere.
 """
 
 from __future__ import annotations
@@ -34,62 +34,70 @@ def weight_matrix(n: int) -> np.ndarray:
 class WeightedMatrix:
     """Truncated element of the weighted matrix space, held as its support.
 
-    entries is the top-left r x c block of an N x N truncation (N is
-    `truncation`); every entry outside the block is zero.  Real blocks are
-    float64.  Without a truncation the block must be square and is the
-    whole truncation, so a plain square ndarray is a full block.
-    Differences pad to the larger block; `np.asarray` gives the dense
-    N x N embedding.
+    entries is the r x c block of an N x N truncation (N is `truncation`)
+    whose top-left entry sits at the 0-based position `at` (the top-left
+    corner by default); every entry outside the block is zero.  Real
+    blocks are float64.  Without a truncation the block must be square
+    and is the whole truncation, so a plain square ndarray is a full
+    block.  Differences cover the union of the two boxes; `np.asarray`
+    gives the dense N x N embedding.
     """
 
-    __slots__ = ("entries", "truncation")
+    __slots__ = ("entries", "truncation", "at")
     # numpy defers every operator to the block, so np.float64 * block
     # reaches __rmul__ instead of multiplying the dense embedding
     __array_ufunc__ = None
 
-    def __init__(self, entries, truncation: int | None = None):
+    def __init__(self, entries, truncation: int | None = None, at=(0, 0)):
         a = np.asarray(entries)
-        if not np.iscomplexobj(a):
+        if a.dtype.kind != "c":
             a = a.astype(float, copy=False)
         if a.ndim != 2:
             raise ValueError(f"need a two-dimensional block, got {a.shape}")
+        rows, cols = a.shape
         if truncation is None:
-            if a.shape[0] != a.shape[1]:
+            if rows != cols:
                 raise ValueError(f"need a square matrix without a truncation, "
                                  f"got {a.shape}")
-            truncation = a.shape[0]
-        if truncation < 2 or min(a.shape) < 1 or max(a.shape) > truncation:
-            raise ValueError(f"block {a.shape} does not fit truncation "
-                             f"{truncation} (>= 2)")
+            truncation = rows
+        r0, c0 = at
+        if not (truncation >= 2 and rows >= 1 and cols >= 1 and r0 >= 0
+                and c0 >= 0 and r0 + rows <= truncation
+                and c0 + cols <= truncation):
+            raise ValueError(f"block {a.shape} at {tuple(at)} does not fit "
+                             f"truncation {truncation} (>= 2)")
         self.entries = a
         self.truncation = int(truncation)
+        self.at = (int(r0), int(c0))
 
     def __array__(self, dtype=None, copy=None):
         n = self.truncation
         dense = np.zeros((n, n), self.entries.dtype if dtype is None else dtype)
-        r, c = self.entries.shape
-        dense[:r, :c] = self.entries
+        (r0, c0), (r, c) = self.at, self.entries.shape
+        dense[r0:r0 + r, c0:c0 + c] = self.entries
         return dense
 
     def __sub__(self, other):
-        """self - other entrywise over the larger of the two blocks."""
+        """self - other entrywise over the union of the two boxes."""
         other = _block(other)
         n = _common_truncation(self, other)
         ea, eb = self.entries, other.entries
-        if ea.shape == eb.shape:
-            return WeightedMatrix(ea - eb, n)
-        out = np.zeros((max(ea.shape[0], eb.shape[0]),
-                        max(ea.shape[1], eb.shape[1])),
+        if self.at == other.at and ea.shape == eb.shape:
+            return WeightedMatrix(ea - eb, n, self.at)
+        (ar, ac), (br, bc) = self.at, other.at
+        r0, c0 = min(ar, br), min(ac, bc)
+        out = np.zeros((max(ar + ea.shape[0], br + eb.shape[0]) - r0,
+                        max(ac + ea.shape[1], bc + eb.shape[1]) - c0),
                        dtype=np.result_type(ea, eb))
-        out[:ea.shape[0], :ea.shape[1]] = ea
-        out[:eb.shape[0], :eb.shape[1]] -= eb
-        return WeightedMatrix(out, n)
+        out[ar - r0:ar - r0 + ea.shape[0], ac - c0:ac - c0 + ea.shape[1]] = ea
+        out[br - r0:br - r0 + eb.shape[0], bc - c0:bc - c0 + eb.shape[1]] -= eb
+        return WeightedMatrix(out, n, (r0, c0))
 
     def __rmul__(self, scalar):
         """scalar * block, entrywise; a real scalar keeps a real block."""
         if not np.isscalar(scalar):
             return NotImplemented
-        return WeightedMatrix(scalar * self.entries, self.truncation)
+        return WeightedMatrix(scalar * self.entries, self.truncation, self.at)
 
 
 def _block(a) -> WeightedMatrix:
@@ -105,32 +113,45 @@ def _common_truncation(a: WeightedMatrix, b: WeightedMatrix) -> int:
 
 def _star(a) -> WeightedMatrix:
     a = _block(a)
-    return WeightedMatrix(a.entries.conj().T, a.truncation)
+    return WeightedMatrix(a.entries.conj().T, a.truncation, a.at[::-1])
 
 
 def _mul(a, b) -> WeightedMatrix:
-    """The matrix product over the common inner extent of the two blocks."""
+    """The matrix product over the overlap of a's columns with b's rows:
+    a.rows x b.cols, at a's first row and b's first column (all zeros when
+    they do not overlap)."""
     a, b = _block(a), _block(b)
     n = _common_truncation(a, b)
-    k = min(a.entries.shape[1], b.entries.shape[0])
-    return WeightedMatrix(a.entries[:, :k] @ b.entries[:k, :], n)
+    (ar, ac), (br, bc) = a.at, b.at
+    k0 = max(ac, br)
+    k1 = max(k0, min(ac + a.entries.shape[1], br + b.entries.shape[0]))
+    product = a.entries[:, k0 - ac:k1 - ac] @ b.entries[k0 - br:k1 - br, :]
+    return WeightedMatrix(product, n, (ar, bc))
 
 
 def weighted_norm(a) -> float:
     """sqrt of sum 1/(m^2 n^2) |a_mn|^2 over the block."""
     a = _block(a)
-    r, c = a.entries.shape
-    w = weight_matrix(a.truncation)[:r, :c]
+    (r0, c0), (r, c) = a.at, a.entries.shape
+    w = weight_matrix(a.truncation)[r0:r0 + r, c0:c0 + c]
     return float(np.sqrt(np.sum(w * np.abs(a.entries) ** 2)))
 
 
 def trace_form(a, b) -> complex:
-    """The trace-state form: sum conj(b_mn) a_mn over the common block."""
+    """The trace-state form: sum conj(b_mn) a_mn over the overlap of the
+    two boxes (0 when they do not overlap)."""
     a, b = _block(a), _block(b)
     _common_truncation(a, b)
-    r = min(a.entries.shape[0], b.entries.shape[0])
-    c = min(a.entries.shape[1], b.entries.shape[1])
-    return complex(np.vdot(b.entries[:r, :c], a.entries[:r, :c]))
+    (ar, ac), (br, bc) = a.at, b.at
+    (am, an), (bm, bn) = a.entries.shape, b.entries.shape
+    if (ar, ac, am, an) == (br, bc, bm, bn):  # one box, a form diagonal
+        return complex(np.vdot(b.entries, a.entries))
+    r0, c0 = max(ar, br), max(ac, bc)
+    r1, c1 = min(ar + am, br + bm), min(ac + an, bc + bn)
+    if r1 <= r0 or c1 <= c0:
+        return 0j
+    return complex(np.vdot(b.entries[r0 - br:r1 - br, c0 - bc:c1 - bc],
+                           a.entries[r0 - ar:r1 - ar, c0 - ac:c1 - ac]))
 
 
 def m_constant(n: int) -> tuple[float, float]:
@@ -178,9 +199,7 @@ def _shrinking_block(k: int, n: int) -> WeightedMatrix:
 
 def _moving_bump(k: int, n: int) -> WeightedMatrix:
     idx = min(k, n) - 1
-    a = np.zeros((idx + 1, idx + 1))
-    a[idx, idx] = 1.0
-    return WeightedMatrix(a, n)
+    return WeightedMatrix([[1.0]], n, (idx, idx))
 
 
 def _spreading_block(k: int, n: int) -> WeightedMatrix:

@@ -9,6 +9,7 @@ fixed seed; randomized probes draw from a local generator only.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -105,7 +106,14 @@ def ramp_family(grid: flab.Grid) -> ProbeFamily:
 def multiplication_suite(grid: flab.Grid, topology: str, seed: int = 0):
     """Seminorm suite for multiplication operators on the grid: the node
     spikes witness the sup norm, the smooth ball the integral pairings.
-    The weak suite pairs test vectors, among them the middle node spike."""
+    The weak suite pairs test vectors, among them the middle node spike.
+    One suite per grid, topology and seed is built in a process and
+    shared; its arrays are read-only."""
+    return _cached_suite(grid, topology, seed)
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_suite(grid: flab.Grid, topology: str, seed: int) -> Suite:
     def bounded_sets():
         return [flab.node_spike_set(grid),
                 flab.smooth_ball_set(grid, 2.0, count=4, seed=seed)]
@@ -113,16 +121,18 @@ def multiplication_suite(grid: flab.Grid, topology: str, seed: int = 0):
     if topology == "uniform":
         return Suite("uniform", bounded_sets())
     p = MULTIPLICATION_P
+    power = flab.power_function(grid, 1.0 / p - 0.02)
     phis = [("one", flab.embed_vector(flab.GridFunction.from_callable(
         lambda x: np.ones_like(x), grid))),
         ("cos", flab.embed_vector(flab.GridFunction.from_callable(
             lambda x: np.cos(2 * np.pi * x), grid))),
-        ("power", flab.embed_vector(
-            (1.0 / flab.lp_norm(flab.power_function(grid, 1.0 / p - 0.02), p))
-            * flab.power_function(grid, 1.0 / p - 0.02)))]
+        ("power", flab.embed_vector((1.0 / flab.lp_norm(power, p)) * power))]
+    for _, v in phis:
+        v.flags.writeable = False
     if topology == "weak":
         mid_spike = np.zeros(grid.n_nodes, dtype=complex)
         mid_spike[grid.n_nodes // 2] = 1.0
+        mid_spike.flags.writeable = False
         pairs = [(f"{a}|{b}", phis[i][1], phis[j][1])
                  for i, (a, _) in enumerate(phis)
                  for j, (b, _) in enumerate(phis) if i <= j]

@@ -80,11 +80,32 @@ class TruncatedOperator:
             return TruncatedOperator(diag=self.diag - other.diag)
         return TruncatedOperator(self.matrix - other.matrix)
 
+    @classmethod
+    def stack_ladder(cls, ops) -> tuple | None:
+        """Diagonal operators of one dimension as one DiagonalStack and
+        their consecutive differences as another; None when any is dense
+        or the dimensions differ."""
+        if any(op.diag is None for op in ops) or len({op.dim for op in ops}) > 1:
+            return None
+        d = np.stack([op.diag for op in ops])
+        return DiagonalStack(d), DiagonalStack(d[1:] - d[:-1])
+
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
         if self._real_diag is not None:
             return (self._real_diag * v.T).T  # scales rows of a 2-D v too
         return self.matrix @ v
+
+
+class DiagonalStack:
+    """Diagonal operators of one dimension, one diagonal per row of `diag`
+    (complex, L x N): a ladder of multiplication operators, which
+    `seminorm` evaluates at once (TruncatedOperator.stack_ladder)."""
+
+    __slots__ = ("diag",)
+
+    def __init__(self, diag: np.ndarray):
+        self.diag = diag
 
 
 class BoundedSet:
@@ -136,11 +157,6 @@ class BoundedSet:
     conj_rows = property(lambda self: self._read("_conj_rows"))
 
 
-def pairing(u, psi) -> complex:
-    """Dual pairing <u, psi> of a dual-proxy vector against a domain vector."""
-    return complex(np.vdot(np.asarray(psi, dtype=complex), np.asarray(u)))
-
-
 class Suite:
     """A seminorm suite: one topology over finite test data.
 
@@ -178,51 +194,90 @@ class Suite:
         self.names = tuple(names)
 
 
-def seminorm(a: TruncatedOperator, suite: Suite) -> np.ndarray:
-    """Every seminorm of the suite on one operator, in suite.names order.
+def seminorm(a: TruncatedOperator | DiagonalStack,
+             suite: Suite) -> np.ndarray:
+    """Every seminorm of the suite on one operator, in suite.names order;
+    on a DiagonalStack, one such row per operator.
 
-    Each test vector is applied once (for strongstar also to the adjoint,
-    the larger value kept by np.maximum, which keeps a NaN; a real
-    diagonal is self-adjoint and has one image), and its image is shared
-    across the bounded sets.  Over the canonical basis
-    (m.is_basis) the pairings are the operator's entries, so uniform is
-    max |A_ij| and strong max |(A phi)_i|, read without the product with
-    I.  For finite entries the values equal the product's bit for bit
-    (each product entry is A_ij * 1 plus exact zeros, and abs drops signed
-    zeros); an inf entry gives inf where the product would give nan (0 * inf).
+    Real diagonals, one operator or a stack, are evaluated as arrays
+    (_diagonal_seminorms); a dense or complex operator through its matrix
+    (_dense_seminorm), and a stack holding a complex row row by row.  Each
+    test vector is applied once per operator and its image shared across
+    the bounded sets.  A row of a stack equals its operator's values bit
+    for bit: its images are the same elementwise products, and a stacked
+    matmul makes the same BLAS call per row as one product per operator.
+    Strong* takes the larger of the values of A and its adjoint by
+    np.maximum, which keeps a NaN; a real diagonal is its own adjoint and
+    has one image.  Over the canonical basis (m.is_basis) the pairings are
+    the operator's entries, so uniform is max |A_ij| and strong
+    max |(A phi)_i|, read without the product with I.  For finite entries
+    the values equal the product's bit for bit (each product entry is
+    A_ij * 1 plus exact zeros, and abs drops signed zeros); an inf entry
+    gives inf where the product would give nan (0 * inf).
     """
+    if isinstance(a, TruncatedOperator):
+        if a._real_diag is None:
+            return _dense_seminorm(a, suite)
+        return _diagonal_seminorms(a._real_diag[None], suite)[0]
+    d = a.diag
+    if d.imag.any():
+        return np.array([seminorm(TruncatedOperator(diag=row), suite)
+                         for row in d]).reshape(len(d), len(suite.names))
+    return _diagonal_seminorms(d, suite)
+
+
+def _diagonal_seminorms(d: np.ndarray, suite: Suite) -> np.ndarray:
+    """The suite on the real diagonals d (L x N): an L x n_seminorms array."""
     sets = suite.bounded_sets
     if suite.topology == "uniform":
-        return np.array([_uniform_seminorm(a, m) for m in sets])
+        return np.stack(
+            [np.max(np.abs(d), axis=1) if m.is_basis else
+             np.max(np.abs((m.conj_rows * d[:, None, :]) @ m.rows.T),
+                    axis=(1, 2)) for m in sets], axis=1)
     if suite.topology == "weak":
-        return np.array([abs(pairing(a.apply(phi), psi))
+        return np.stack([_weak_pairings(d * np.asarray(phi, dtype=complex),
+                                        psi)
+                         for _, phi, psi in suite.weak_pairs], axis=1)
+    phis = np.array([phi for _, phi in suite.phis], dtype=complex)
+    sups = _sup_pairings(sets, d[:, None, :] * phis)  # [operator, phi, set]
+    return sups.transpose(0, 2, 1).reshape(len(d), len(suite.names))
+
+
+def _dense_seminorm(a: TruncatedOperator, suite: Suite) -> np.ndarray:
+    """The suite on one operator through its matrix (dense or complex)."""
+    sets = suite.bounded_sets
+    if suite.topology == "uniform":
+        return np.array([
+            np.max(np.abs(a.diag if a.diag is not None else a.matrix))
+            if m.is_basis else np.max(np.abs(m.conj_rows @ a.matrix
+                                             @ m.rows.T)) for m in sets])
+    if suite.topology == "weak":
+        return np.array([_weak_pairings(a.apply(phi), psi)
                          for _, phi, psi in suite.weak_pairs])
-    # a real diagonal is its own adjoint, and np.maximum(x, x) is x
-    adjoint = (a.adjoint() if suite.topology == "strongstar"
-               and a._real_diag is None else None)
-    values = np.empty((len(sets), len(suite.phis)))
-    for j, (_, phi) in enumerate(suite.phis):
-        values[:, j] = _sup_pairings(sets, a.apply(phi))
-        if adjoint is not None:
-            values[:, j] = np.maximum(values[:, j], _sup_pairings(
-                sets, adjoint.apply(phi)))
-    return values.ravel()
+    sups = _sup_pairings(sets, np.array([a.apply(phi)
+                                         for _, phi in suite.phis]))
+    if suite.topology == "strongstar":
+        sups = np.maximum(sups, _sup_pairings(sets, np.array(
+            [a.adjoint().apply(phi) for _, phi in suite.phis])))
+    return sups.T.ravel()  # set-major
 
 
-def _uniform_seminorm(a: TruncatedOperator, m: BoundedSet) -> float:
-    if m.is_basis:
-        entries = a.diag if a.diag is not None else a.matrix
-        return float(np.max(np.abs(entries)))
-    d = a._real_diag
-    left = m.conj_rows * d if d is not None else m.conj_rows @ a.matrix
-    grid = left @ m.rows.T  # [psi index, phi index]
-    return float(np.max(np.abs(grid)))
+def _sup_pairings(sets, imgs: np.ndarray) -> np.ndarray:
+    """sup over psi in m of |<img, psi>| for each image (the last axis of
+    imgs) and each bounded set m, the sets on a new last axis."""
+    return np.stack(
+        [np.max(np.abs(imgs), axis=-1) if m.is_basis else
+         np.max(np.abs(np.matmul(m.conj_rows, imgs[..., None])),
+                axis=(-2, -1)) for m in sets], axis=-1)
 
 
-def _sup_pairings(sets, img: np.ndarray) -> list:
-    """sup over psi in m of |<img, psi>|, for each bounded set m."""
-    return [float(np.max(np.abs(img if m.is_basis else m.conj_rows @ img)))
-            for m in sets]
+def _weak_pairings(imgs: np.ndarray, psi) -> np.ndarray:
+    """|<img, psi>| for each image (the last axis of imgs): one
+    (1, N) @ (N, 1) product each, the dot product np.vdot takes; hypot is
+    Python's abs of a complex, where np.abs rounds differently."""
+    psi_bar = np.asarray(psi, dtype=complex).conj()
+    z = np.matmul(psi_bar[None, :], imgs[..., None])[..., 0, 0]
+    return np.hypot(z.real, z.imag)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,11 @@ def structure_report(algebra) -> dict:
     return report
 
 
+def pairing(u, psi) -> complex:
+    """Dual pairing <u, psi> of a dual-proxy vector against a domain vector."""
+    return complex(np.vdot(np.asarray(psi, dtype=complex), np.asarray(u)))
+
+
 def one_seminorm(a, topology, m=None, phi=None, psi=None) -> float:
     """One seminorm of a topology, the value of a one-entry Suite: uniform
     takes m, strong and strongstar m and phi, weak phi and psi."""

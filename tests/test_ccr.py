@@ -30,6 +30,17 @@ def test_trig_poly_coefficient_dicts():
         TrigPoly({0: {-1: 1}})
 
 
+def test_trig_poly_keys_must_be_integers():
+    # 1.5 used to be read as frequency 1, and a float power raised a bare
+    # numpy TypeError
+    for coeffs, key in (({1.5: 1}, "frequency 1.5"), ({1.0: 1}, "frequency 1.0"),
+                        ({0: {1.0: 2}}, "power of 2\\*pi 1.0"),
+                        ({2: {0.5: 1}}, "power of 2\\*pi 0.5")):
+        with pytest.raises(ValueError, match=f"{key} in .* is not an integer"):
+            TrigPoly(coeffs)
+    assert TrigPoly({np.int64(2): {np.int32(1): 3}}) == TrigPoly({2: {1: 3}})
+
+
 def test_trig_poly_product_and_derivative():
     e1 = TrigPoly.mode(1)
     assert (e1 * e1) == TrigPoly.mode(2)

@@ -279,3 +279,26 @@ def test_gaussian_suite_passes_on_long_ladders(n_max):
     outcome = run_scenario(Scenario("ex-3.8-1", "function-lab",
                                     "gaussian_suite", "", {"n_max": n_max}))
     assert outcome.passed, outcome.details
+
+
+def test_shared_builds_are_built_once_and_read_only(grid):
+    from qstarlab.scenarios import multiplication_suite
+
+    small = flab.simpson_grid(257)
+    for topology in ("strong", "weak"):
+        suite = multiplication_suite(small, topology, seed=3)
+        assert multiplication_suite(small, topology, seed=3) is suite
+        assert multiplication_suite(small, topology, seed=4) is not suite
+        vectors = ([phi for _, phi in suite.phis]
+                   + [m.rows for m in suite.bounded_sets if not m.is_basis]
+                   + [v for _, phi, psi in suite.weak_pairs
+                      for v in (phi, psi)])
+        assert vectors and not any(v.flags.writeable for v in vectors)
+    ns, tents, diags = flab._witness_tents(grid, 256)
+    assert flab._witness_tents(grid, 256)[1] is tents
+    assert len(tents) == len(diags) == len(ns)
+    assert not any(f.values.flags.writeable for f in tents)
+    powers = flab._cross_powers(0.23)
+    assert flab._cross_powers(0.23) is powers
+    assert [w.grid.n_nodes for w in powers] == list(flab.MEMBERSHIP_LADDER)
+    assert not any(w.values.flags.writeable for w in powers)

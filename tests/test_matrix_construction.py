@@ -80,7 +80,7 @@ FAMILIES = {
     "shrinking_block": (_shrinking_block,
                         lambda k, n: (min(int(np.ceil(np.sqrt(k))), n),) * 2),
     "spreading_block": (_spreading_block, lambda k, n: (min(k, n),) * 2),
-    "moving_bump": (_moving_bump, lambda k, n: (min(k, n),) * 2),
+    "moving_bump": (_moving_bump, lambda k, n: (1, 1)),
     "rank_one_decay": (_rank_one_decay, lambda k, n: (n, n)),
 }
 

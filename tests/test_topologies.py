@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import one_seminorm
+from conftest import one_seminorm, pairing
 from qstarlab import function_lab as flab
 from qstarlab.ccr import CCRPolynomial, ccr_represent, graph_seminorm
 from qstarlab.forms import ProbeFamily
 from qstarlab.rates import NonFiniteSeriesError, geometric_ladder
 from qstarlab.topologies import (BoundedSet, Suite, TruncatedOperator,
-                                 closability_check, extend_by_closure, pairing,
+                                 closability_check, extend_by_closure,
                                  quasi_algebra_closure_test, seminorm)
 
 
