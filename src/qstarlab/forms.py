@@ -41,9 +41,10 @@ class FormContext:
     not support them.
 
     ladder_series hands a stacked ladder of grid functions to
-    ambient_norm and diag as one stack (a.stacked), for one value per row.
-    diagonal, when given, is a -> Re form(a, a) on one element or on such
-    a stack; without it diag evaluates form one row at a time.
+    ambient_norm and diag as one stack (a.stacked), so form and
+    ambient_norm give one value per row of a stack.  diagonal, when given,
+    is a -> Re form(a, a) on one element or on a stack; a derived form
+    sets it to build its image once.
     """
 
     name: str
@@ -57,9 +58,8 @@ class FormContext:
     def diag(self, a):
         if self.diagonal is not None:
             return self.diagonal(a)
-        if getattr(a, "stacked", False):
-            return np.array([self.diag(x) for x in a.unstack()])
-        return float(np.real(self.form(a, a)))
+        d = np.real(self.form(a, a))
+        return float(d) if np.ndim(d) == 0 else d
 
 
 @dataclass(frozen=True)
@@ -151,10 +151,12 @@ def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
     (grid functions, x.stacks(len(ns)): a ladder small enough to stay in
     cache) are built at once and evaluated as two stacks, the members and
     their differences, from their type's stack_ladder: f, and
-    ambient_norm, take a stack and give one row per member, the same bits
-    as one member at a time.  So are the representatives of a view when
-    their type has a stack_ladder (diagonal operators) that does not
-    decline; others are evaluated one at a time.  Other members stream,
+    ambient_norm, take a stack and must give one value or row per member
+    (a ValueError names an evaluator that does not), the same bits as one
+    member at a time.  rep_map takes one member at a time; its
+    representatives stack again when their type has a stack_ladder (real
+    diagonal operators) that does not decline, and are otherwise
+    evaluated one at a time.  Other members stream,
     only a member and its predecessor held, since a member can be a full
     N x N block.
 
@@ -181,8 +183,8 @@ def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
         if family.tau_norm is not None:
             ambient = np.array([family.tau_norm(int(n)) for n in ns])
         else:
-            ambient = (None if ambient_norm is None
-                       else np.asarray(ambient_norm(stacks[0]), dtype=float))
+            ambient = (None if ambient_norm is None else np.asarray(
+                _on_stack(ambient_norm, stacks[0], len(ns)), dtype=float))
         values, steps = [], []
         for rep_map, f, _ in views:
             if rep_map is None:
@@ -228,13 +230,26 @@ def _ladder_columns(reps: list, f, stacks) -> tuple:
     on stacks, the two of their stack_ladder, or one representative at a
     time when stacks is None."""
     if stacks is not None:
-        values, steps = f(stacks[0]), f(stacks[1])
+        values = _on_stack(f, stacks[0], len(reps))
+        steps = _on_stack(f, stacks[1], len(reps) - 1)
     else:
         values = [f(r) for r in reps]
         steps = [f(r - p) for r, p in zip(reps[1:], reps)]
     values = _columns(values, len(reps), -1)
     return values, np.maximum(_columns(steps, len(reps) - 1,
                                        values.shape[1]), 0.0)
+
+
+def _on_stack(f, stack, length: int):
+    """f on a stack of length members, which must give one value or one
+    row of values per member."""
+    out = f(stack)
+    if np.shape(out)[:1] != (length,):
+        raise ValueError(
+            f"evaluator {getattr(f, '__qualname__', f)!r} gave shape "
+            f"{np.shape(out)} on a stack of {length} members; on a stack it "
+            f"must give one value or one row of values per member")
+    return out
 
 
 def closability_probe(ctx: FormContext, family: ProbeFamily | ScaledFamily,

@@ -26,11 +26,12 @@ DEFAULT_HERMITE_NODES = 128
 MEMBERSHIP_LADDER = (1025, 2049, 4097, 8193, 16385)
 # ls_membership's cross-check weight x^(-alpha) has alpha = 1/p - this.
 ALPHA_MARGIN = 0.02
-# The most values a ladder of grid functions is stacked with (256 KB of
-# float64).  Beyond the cache a stack only adds memory traffic: 24 tents
-# on 4097 nodes took 2.7 ms stacked against 1.0 ms one at a time, while
-# 14 functions on 257 nodes take a third to a half of the per-member time.
-STACK_VALUES = 2 ** 15
+# The most values a ladder of grid functions is stacked with.  Timed on a
+# 2-core Xeon (numpy 2.4), stacking took 0.75-0.8 of the per-member time
+# for closure ladders of 14 functions on 513 nodes (7,182 values) and
+# less on 257 nodes; at 14 x 1025 (14,350) it was even or slower, and
+# from 14 x 1537 (21,518) on 1.2-1.5 times the per-member time.
+STACK_VALUES = 2 ** 13
 
 
 class GridMismatchError(ValueError):
@@ -149,10 +150,6 @@ class GridFunction:
         values = np.stack([f.values for f in members])
         grid = members[0].grid
         return cls(values, grid), cls(values[1:], grid) - cls(values[:-1], grid)
-
-    def unstack(self) -> list:
-        """The rows of a stack, one grid function each."""
-        return [GridFunction(v, self.grid) for v in self.values]
 
     @classmethod
     def from_callable(cls, f: Callable, grid: Grid,
@@ -302,19 +299,13 @@ def lp_form_context(p: float, grid: Grid,
                     weight: GridFunction | None = None) -> FormContext:
     """Integral form on continuous functions inside L^p([0,1])."""
     label = f"L^{p:g}" + ("" if weight is None else "[weighted]")
-
-    def diagonal(f: GridFunction):
-        d = np.real(omega_form(f, f, weight))
-        return d if f.stacked else float(d)
-
     return FormContext(
         name=label,
         form=lambda f, g: omega_form(f, g, weight),
         ambient_norm=lambda f: lp_norm(f, p),
         star=lambda f: f.conj(),
         mul=lambda f, g: f * g,
-        unit=GridFunction.from_callable(lambda x: np.ones_like(x), grid),
-        diagonal=diagonal)
+        unit=GridFunction.from_callable(lambda x: np.ones_like(x), grid))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +340,7 @@ def _witness_tents(grid: Grid, n_max: int) -> tuple:
     tents = tuple(tent_function(grid, int(n), 0.5) for n in ns)
     for f in tents:
         f.values.flags.writeable = False
-    return ns, tents, [float(np.real(omega_form(f, f))) for f in tents]
+    return ns, tents, tuple(float(np.real(omega_form(f, f))) for f in tents)
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,13 @@ class TruncatedOperator:
 
     @classmethod
     def stack_ladder(cls, ops) -> tuple | None:
-        """Diagonal operators of one dimension as one DiagonalStack and
-        their consecutive differences as another; None when any is dense
-        or the dimensions differ."""
-        if any(op.diag is None for op in ops) or len({op.dim for op in ops}) > 1:
+        """Real diagonal operators of one dimension as one DiagonalStack
+        and their consecutive differences as another; None when any is
+        dense or complex or the dimensions differ."""
+        if (any(op._real_diag is None for op in ops)
+                or len({op.dim for op in ops}) > 1):
             return None
-        d = np.stack([op.diag for op in ops])
+        d = np.stack([op._real_diag for op in ops])
         return DiagonalStack(d), DiagonalStack(d[1:] - d[:-1])
 
     def apply(self, v) -> np.ndarray:
@@ -98,9 +99,9 @@ class TruncatedOperator:
 
 
 class DiagonalStack:
-    """Diagonal operators of one dimension, one diagonal per row of `diag`
-    (complex, L x N): a ladder of multiplication operators, which
-    `seminorm` evaluates at once (TruncatedOperator.stack_ladder)."""
+    """Real diagonal operators of one dimension, one diagonal per row of
+    `diag` (L x N, held as complex): a ladder of multiplication operators,
+    which `seminorm` evaluates at once (TruncatedOperator.stack_ladder)."""
 
     __slots__ = ("diag",)
 
@@ -201,9 +202,8 @@ def seminorm(a: TruncatedOperator | DiagonalStack,
 
     Real diagonals, one operator or a stack, are evaluated as arrays
     (_diagonal_seminorms); a dense or complex operator through its matrix
-    (_dense_seminorm), and a stack holding a complex row row by row.  Each
-    test vector is applied once per operator and its image shared across
-    the bounded sets.  A row of a stack equals its operator's values bit
+    (_dense_seminorm).  Each test vector is applied once per operator and
+    its image shared across the bounded sets.  A row of a stack equals its operator's values bit
     for bit: its images are the same elementwise products, and a stacked
     matmul makes the same BLAS call per row as one product per operator.
     Strong* takes the larger of the values of A and its adjoint by
@@ -219,11 +219,7 @@ def seminorm(a: TruncatedOperator | DiagonalStack,
         if a._real_diag is None:
             return _dense_seminorm(a, suite)
         return _diagonal_seminorms(a._real_diag[None], suite)[0]
-    d = a.diag
-    if d.imag.any():
-        return np.array([seminorm(TruncatedOperator(diag=row), suite)
-                         for row in d]).reshape(len(d), len(suite.names))
-    return _diagonal_seminorms(d, suite)
+    return _diagonal_seminorms(a.diag, suite)
 
 
 def _diagonal_seminorms(d: np.ndarray, suite: Suite) -> np.ndarray:

@@ -61,9 +61,6 @@ ALLOWED: dict[str, str] = {
         "documented in the README; acceptance tests build their forms with it",
     "forms.form_from_state.form": "the form form_from_state returns",
     "function_lab.GridFunction.conj": "the involution of the L^p context",
-    "function_lab.GridFunction.unstack":
-        "a form context without a stacked diagonal (a custom form) on a "
-        "ladder of grid functions; the built-in L^p context has one",
     "matrix_lab.WeightedMatrix.__array__":
         "the dense embedding that tests compare blocks against",
     "matrix_lab._members":

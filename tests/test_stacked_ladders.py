@@ -14,7 +14,8 @@ import pytest
 
 from conftest import pairing
 from qstarlab import function_lab as flab
-from qstarlab.forms import FormContext, closability_probe, ladder_series
+from qstarlab.forms import (FormContext, ProbeFamily, closability_probe,
+                            ladder_series, star_form)
 from qstarlab.rates import geometric_ladder
 from qstarlab.scenarios import (CLIP_VARIANTS, EXTENSION_GRID_NODES,
                                 EXTENSION_POINTS, EXTENSION_TARGETS,
@@ -93,16 +94,22 @@ def test_single_operator_is_a_stack_of_one(grid, topology):
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_complex_rows_go_row_by_row(grid, topology):
+def test_empty_stack_gives_no_rows(grid, topology):
     suite = multiplication_suite(grid, topology)
+    d = np.ones((0, grid.n_nodes), dtype=complex)
+    assert np.array_equal(seminorm(DiagonalStack(d), suite),
+                          np.empty((0, len(suite.names))))
+
+
+def test_complex_diagonals_are_not_stacked(grid):
     rng = np.random.default_rng(4)
     d = rng.standard_normal((3, grid.n_nodes)).astype(complex)
     d[1] += 1j * rng.standard_normal(grid.n_nodes)
-    got = seminorm(DiagonalStack(d), suite)
-    want = [seminorm(TruncatedOperator(diag=row), suite) for row in d]
-    assert np.array_equal(got, np.array(want))
-    assert np.array_equal(seminorm(DiagonalStack(d[:0]), suite),
-                          np.empty((0, len(suite.names))))
+    ops = [TruncatedOperator(diag=row) for row in d]
+    assert TruncatedOperator.stack_ladder(ops) is None
+    stack, steps = TruncatedOperator.stack_ladder(ops[::2])
+    assert np.array_equal(stack.diag, d[::2])
+    assert np.array_equal(steps.diag, d[2:3] - d[:1])
 
 
 def test_weak_pairings_take_pythons_complex_abs(grid):
@@ -138,11 +145,26 @@ def test_lp_probe_stacks_the_form_diagonal(grid):
     want_steps = [float(np.real(flab.omega_form(b - a, b - a)))
                   for a, b in zip(members, members[1:])]
     assert np.array_equal(probe.steps[:, 0], want_steps)
-    # a custom form without a stacked diagonal takes the rows one by one
-    custom = FormContext("custom", form=ctx.form,
-                         ambient_norm=ctx.ambient_norm)
-    assert np.array_equal(closability_probe(custom, family, 256).values,
-                          probe.values)
+    # a derived form's diagonal takes the stack too
+    star_probe = closability_probe(star_form(ctx), family, 256)
+    assert np.array_equal(star_probe.values, probe.values)
+    assert np.array_equal(star_probe.steps, probe.steps)
+
+
+def test_an_evaluator_must_give_one_row_per_member(grid):
+    family = flab.tent_family(grid, 0.25, 1.0)
+    ns = geometric_ladder(256)
+
+    def total_norm(f):  # reduces over the whole stack
+        return float(np.sum(np.abs(f.values)))
+
+    with pytest.raises(ValueError, match="total_norm.*one value or one row"):
+        ladder_series(family, ns, None, [(None, total_norm, 1)])
+    ctx = flab.lp_form_context(1.0, grid)
+    untabled = ProbeFamily("tents", family.generate)  # no closed-form norm
+    with pytest.raises(ValueError, match="total_norm"):
+        closability_probe(FormContext("custom", form=ctx.form,
+                                      ambient_norm=total_norm), untabled, 256)
 
 
 def test_large_ladders_are_evaluated_one_member_at_a_time():
