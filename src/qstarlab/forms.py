@@ -40,11 +40,12 @@ class FormContext:
     and mul act on domain elements and may be None when the domain does
     not support them.
 
-    ladder_series hands a stacked ladder of grid functions to
-    ambient_norm and diag as one stack (a.stacked), so form and
-    ambient_norm give one value per row of a stack.  diagonal, when given,
-    is a -> Re form(a, a) on one element or on a stack; a derived form
-    sets it to build its image once.
+    ladder_series hands a ladder whose members stack (grid functions,
+    GridFunction.stack_ladder) to ambient_norm and diag as one stack
+    (a.stacked), so form and ambient_norm give one value per row of a
+    stack; a single grid function is a stack of one.  diagonal, when
+    given, is a -> Re form(a, a) on one element or on a stack; a derived
+    form sets it to build its image once.
     """
 
     name: str
@@ -147,18 +148,14 @@ def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
     absolutely homogeneous of degree d (1 for a seminorm or norm, 2 for a
     form diagonal) and rep_map linear or antilinear.
 
-    The member type decides how the ladder is held.  Members that stack
-    (grid functions, x.stacks(len(ns)): a ladder small enough to stay in
-    cache) are built at once and evaluated as two stacks, the members and
-    their differences, from their type's stack_ladder: f, and
-    ambient_norm, take a stack and must give one value or row per member
-    (a ValueError names an evaluator that does not), the same bits as one
-    member at a time.  rep_map takes one member at a time; its
-    representatives stack again when their type has a stack_ladder (real
-    diagonal operators) that does not decline, and are otherwise
-    evaluated one at a time.  Other members stream,
-    only a member and its predecessor held, since a member can be a full
-    N x N block.
+    Any other family is held as the list of its members, and each view's
+    representatives as a list.  A list whose type has a stack_ladder that
+    does not decline (a ladder of grid functions of at most STACK_VALUES
+    values, real diagonal operators) is evaluated as two stacks, the items
+    and their differences: f, and ambient_norm on the members, take a
+    stack and must give one value or row per item (a ValueError names an
+    evaluator that does not), the same bits as one item at a time.  Other
+    lists are evaluated one item and one difference at a time.
 
     Returns the ambient series, the value and the step columns split into
     one block per view, and the last member.
@@ -176,48 +173,35 @@ def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
         ambient = (None if ambient_norm is None
                    else size * ambient_norm(family.base))
         return ambient, values, steps, family.generate(int(ns[-1]))
-    x = family.generate(int(ns[0]))
-    if getattr(x, "stacks", None) and x.stacks(len(ns)):
-        members = [x] + [family.generate(int(n)) for n in ns[1:]]
-        stacks = type(x).stack_ladder(members)
-        if family.tau_norm is not None:
-            ambient = np.array([family.tau_norm(int(n)) for n in ns])
+    members = [family.generate(int(n)) for n in ns]
+    stacks = _stack_ladder(members)
+    if family.tau_norm is not None:
+        ambient = np.array([family.tau_norm(int(n)) for n in ns])
+    elif ambient_norm is None:
+        ambient = None
+    else:
+        ambient = np.asarray([ambient_norm(m) for m in members]
+                             if stacks is None else
+                             _on_stack(ambient_norm, stacks[0], len(ns)),
+                             dtype=float)
+    values, steps = [], []
+    for rep_map, f, _ in views:
+        if rep_map is None:
+            v, s = _ladder_columns(members, f, stacks)
         else:
-            ambient = (None if ambient_norm is None else np.asarray(
-                _on_stack(ambient_norm, stacks[0], len(ns)), dtype=float))
-        values, steps = [], []
-        for rep_map, f, _ in views:
-            if rep_map is None:
-                v, s = _ladder_columns(members, f, stacks)
-            else:
-                reps = [rep_map(m) for m in members]
-                stack_ladder = getattr(type(reps[0]), "stack_ladder", None)
-                v, s = _ladder_columns(reps, f, None if stack_ladder is None
-                                       else stack_ladder(reps))
-            values.append(v)
-            steps.append(s)
-        return ambient, values, steps, members[-1]
-    ambient, values, steps, previous = [], [], [], None
-    for n in ns:
-        if previous is not None:
-            x = family.generate(int(n))
-        if family.tau_norm is not None:
-            ambient.append(family.tau_norm(int(n)))
-        elif ambient_norm is not None:
-            ambient.append(ambient_norm(x))
-        reps = [x if rep_map is None else rep_map(x)
-                for rep_map, _, _ in views]
-        values.append([f(r) for (_, f, _), r in zip(views, reps)])
-        if previous is not None:
-            steps.append([f(r - p) for (_, f, _), r, p
-                          in zip(views, reps, previous)])
-        previous = reps
-    values = [_columns([row[k] for row in values], len(values), -1)
-              for k in range(len(views))]
-    steps = [np.maximum(_columns([row[k] for row in steps], len(steps),
-                                 v.shape[1]), 0.0)
-             for k, v in enumerate(values)]
-    return np.array(ambient) if ambient else None, values, steps, x
+            reps = [rep_map(m) for m in members]
+            v, s = _ladder_columns(reps, f, _stack_ladder(reps))
+        values.append(v)
+        steps.append(s)
+    return ambient, values, steps, members[-1]
+
+
+def _stack_ladder(items: list) -> tuple | None:
+    """The items as one stack and their consecutive differences as
+    another, from their type's stack_ladder; None when the type has none
+    or declines."""
+    stack_ladder = getattr(type(items[0]), "stack_ladder", None)
+    return None if stack_ladder is None else stack_ladder(items)
 
 
 def _columns(rows, length: int, width: int) -> np.ndarray:
@@ -227,8 +211,8 @@ def _columns(rows, length: int, width: int) -> np.ndarray:
 
 def _ladder_columns(reps: list, f, stacks) -> tuple:
     """The value and the step columns of f on the held representatives:
-    on stacks, the two of their stack_ladder, or one representative at a
-    time when stacks is None."""
+    on stacks, the two of their stack_ladder, or one representative and
+    one difference at a time when stacks is None."""
     if stacks is not None:
         values = _on_stack(f, stacks[0], len(reps))
         steps = _on_stack(f, stacks[1], len(reps) - 1)

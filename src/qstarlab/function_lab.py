@@ -26,11 +26,12 @@ DEFAULT_HERMITE_NODES = 128
 MEMBERSHIP_LADDER = (1025, 2049, 4097, 8193, 16385)
 # ls_membership's cross-check weight x^(-alpha) has alpha = 1/p - this.
 ALPHA_MARGIN = 0.02
-# The most values a ladder of grid functions is stacked with.  Timed on a
-# 2-core Xeon (numpy 2.4), stacking took 0.75-0.8 of the per-member time
-# for closure ladders of 14 functions on 513 nodes (7,182 values) and
-# less on 257 nodes; at 14 x 1025 (14,350) it was even or slower, and
-# from 14 x 1537 (21,518) on 1.2-1.5 times the per-member time.
+# The most values GridFunction.stack_ladder stacks; a larger ladder is
+# evaluated one function at a time.  Timed on a 2-core Xeon (numpy 2.4),
+# stacking took 0.75-0.8 of the per-member time for closure ladders of 14
+# functions on 513 nodes (7,182 values) and less on 257 nodes; at
+# 14 x 1025 (14,350) it was even or slower, and from 14 x 1537 (21,518)
+# on 1.2-1.5 times the per-member time.
 STACK_VALUES = 2 ** 13
 
 
@@ -119,7 +120,8 @@ class GridFunction:
     (`stacked`): `stack_ladder` builds the stacks that
     `forms.ladder_series` evaluates a ladder of grid functions on.
     Arithmetic broadcasts, and `lp_norm` and `omega_form` give one value
-    per row, each equal bit for bit to that of the row alone.
+    per row; they evaluate one function as a stack of one, so a row of a
+    stack and the function alone give the same bits.
     """
 
     values: np.ndarray
@@ -136,17 +138,15 @@ class GridFunction:
     def stacked(self) -> bool:
         return self.values.ndim == 2
 
-    def stacks(self, length: int) -> bool:
-        """Whether a ladder of length functions like this one is evaluated
-        as stacks: when they hold at most STACK_VALUES values."""
-        return length * self.values.size <= STACK_VALUES
-
     @classmethod
-    def stack_ladder(cls, members) -> tuple:
+    def stack_ladder(cls, members) -> tuple | None:
         """The members, on one grid, as one stack and their consecutive
-        differences as another."""
+        differences as another; None when they hold more than STACK_VALUES
+        values."""
         for f in members[1:]:
             members[0]._check(f)
+        if len(members) * members[0].values.size > STACK_VALUES:
+            return None
         values = np.stack([f.values for f in members])
         grid = members[0].grid
         return cls(values, grid), cls(values[1:], grid) - cls(values[:-1], grid)
@@ -184,26 +184,26 @@ class GridFunction:
 def lp_norm(f: GridFunction, p: float):
     """Quadrature approximation of the L^p norm (against the grid measure);
     inf, without a numpy warning, when |f|^p overflows.  A float, or an
-    array with one norm per row of a stack."""
+    array with one norm per row of a stack; one function is a stack of
+    one."""
     if p < 1:
         raise ValueError(f"L^p norms need p >= 1, got {p}")
     with np.errstate(over="ignore"):
-        powers = np.abs(f.values) ** p
-        if not f.stacked:
-            return float(np.dot(f.grid.weights, powers) ** (1.0 / p))
+        powers = np.abs(np.atleast_2d(f.values)) ** p
         # (1, N) @ (N, 1) per row is the dot product np.dot takes
         sums = np.matmul(powers[:, None, :], f.grid.weights[:, None])
-        return np.array([s ** (1.0 / p) for s in sums[:, 0, 0]])
+        norms = np.array([s ** (1.0 / p) for s in sums[:, 0, 0]])
+    return norms if f.stacked else float(norms[0])
 
 
 def omega_form(f: GridFunction, g: GridFunction,
                w: GridFunction | None = None):
     """The integral form of f against conj(g), optionally with a weight,
-    a complex number (an array, one value per row, over stacks);
-    computed without a numpy warning when finite functions overflow it
-    (the value is then not finite, which rates._finite reports).  The sum
-    is a complex dot even for real functions: a real one rounds
-    differently."""
+    a complex number (an array, one value per row, over stacks; without a
+    stack, computed as a stack of one); computed without a numpy warning
+    when finite functions overflow it (the value is then not finite, which
+    rates._finite reports).  The sum is a complex dot even for real
+    functions: a real one rounds differently."""
     f._check(g)
     if w is not None:
         f._check(w)
@@ -211,11 +211,11 @@ def omega_form(f: GridFunction, g: GridFunction,
         integrand = f.values * g.values.conj()
         if w is not None:
             integrand = integrand * w.values
-        integrand = integrand.astype(complex, copy=False)
-        if integrand.ndim == 1:
-            return complex(np.dot(f.grid.weights, integrand))
-        # over a stack, one (1, N) @ (N, 1) dot product per row
-        return np.matmul(f.grid.weights[None, :], integrand[..., None])[:, 0, 0]
+        stacked = integrand.ndim == 2
+        integrand = np.atleast_2d(integrand).astype(complex, copy=False)
+        # one (1, N) @ (N, 1) dot product per row, the one np.dot takes
+        forms = np.matmul(f.grid.weights[None, :], integrand[..., None])
+    return forms[:, 0, 0] if stacked else complex(forms[0, 0, 0])
 
 
 # ---------------------------------------------------------------------------

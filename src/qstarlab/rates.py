@@ -43,9 +43,8 @@ class NonFiniteSeriesError(ValueError):
 def _finite(ns, series, names, first: int = 0) -> np.ndarray:
     """series as float columns, one per name, rows following ns[first:]."""
     series = np.asarray(series, dtype=float).reshape(len(ns) - first, -1)
-    bad = np.argwhere(~np.isfinite(series))
-    if len(bad):
-        i, j = bad[0]
+    if not np.isfinite(series).all():
+        i, j = np.argwhere(~np.isfinite(series))[0]
         raise NonFiniteSeriesError(
             f"series {names[j]!r} is {series[i, j]} at ladder position "
             f"{first + i} (n={ns[first + i]})")

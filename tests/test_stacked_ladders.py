@@ -1,12 +1,15 @@
 """Ladders of grid functions evaluated as stacks (`forms.ladder_series`).
 
-A ladder of grid functions is evaluated as two (L, N) stacks, its members
-and their differences, and a ladder of real multiplication operators as a
-`topologies.DiagonalStack`.  Every series must equal, bit for bit, the one
-the same evaluators give one member at a time: the reference below is the
-per-member seminorm written out plainly, one product per test vector.
+A ladder of grid functions of at most `STACK_VALUES` values is evaluated
+as two (L, N) stacks, its members and their differences, and a ladder of
+real multiplication operators as a `topologies.DiagonalStack`.  Every
+series must equal, bit for bit, the one the same evaluators give one
+member at a time: the reference below is the per-member seminorm written
+out plainly, one product per test vector.  Every member of a ladder is
+held, so the peak memory of a large ladder is bounded here too.
 """
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -16,6 +19,7 @@ from conftest import pairing
 from qstarlab import function_lab as flab
 from qstarlab.forms import (FormContext, ProbeFamily, closability_probe,
                             ladder_series, star_form)
+from qstarlab.matrix_lab import matrix_family, trace_form_context
 from qstarlab.rates import geometric_ladder
 from qstarlab.scenarios import (CLIP_VARIANTS, EXTENSION_GRID_NODES,
                                 EXTENSION_POINTS, EXTENSION_TARGETS,
@@ -138,7 +142,7 @@ def test_lp_probe_stacks_the_form_diagonal(grid):
     family = flab.tent_family(grid, 0.25, 1.0)
     ns = geometric_ladder(256)
     members = [family.generate(int(n)) for n in ns]
-    assert members[0].stacks(len(ns))
+    assert flab.GridFunction.stack_ladder(members) is not None
     probe = closability_probe(ctx, family, 256)
     want = [float(np.real(flab.omega_form(m, m))) for m in members]
     assert np.array_equal(probe.values[:, 0], want)
@@ -149,6 +153,53 @@ def test_lp_probe_stacks_the_form_diagonal(grid):
     star_probe = closability_probe(star_form(ctx), family, 256)
     assert np.array_equal(star_probe.values, probe.values)
     assert np.array_equal(star_probe.steps, probe.steps)
+
+
+def plain_lp_norm(f, p: float) -> float:
+    """lp_norm of one function as one np.dot."""
+    with np.errstate(over="ignore"):
+        return float(np.dot(f.grid.weights, np.abs(f.values) ** p)
+                     ** (1.0 / p))
+
+
+def plain_omega_form(f, g, w=None) -> complex:
+    """omega_form of one pair as one complex np.dot."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = f.values * g.values.conj()
+        if w is not None:
+            integrand = integrand * w.values
+        return complex(np.dot(f.grid.weights, integrand.astype(complex)))
+
+
+def bits(x) -> bytes:
+    return np.array(x).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "weighted", "overflow"])
+@pytest.mark.parametrize("n_nodes", [33, 257, 4097])
+def test_one_grid_function_is_a_stack_of_one(kind, n_nodes):
+    grid = flab.simpson_grid(n_nodes)
+    rng = np.random.default_rng(n_nodes)
+    f, g, w = (rng.standard_normal(n_nodes) for _ in range(3))
+    if kind == "complex":
+        f = f + 1j * rng.standard_normal(n_nodes)
+        g = g - 1j * rng.standard_normal(n_nodes)
+    if kind == "overflow":  # |f|^p and f conj(g) overflow to inf
+        f[n_nodes // 2] = 1e200
+        g[n_nodes // 2] = -1e200
+    f, g = flab.GridFunction(f, grid), flab.GridFunction(g, grid)
+    w = flab.GridFunction(np.abs(w), grid) if kind == "weighted" else None
+    for p in (1.0, 1.5, 2.0, 3.0):
+        got = flab.lp_norm(f, p)
+        assert type(got) is float
+        assert bits(got) == bits(plain_lp_norm(f, p))
+    for a, b in ((f, g), (f, f), (g, f)):
+        got = flab.omega_form(a, b, w)
+        assert type(got) is complex
+        assert bits(got) == bits(plain_omega_form(a, b, w))
+    if kind == "overflow":
+        assert flab.lp_norm(f, 2.0) == np.inf
+        assert not np.isfinite(flab.omega_form(f, g))
 
 
 def test_an_evaluator_must_give_one_row_per_member(grid):
@@ -167,12 +218,19 @@ def test_an_evaluator_must_give_one_row_per_member(grid):
                                       ambient_norm=total_norm), untabled, 256)
 
 
-def test_large_ladders_are_evaluated_one_member_at_a_time():
+def test_stack_ladder_declines_above_stack_values(grid):
+    tents = [flab.tent_function(grid, n, 0.25) for n in range(1, 25)]
+    assert len(tents) * grid.n_nodes <= flab.STACK_VALUES  # 257 nodes
+    stack, _ = flab.GridFunction.stack_ladder(tents)
+    assert np.array_equal(stack.values, [f.values for f in tents])
     grid = flab.simpson_grid()  # 4097 nodes: 24 tents exceed STACK_VALUES
+    tents = [flab.tent_function(grid, n, 0.25) for n in range(1, 25)]
+    assert len(tents) * grid.n_nodes > flab.STACK_VALUES
+    assert flab.GridFunction.stack_ladder(tents) is None
+    # a declined ladder is evaluated one member at a time, the same bits
     family = flab.tent_family(grid, 0.25, 1.0)
     members = [family.generate(int(n)) for n in geometric_ladder(256)]
-    assert len(members) * grid.n_nodes > flab.STACK_VALUES
-    assert not members[0].stacks(len(members))
+    assert flab.GridFunction.stack_ladder(members) is None
     probe = closability_probe(flab.lp_form_context(1.0, grid), family, 256)
     assert np.array_equal(probe.values[:, 0],
                           [float(np.real(flab.omega_form(m, m)))
@@ -187,3 +245,21 @@ def test_stack_rejects_a_second_grid(grid):
         flab.GridFunction.stack_ladder([f, g])
     with pytest.raises(flab.GridMismatchError):
         flab.GridFunction(np.ones((2, 3, grid.n_nodes)), grid)
+
+
+def test_a_held_matrix_ladder_has_a_bounded_peak():
+    # every member of a ladder is held: the 20 spreading blocks of the
+    # N = 256 probe peak at 2.0 MB under tracemalloc; the bound is about
+    # twice that, so a costlier way of holding them shows
+    def probe():
+        return closability_probe(trace_form_context(256),
+                                 matrix_family("spreading_block", 256), 256)
+
+    probe()  # fills the shared caches, which are not the ladder's cost
+    tracemalloc.start()
+    try:
+        probe()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
