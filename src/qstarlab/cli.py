@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -59,21 +60,34 @@ def _run_one(scenario, seed: int) -> ScenarioOutcome:
               file=sys.stderr)
         traceback.print_exc()
         return ScenarioOutcome(
-            scenario_id=scenario.scenario_id, passed=False,
-            details={"error": {"type": type(exc).__name__,
-                               "message": str(exc)}},
-            tables={}, output_stem=scenario.output_stem)
+            passed=False, details={"error": {"type": type(exc).__name__,
+                                             "message": str(exc)}},
+            tables={})
 
 
 def _run_all(scenarios, seed: int, out_dir: str, fmt: str) -> int:
-    """Run every scenario in turn, then write the outcomes in id order."""
-    outcomes = [_run_one(sc, seed) for sc in scenarios]
+    """Create out_dir, run every scenario in turn, then write the outcomes
+    in id order.  An out_dir that cannot be created is a usage error (2)
+    before any scenario runs; an outcome that cannot be written fails its
+    own scenario and no other."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use --out-dir {out_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    runs = [(sc, _run_one(sc, seed)) for sc in scenarios]
     failed = 0
-    for outcome in sorted(outcomes, key=lambda o: o.scenario_id):
-        write_outcome(outcome, out_dir, fmt)
-        status = "pass" if outcome.passed else "FAIL"
-        print(f"{outcome.scenario_id}: {status}")
-        failed += 0 if outcome.passed else 1
+    for scenario, outcome in sorted(runs, key=lambda r: r[0].scenario_id):
+        passed = outcome.passed
+        try:
+            write_outcome(scenario, outcome, out_dir, fmt)
+        except OSError as exc:
+            print(f"error: cannot write scenario {scenario.scenario_id}: "
+                  f"{exc}", file=sys.stderr)
+            passed = False
+        print(f"{scenario.scenario_id}: {'pass' if passed else 'FAIL'}")
+        failed += not passed
     return 1 if failed else 0
 
 

@@ -142,11 +142,11 @@ def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
     when rep_map is None) f gives one value or a 1-D array of values, the
     view's value columns f(r_n), and its step columns max(f(r_n - r_{n-1}),
     0).  The ambient series is tau_norm(n) when the family has one, else
-    ambient_norm(x_n), or None without ambient_norm.  Of a ScaledFamily
-    only the last member is built: base is evaluated once and scaled by
-    |c_n|^d (the steps by |c_n - c_{n-1}|^d), c_n = scale(n), as f is
-    absolutely homogeneous of degree d (1 for a seminorm or norm, 2 for a
-    form diagonal) and rep_map linear or antilinear.
+    ambient_norm(x_n), or None without ambient_norm.  A ScaledFamily
+    builds no member: base is evaluated once and scaled by |c_n|^d (the
+    steps by |c_n - c_{n-1}|^d), c_n = scale(n), as f is absolutely
+    homogeneous of degree d (1 for a seminorm or norm, 2 for a form
+    diagonal) and rep_map linear or antilinear.
 
     Any other family is held as the list of its members, and each view's
     representatives as a list.  A list whose type has a stack_ladder that
@@ -158,7 +158,8 @@ def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
     lists are evaluated one item and one difference at a time.
 
     Returns the ambient series, the value and the step columns split into
-    one block per view, and the last member.
+    one block per view, and the last member, which is None for a
+    ScaledFamily.
     """
     if isinstance(family, ScaledFamily):
         c = np.array([family.scale(int(n)) for n in ns])
@@ -172,7 +173,7 @@ def ladder_series(family: ProbeFamily | ScaledFamily, ns, ambient_norm,
                  for v, (_, _, d) in zip(at_base, views)]
         ambient = (None if ambient_norm is None
                    else size * ambient_norm(family.base))
-        return ambient, values, steps, family.generate(int(ns[-1]))
+        return ambient, values, steps, None
     members = [family.generate(int(n)) for n in ns]
     stacks = _stack_ladder(members)
     if family.tau_norm is not None:

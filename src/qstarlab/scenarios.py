@@ -50,13 +50,14 @@ class Scenario:
         return self.output_path or self.scenario_id
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioOutcome:
-    scenario_id: str
+    """What a handler returns: the verdict, its details and its tables.  It
+    names no scenario; write_outcome takes the id and the output stem from
+    the Scenario that was run."""
     passed: bool
     details: dict
     tables: dict  # name -> (header, rows)
-    output_stem: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,7 @@ def _dichotomy_suite(params: dict, seed: int) -> ScenarioOutcome:
     tables["a_omega_membership"] = (["beta", "member", "oracle", "growth_ratio"],
                                     mem_rows)
     return ScenarioOutcome(
-        scenario_id="", passed=witness_ok and mem_ok,
+        passed=witness_ok and mem_ok,
         details={"exponents": {f"{p:g}": e for p, e in exps.items()},
                  "witness_ok": witness_ok, "membership_ok": mem_ok},
         tables=tables)
@@ -255,7 +256,6 @@ def _weighted_form_suite(params: dict, seed: int) -> ScenarioOutcome:
     herm = float(np.max(herms))
     mass_ok = abs(mass - 2.0) < 0.05
     return ScenarioOutcome(
-        scenario_id="",
         passed=spec_ok and mass_ok and herm < 1e-10 and pos_ok,
         details={"classifier_ok": spec_ok, "weighted_mass": mass,
                  "hermiticity_residual": herm, "positive": pos_ok},
@@ -290,7 +290,7 @@ def _matrix_replay_suite(params: dict, seed: int) -> ScenarioOutcome:
           v["growth_ratio"]] for v in domain])
     m_value, m_bound = mlab.m_constant(n)
     return ScenarioOutcome(
-        scenario_id="", passed=null_ok and dom_ok,
+        passed=null_ok and dom_ok,
         details={"replay_ok": null_ok, "domain_ok": dom_ok,
                  "m_constant": m_value, "m_tail_bound": m_bound},
         tables=tables)
@@ -326,7 +326,6 @@ def _periodic_multiplication_suite(params: dict, seed: int) -> ScenarioOutcome:
         ident_rows.append([label, lhs, rhs, abs(lhs - rhs)])
 
     return ScenarioOutcome(
-        scenario_id="",
         passed=seminorm_err < 1e-10 and mono_ok and sub_ok and ident_ok,
         details={"graph_seminorm_error": seminorm_err,
                  "monotone": mono_ok, "submultiplicative": sub_ok,
@@ -358,7 +357,6 @@ def _ccr_symbolic_suite(params: dict, seed: int) -> ScenarioOutcome:
     faith_pos = ccr.faithfulness_defect(
         ccr.random_ccr_polynomial(rng, 2, 2) + ccr.CCRPolynomial.one(), 32)
     return ScenarioOutcome(
-        scenario_id="",
         passed=bool(exact_ok and comm_res < 1e-10
                     and hom["relative_residual"] < 1e-12 and adj < 1e-8
                     and faith_zero == 0.0 and faith_pos > 1e-8),
@@ -388,7 +386,7 @@ def _gaussian_suite(params: dict, seed: int) -> ScenarioOutcome:
     rows = [[v.family, int(v.null), int(v.cauchy), max(v.limits),
              int(not v.counterexample)] for v in verdicts]
     return ScenarioOutcome(
-        scenario_id="", passed=bool(ok),
+        passed=bool(ok),
         details={name: {"applicable": v.null,
                         "consistent": not v.counterexample}
                  for name, v in by_name.items()},
@@ -438,7 +436,6 @@ def _multiplication_extension_suite(params: dict, seed: int) -> ScenarioOutcome:
     null_ok = all(not v.counterexample for v in null)
 
     return ScenarioOutcome(
-        scenario_id="",
         passed=bool(mem_ok and strong_ok and uniform_ok and well_defined
                     and null_ok),
         details={"ls_membership_ok": mem_ok,
@@ -475,8 +472,7 @@ def _gns_construct_op(params: dict, seed: int) -> ScenarioOutcome:
     details = {"rank": rep.rank, "rep": gnsrep_to_dict(rep),
                "residuals": diag["residuals"],
                "cyclicity_rank": diag["cyclicity_rank"]}
-    return ScenarioOutcome(scenario_id="", passed=passed, details=details,
-                           tables={})
+    return ScenarioOutcome(passed=passed, details=details, tables={})
 
 
 def _lemma24_op(params: dict, seed: int) -> ScenarioOutcome:
@@ -491,7 +487,6 @@ def _lemma24_op(params: dict, seed: int) -> ScenarioOutcome:
             for row in verdict_rows]
     flag_names = list(verdict_rows[0]["flags"]) if verdict_rows else []
     return ScenarioOutcome(
-        scenario_id="",
         passed=report["agree"] and not report["counterexamples"],
         details=report, tables={"verdicts": (["family"] + flag_names, rows)})
 
@@ -529,7 +524,7 @@ def _closability_probe_op(params: dict, seed: int) -> ScenarioOutcome:
             family = flab.scaled_one_family(grid)
     probe = closability_probe(ctx, family, n_max)
     return ScenarioOutcome(
-        scenario_id="", passed=not probe.counterexample,
+        passed=not probe.counterexample,
         details={"family": probe.family, "tau_null": probe.null,
                  "omega_cauchy": probe.cauchy,
                  "omega_limit": cauchy_limit(probe),
@@ -544,7 +539,7 @@ def _matrix_replay_op(params: dict, seed: int) -> ScenarioOutcome:
     probe = mlab.matrix_closability_replay(params["family"],
                                            params["truncation"])
     return ScenarioOutcome(
-        scenario_id="", passed=not probe.counterexample,
+        passed=not probe.counterexample,
         details={"family": probe.family, "weighted_null": probe.null,
                  "hs_cauchy": probe.cauchy, "a": cauchy_limit(probe),
                  "counterexample": probe.counterexample},
@@ -554,7 +549,7 @@ def _matrix_replay_op(params: dict, seed: int) -> ScenarioOutcome:
 def _witness_op(params: dict, seed: int) -> ScenarioOutcome:
     report = flab.unboundedness_witness(params["p"], n_max=params["n_max"])
     table = report.pop("table")
-    return ScenarioOutcome(scenario_id="", passed=True, details=report,
+    return ScenarioOutcome(passed=True, details=report,
                            tables={"ratios": table})
 
 
@@ -564,7 +559,7 @@ def _submult_op(params: dict, seed: int) -> ScenarioOutcome:
                                            seed=seed)
     stable = report.pop("stable")
     return ScenarioOutcome(
-        scenario_id="", passed=stable, details=report,
+        passed=stable, details=report,
         tables={"ratios": (["k", "max_ratio", "half_sample_ratio"],
                            [[report["k"], report["max_ratio"],
                              report["half_sample_ratio"]]])})
@@ -581,7 +576,7 @@ def _extension_op(params: dict, seed: int) -> ScenarioOutcome:
     result = run_extension(grid, family, params["topology"], n_max=n_max,
                            seed=seed)
     return ScenarioOutcome(
-        scenario_id="", passed=True,
+        passed=True,
         details={"topology": result.topology, "converged": result.converged,
                  "membership": result.membership},
         tables={"trace": result.trace_table()})
@@ -751,15 +746,15 @@ def list_catalog(module: str | None = None) -> list[Scenario]:
 
 
 def run_scenario(scenario: Scenario, seed: int = 0) -> ScenarioOutcome:
+    """The outcome the scenario's handler returns at seed, untouched.  Raise
+    ConfigError for an unknown operation or parameters that do not
+    resolve."""
     key = (scenario.module, scenario.operation)
     if key not in OPERATIONS:
         raise ConfigError(f"unknown operation {key[0]}/{key[1]}")
     op = OPERATIONS[key]
-    outcome = op.handler(op.resolve(scenario.parameters,
-                                    f"scenario {scenario.scenario_id}"), seed)
-    outcome.scenario_id = scenario.scenario_id
-    outcome.output_stem = scenario.output_stem
-    return outcome
+    return op.handler(op.resolve(scenario.parameters,
+                                 f"scenario {scenario.scenario_id}"), seed)
 
 
 # The keys a config scenario entry may carry.
@@ -834,16 +829,19 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_outcome(outcome: ScenarioOutcome, out_dir: str,
+def write_outcome(scenario: Scenario, outcome: ScenarioOutcome, out_dir: str,
                   fmt: str = "csv") -> list[str]:
-    """Write the verdict JSON plus one CSV per table (or embed them)."""
+    """Write the scenario's outcome under out_dir: `<stem>.json` with the
+    scenario's id, the verdict and the details, plus `<stem>__<table>.csv`
+    per table, or the tables embedded in the JSON when fmt is "json".  The
+    stem is the scenario's output_stem.  Return the written paths."""
     written = []
-    payload = {"id": outcome.scenario_id, "passed": bool(outcome.passed),
+    payload = {"id": scenario.scenario_id, "passed": bool(outcome.passed),
                "details": outcome.details}
     if fmt == "json":
         payload["tables"] = {name: {"header": header, "rows": rows}
                              for name, (header, rows) in outcome.tables.items()}
-    stem = outcome.output_stem or outcome.scenario_id
+    stem = scenario.output_stem
     verdict_path = os.path.join(out_dir, f"{stem}.json")
     dump_json(payload, verdict_path)
     written.append(verdict_path)

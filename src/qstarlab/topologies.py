@@ -328,6 +328,8 @@ def extend_by_closure(ambient_norm, family, rep_map, ns, topology: str, *,
                   "operator_cauchy": converged,
                   "domain": "Atilde" if converged and ambient_cauchy
                   else "none"}
+    if converged and last is None:  # a ScaledFamily holds no member
+        last = family.generate(int(ns[-1]))
     limit = rep_map(last) if converged else None
     return ExtensionResult(converged=converged, limit=limit, topology=topology,
                            membership=membership, seminorm_names=suite.names,

@@ -21,11 +21,12 @@ def test_catalog_covers_all_examples():
     assert list_catalog("nonexistent") == []
 
 
-def test_every_scenario_passes():
+def test_every_scenario_passes(tmp_path):
     for sid, scenario in sorted(SCENARIOS.items()):
         outcome = run_scenario(scenario, seed=0)
         assert outcome.passed, (sid, outcome.details)
-        assert outcome.scenario_id == sid
+        write_outcome(scenario, outcome, str(tmp_path))
+        assert json.loads((tmp_path / f"{sid}.json").read_text())["id"] == sid
 
 
 def test_config_operation_parameter_errors(tmp_path):
@@ -262,8 +263,9 @@ def test_cli_replicate_single(tmp_path, capsys):
 
 
 def test_write_outcome_json_embeds_tables(tmp_path):
-    outcome = run_scenario(SCENARIOS["ex-2.6-2"], seed=0)
-    written = write_outcome(outcome, str(tmp_path), fmt="json")
+    scenario = SCENARIOS["ex-2.6-2"]
+    written = write_outcome(scenario, run_scenario(scenario, seed=0),
+                            str(tmp_path), fmt="json")
     assert len(written) == 1
     payload = json.loads((tmp_path / "ex-2.6-2.json").read_text())
     assert "classification" in payload["tables"]
@@ -293,11 +295,12 @@ def test_weighted_form_suite_fails_on_a_nan_form_value(monkeypatch):
 
 
 def test_outputs_deterministic(tmp_path):
-    outcome1 = run_scenario(SCENARIOS["ex-2.6-3"], seed=0)
-    outcome2 = run_scenario(SCENARIOS["ex-2.6-3"], seed=0)
+    scenario = SCENARIOS["ex-2.6-3"]
+    outcome1 = run_scenario(scenario, seed=0)
+    outcome2 = run_scenario(scenario, seed=0)
     dir1, dir2 = tmp_path / "a", tmp_path / "b"
-    files1 = write_outcome(outcome1, str(dir1))
-    files2 = write_outcome(outcome2, str(dir2))
+    files1 = write_outcome(scenario, outcome1, str(dir1))
+    files2 = write_outcome(scenario, outcome2, str(dir2))
     assert [os.path.basename(f) for f in files1] \
         == [os.path.basename(f) for f in files2]
     for f1, f2 in zip(files1, files2):
@@ -454,6 +457,44 @@ def test_raising_scenario_keeps_other_outputs(tmp_path, capsys, monkeypatch,
     assert "no_such_family" in failed["details"]["error"]["message"]
 
 
+@pytest.mark.parametrize("under_a_file", [False, True])
+def test_unusable_out_dir_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                           under_a_file):
+    # the directory used to be made only when the first outcome was
+    # written, after every scenario had run, and the CLI died there
+    ran = []
+    entry = _stub_operation(monkeypatch,
+                            lambda params, seed: ran.append(params))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [{"id": "a", **entry}]}))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out_dir = blocker / "out" if under_a_file else blocker
+    assert main(["--out-dir", str(out_dir), "run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot use --out-dir {out_dir}: " in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert ran == []
+    assert blocker.read_text() == "kept"
+
+
+def test_unwritable_output_fails_only_its_scenario(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": [
+        {"id": "a", **GNS, "output_path": "nested/a"}, {"id": "b", **GNS}]}))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "nested").write_text("kept")
+    assert main(["--out-dir", str(out_dir), "run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "a: FAIL\nb: pass\n"
+    assert "error: cannot write scenario a: " in captured.err
+    assert "Traceback" not in captured.err
+    assert json.loads((out_dir / "b.json").read_text())["passed"] is True
+    assert sorted(os.listdir(out_dir)) == ["b.json", "nested"]
+    assert (out_dir / "nested").read_text() == "kept"
+
+
 def test_non_finite_series_fail_the_scenario(tmp_path, monkeypatch):
     # A NaN form value and an inf representative used to read as "no
     # counterexample"; now the scenario fails and names the series.
@@ -470,7 +511,7 @@ def test_non_finite_series_fail_the_scenario(tmp_path, monkeypatch):
         ctx = FormContext("nan", lambda a, b: complex("nan"),
                           base.ambient_norm)
         verdict = closability_probe(ctx, mlab.matrix_family("scaled_corner", 8), 8)
-        return ScenarioOutcome("", not verdict.counterexample, {}, {})
+        return ScenarioOutcome(not verdict.counterexample, {}, {})
 
     def inf_rep(params, seed):
         grid = flab.simpson_grid(33)
@@ -482,7 +523,7 @@ def test_non_finite_series_fail_the_scenario(tmp_path, monkeypatch):
             rep_map=lambda n: spoiled if n == 4 else one,
             suite=Suite("uniform", [flab.node_spike_set(grid)]),
             n_max=64)
-        return ScenarioOutcome("", not verdicts[0].counterexample, {}, {})
+        return ScenarioOutcome(not verdicts[0].counterexample, {}, {})
 
     def overflowed_norm(params, seed):
         # |f|^400 overflows for tents of height above about 5.9
@@ -620,7 +661,7 @@ def test_operation_defaults_reach_the_handler(monkeypatch):
     key = ("forms", "closability_probe")
     monkeypatch.setitem(scenarios.OPERATIONS, key, dataclasses.replace(
         scenarios.OPERATIONS[key], handler=lambda params, seed: seen.append(
-            params) or scenarios.ScenarioOutcome("", True, {}, {})))
+            params) or scenarios.ScenarioOutcome(True, {}, {})))
     run_scenario(scenarios.Scenario("x", "forms", "closability_probe", "",
                                     {"n_max": 8}))
     assert seen == [{"context": "matrix-trace", "family": "scaled_corner",
@@ -636,7 +677,7 @@ def test_resolve_casts_numeric_parameters(monkeypatch):
                 ("op-topologies", "extend_by_closure")):
         monkeypatch.setitem(scenarios.OPERATIONS, key, dataclasses.replace(
             scenarios.OPERATIONS[key], handler=lambda params, seed: seen.append(
-                params) or scenarios.ScenarioOutcome("", True, {}, {})))
+                params) or scenarios.ScenarioOutcome(True, {}, {})))
     run_scenario(scenarios.Scenario("t", "matrix-lab", "replay_suite", "",
                                     {"truncation": 256.0}))
     run_scenario(scenarios.Scenario("b", "op-topologies",
