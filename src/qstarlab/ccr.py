@@ -400,18 +400,12 @@ def safe_indices(n_trunc: int, margin: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Graph topology seminorms
 
-def graph_weights(n_trunc: int) -> np.ndarray:
-    """Weights (1 + 4 pi^2 n^2) of the graph topology of the momentum."""
-    return 1.0 + (TWO_PI * freqs(n_trunc)) ** 2
-
-
 def graph_seminorm(phi, k: int) -> float:
-    """|(1 + P^2)^k phi| for a centered Fourier coefficient vector."""
+    """|(1 + P^2)^k phi| for a centered Fourier vector (_graph_seminorms)."""
     phi = np.asarray(phi, dtype=complex)
     if len(phi) % 2 != 1:
         raise ValueError("expected a centered vector of odd length")
-    n_trunc = (len(phi) - 1) // 2
-    return float(np.linalg.norm(graph_weights(n_trunc) ** k * phi))
+    return float(_graph_seminorms(phi[None, :, None], k)[0])
 
 
 def _graph_seminorms(c: np.ndarray, k: int) -> np.ndarray:

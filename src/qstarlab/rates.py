@@ -156,10 +156,22 @@ def tends_to_zero(fit: TrendFit, hard_threshold: float) -> bool:
     return fit.tail_max <= hard_threshold or fit.limit == 0.0
 
 
+def running_tail_max(series) -> np.ndarray:
+    """Entry i is the largest of series[i:], along the first axis."""
+    return np.maximum.accumulate(series[::-1], axis=0)[::-1]
+
+
 def series_limit(ns, values, name: str = "values") -> tuple[float, TrendFit]:
-    """The fitted limit (the last value if the fit diverges), and the fit."""
+    """The fitted limit (the last value if the fit diverges), and the
+    fit, the raw series'.  The limit is 0.0 only when the running tail
+    maximum of |values| fits to 0 too, else the median of the last
+    TAIL_WINDOW |values|: a series that keeps returning to a level can end
+    on a dip that fits as decay."""
     values = _finite(ns, values, [name])[:, 0]
     fit = fit_trend(ns, values)
+    if fit.limit == 0.0 and fit_trend(
+            ns, running_tail_max(np.abs(values))).limit != 0.0:
+        return _median(np.abs(values[-TAIL_WINDOW:])), fit
     return (fit.limit if math.isfinite(fit.limit) else float(values[-1])), fit
 
 
@@ -171,8 +183,7 @@ def ladder_cauchy(ns, values, steps, names=("values",)) -> tuple[bool, list]:
     has zero steps between members of one limit, and raw they look null."""
     scales = np.maximum(_finite(ns, values, names).max(axis=0), 1.0)
     steps = _finite(ns, steps, [f"{name} step" for name in names], first=1)
-    residuals = np.maximum.accumulate(steps[::-1], axis=0)[::-1]
-    fits = [fit_trend(ns[1:], column) for column in residuals.T]
+    fits = [fit_trend(ns[1:], column) for column in running_tail_max(steps).T]
     return all(tends_to_zero(f, CAUCHY_REL_TOL * s)
                for f, s in zip(fits, scales)), fits
 
@@ -201,17 +212,18 @@ class LadderProbe:
 
 def ladder_probe(family: str, ns, ambient, values, steps,
                  names=("values",)) -> LadderProbe:
-    """Probe a family on the ladder ns: null by tends_to_zero(fit_trend(ns,
-    ambient), NULL_TOL), Cauchy by ladder_cauchy, limits by series_limit."""
+    """Probe a family on the ladder ns: null by _judge_ambient, Cauchy by
+    ladder_cauchy, limits by series_limit."""
     return _judged_probe(family, ns, _judge_ambient(ns, ambient), values,
                          steps, names)
 
 
 def _judge_ambient(ns, ambient) -> tuple[np.ndarray, TrendFit, bool]:
     """The ambient series as floats, its fit and whether it is null; one
-    judgement serves every value series probed against that series."""
+    judgement serves every value series probed against that series.  It
+    fits the running tail maximum, as series_limit checks a limit 0."""
     ambient = _finite(ns, ambient, ["ambient"])[:, 0]
-    fit = fit_trend(ns, ambient)
+    fit = fit_trend(ns, running_tail_max(ambient))
     return ambient, fit, tends_to_zero(fit, NULL_TOL)
 
 

@@ -834,18 +834,16 @@ def write_outcome(scenario: Scenario, outcome: ScenarioOutcome, out_dir: str,
     """Write the scenario's outcome under out_dir: `<stem>.json` with the
     scenario's id, the verdict and the details, plus `<stem>__<table>.csv`
     per table, or the tables embedded in the JSON when fmt is "json".  The
-    stem is the scenario's output_stem.  Return the written paths."""
-    written = []
+    stem is the scenario's output_stem.  The verdict file comes last, so a
+    table that cannot be written leaves no verdict claiming a pass.  Return
+    the written paths, the verdict file first."""
     payload = {"id": scenario.scenario_id, "passed": bool(outcome.passed),
                "details": outcome.details}
+    stem, tables = scenario.output_stem, []
     if fmt == "json":
         payload["tables"] = {name: {"header": header, "rows": rows}
                              for name, (header, rows) in outcome.tables.items()}
-    stem = scenario.output_stem
-    verdict_path = os.path.join(out_dir, f"{stem}.json")
-    dump_json(payload, verdict_path)
-    written.append(verdict_path)
-    if fmt == "csv":
+    else:
         for name, (header, rows) in sorted(outcome.tables.items()):
             path = os.path.join(out_dir, f"{stem}__{name}.csv")
 
@@ -856,5 +854,7 @@ def write_outcome(scenario: Scenario, outcome: ScenarioOutcome, out_dir: str,
                     out.writerow([_format_cell(cell) for cell in row])
 
             atomic_write(path, writer)
-            written.append(path)
-    return written
+            tables.append(path)
+    verdict_path = os.path.join(out_dir, f"{stem}.json")
+    dump_json(payload, verdict_path)
+    return [verdict_path] + tables

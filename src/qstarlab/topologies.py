@@ -34,22 +34,24 @@ class TruncatedOperator:
     elementwise, which equals the dense product bit for bit.  A complex
     one is applied through the dense matrix, because BLAS rounds complex
     products differently from elementwise multiplication, and a value must
-    not depend on the form an operator was built in.
+    not depend on the form an operator was built in.  A real 2-D diagonal
+    (L x N) is a stack of L operators, one per row, such as a ladder of
+    multiplication operators (stack_ladder); it has no single .matrix.
     """
 
-    __slots__ = ("_matrix", "diag", "_real_diag", "_adjoint")
+    __slots__ = ("_matrix", "diag", "_real_diag")
 
     def __init__(self, matrix=None, *, diag=None):
         if (matrix is None) == (diag is None):
             raise ValueError("give either an operator matrix or a diagonal")
-        self._adjoint = None
         if diag is not None:
             d = np.asarray(diag, dtype=complex)
-            if d.ndim != 1:
-                raise ValueError(f"operator diagonal must be 1-D, got {d.shape}")
-            self._matrix = None
-            self.diag = d
-            self._real_diag = None if d.imag.any() else d
+            real = not d.imag.any()
+            if d.ndim != 1 and (d.ndim != 2 or not real):
+                raise ValueError(f"operator diagonal must be 1-D, or 2-D and "
+                                 f"real for a stack, got {d.shape}")
+            self._matrix, self.diag = None, d
+            self._real_diag = d if real else None
             return
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -59,18 +61,19 @@ class TruncatedOperator:
 
     @property
     def matrix(self) -> np.ndarray:
+        if self._matrix is None and self.diag.ndim != 1:
+            raise ValueError("a stack of operators has no single matrix")
         return np.diag(self.diag) if self._matrix is None else self._matrix
 
     @property
     def dim(self) -> int:
-        return len(self.diag) if self._matrix is None else self._matrix.shape[0]
+        return (self.diag.shape[-1] if self._matrix is None
+                else self._matrix.shape[0])
 
     def adjoint(self) -> "TruncatedOperator":
-        if self._adjoint is None:
-            self._adjoint = (TruncatedOperator(self._matrix.conj().T)
-                             if self._matrix is not None
-                             else TruncatedOperator(diag=self.diag.conj()))
-        return self._adjoint
+        if self._matrix is not None:
+            return TruncatedOperator(self._matrix.conj().T)
+        return TruncatedOperator(diag=self.diag.conj())
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         if self.dim != other.dim:
@@ -82,31 +85,20 @@ class TruncatedOperator:
 
     @classmethod
     def stack_ladder(cls, ops) -> tuple | None:
-        """Real diagonal operators of one dimension as one DiagonalStack
-        and their consecutive differences as another; None when any is
-        dense or complex or the dimensions differ."""
+        """Real diagonal operators of one dimension as one stack and their
+        consecutive differences as another; None when any is dense or
+        complex or the dimensions differ."""
         if (any(op._real_diag is None for op in ops)
                 or len({op.dim for op in ops}) > 1):
             return None
         d = np.stack([op._real_diag for op in ops])
-        return DiagonalStack(d), DiagonalStack(d[1:] - d[:-1])
+        return cls(diag=d), cls(diag=d[1:] - d[:-1])
 
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
         if self._real_diag is not None:
             return (self._real_diag * v.T).T  # scales rows of a 2-D v too
         return self.matrix @ v
-
-
-class DiagonalStack:
-    """Real diagonal operators of one dimension, one diagonal per row of
-    `diag` (L x N, held as complex): a ladder of multiplication operators,
-    which `seminorm` evaluates at once (TruncatedOperator.stack_ladder)."""
-
-    __slots__ = ("diag",)
-
-    def __init__(self, diag: np.ndarray):
-        self.diag = diag
 
 
 class BoundedSet:
@@ -116,46 +108,34 @@ class BoundedSet:
     `rows` matrix (one vector per row) and its conjugate `conj_rows`.
     `BoundedSet.basis(dim, name)` declares the canonical basis of
     dimension dim instead (`is_basis`), for which seminorms read operator
-    entries instead of multiplying by I.  It holds no array: `rows` (the
-    identity) and `conj_rows` are built only if read.
+    entries instead of multiplying by I.  It stores no rows: its `rows`
+    and `conj_rows` are None, and `stack()` builds the identity from the
+    dimension, which a basis keeps in place of vectors.
     """
 
-    __slots__ = ("name", "is_basis", "_dim", "_vectors", "_rows",
-                 "_conj_rows")
+    __slots__ = ("name", "is_basis", "_vectors", "rows", "conj_rows")
 
     def __init__(self, vectors, name: str = "M"):
         if not len(vectors):
             raise ValueError("bounded set must contain at least one vector")
         self.name, self.is_basis, self._vectors = name, False, vectors
-        self._stack_rows()
+        # stack() reads the set's own copy from here on, not the caller's
+        self.rows = self._vectors = self.stack()
+        self.conj_rows = self.rows.conj()
+        self.rows.flags.writeable = self.conj_rows.flags.writeable = False
 
     @classmethod
     def basis(cls, dim: int, name: str) -> "BoundedSet":
         """The canonical basis of dimension dim, declared, not stored."""
         m = cls.__new__(cls)
-        m.name, m.is_basis, m._dim, m._rows = name, True, dim, None
+        m.name, m.is_basis, m._vectors = name, True, dim
+        m.rows = m.conj_rows = None
         return m
 
     def stack(self) -> np.ndarray:
         if self.is_basis:
-            return np.eye(self._dim, dtype=complex)
+            return np.eye(self._vectors, dtype=complex)
         return np.stack(self._vectors, dtype=complex)
-
-    def _stack_rows(self) -> None:
-        rows = self.stack()
-        rows.flags.writeable = False
-        conj_rows = rows.conj()
-        conj_rows.flags.writeable = False
-        # stack() reads the set's own copy, not the caller's vectors
-        self._rows, self._conj_rows, self._vectors = rows, conj_rows, rows
-
-    def _read(self, attr: str):
-        if self._rows is None:
-            self._stack_rows()
-        return getattr(self, attr)
-
-    rows = property(lambda self: self._read("_rows"))
-    conj_rows = property(lambda self: self._read("_conj_rows"))
 
 
 class Suite:
@@ -195,31 +175,30 @@ class Suite:
         self.names = tuple(names)
 
 
-def seminorm(a: TruncatedOperator | DiagonalStack,
-             suite: Suite) -> np.ndarray:
+def seminorm(a: TruncatedOperator, suite: Suite) -> np.ndarray:
     """Every seminorm of the suite on one operator, in suite.names order;
-    on a DiagonalStack, one such row per operator.
+    on a stack (a 2-D diagonal), one such row per operator.
 
-    Real diagonals, one operator or a stack, are evaluated as arrays
-    (_diagonal_seminorms); a dense or complex operator through its matrix
-    (_dense_seminorm).  Each test vector is applied once per operator and
-    its image shared across the bounded sets.  A row of a stack equals its operator's values bit
-    for bit: its images are the same elementwise products, and a stacked
-    matmul makes the same BLAS call per row as one product per operator.
-    Strong* takes the larger of the values of A and its adjoint by
-    np.maximum, which keeps a NaN; a real diagonal is its own adjoint and
-    has one image.  Over the canonical basis (m.is_basis) the pairings are
-    the operator's entries, so uniform is max |A_ij| and strong
-    max |(A phi)_i|, read without the product with I.  For finite entries
-    the values equal the product's bit for bit (each product entry is
-    A_ij * 1 plus exact zeros, and abs drops signed zeros); an inf entry
-    gives inf where the product would give nan (0 * inf).
+    The path follows a._real_diag: a stack, or one real diagonal as a
+    stack of one, is evaluated as arrays (_diagonal_seminorms), a dense or
+    complex operator (None) through its matrix (_dense_seminorm).  Each
+    test vector is applied once per operator and its image shared across
+    the bounded sets.  A row of a stack equals its operator's values bit
+    for bit: the same elementwise products, and a stacked matmul makes
+    the same BLAS call per row.  Strong* takes the larger of the values
+    of A and its adjoint by np.maximum, which keeps a NaN; a real
+    diagonal is its own adjoint and has one image.  Over the canonical
+    basis (m.is_basis) the pairings are the operator's entries, so
+    uniform is max |A_ij| and strong max |(A phi)_i|, read without the
+    product with I.  For finite entries the values equal the product's
+    bit for bit (each product entry is A_ij * 1 plus exact zeros, and abs
+    drops signed zeros); an inf entry gives inf where the product would
+    give nan (0 * inf).
     """
-    if isinstance(a, TruncatedOperator):
-        if a._real_diag is None:
-            return _dense_seminorm(a, suite)
-        return _diagonal_seminorms(a._real_diag[None], suite)[0]
-    return _diagonal_seminorms(a.diag, suite)
+    if a._real_diag is None:
+        return _dense_seminorm(a, suite)
+    values = _diagonal_seminorms(np.atleast_2d(a._real_diag), suite)
+    return values if a._real_diag.ndim == 2 else values[0]
 
 
 def _diagonal_seminorms(d: np.ndarray, suite: Suite) -> np.ndarray:
@@ -253,8 +232,9 @@ def _dense_seminorm(a: TruncatedOperator, suite: Suite) -> np.ndarray:
     sups = _sup_pairings(sets, np.array([a.apply(phi)
                                          for _, phi in suite.phis]))
     if suite.topology == "strongstar":
+        adjoint = a.adjoint()
         sups = np.maximum(sups, _sup_pairings(sets, np.array(
-            [a.adjoint().apply(phi) for _, phi in suite.phis])))
+            [adjoint.apply(phi) for _, phi in suite.phis])))
     return sups.T.ravel()  # set-major
 
 

@@ -11,8 +11,7 @@ from qstarlab import ccr
 from qstarlab.ccr import (CCRPolynomial, TrigPoly, adjoint_check,
                           ccr_mul, ccr_represent, ccr_star,
                           faithfulness_defect, freqs,
-                          graph_seminorm, graph_weights,
-                          homomorphism_check,
+                          graph_seminorm, homomorphism_check,
                           random_ccr_polynomial, safe_indices,
                           submultiplicativity_probe, uniform_seminorm_identity)
 
@@ -251,8 +250,6 @@ def test_graph_seminorm_rejects_uncentered_vector():
 
 def test_graph_seminorm_monotone_in_k():
     rng = np.random.default_rng(5)
-    weights = graph_weights(6)
-    assert np.all(weights >= 1.0)
     for _ in range(10):
         v = rng.standard_normal(13) + 1j * rng.standard_normal(13)
         for k in range(3):

@@ -276,3 +276,15 @@ def test_gaussian_probe_builds_each_member_once():
     flab.gaussian_poly_probe({"scaled_linear": scaled_linear}, n_max=24,
                              grid=grid)
     assert calls == geometric_ladder(24, points=10).tolist()
+
+
+@pytest.mark.parametrize("n_max", [24, 256])
+def test_a_series_that_never_settles_is_neither_null_nor_zero(n_max):
+    # c_n = 1 + n % 2: the ambient series takes 1 and 2 without end, the
+    # value series 1 and 4.  At these n_max the ladder ends on a run of
+    # dips that, read raw, fits as decay.
+    family = ScaledFamily("i", mlab.WeightedMatrix([[1.0]], 64),
+                          lambda n: 1.0 + n % 2)
+    probe = closability_probe(mlab.trace_form_context(64), family, n_max)
+    assert not probe.null
+    assert probe.limits == (1.0,)

@@ -262,6 +262,21 @@ def test_cli_replicate_single(tmp_path, capsys):
     assert (out_dir / "ex-2.6-2__classification.csv").exists()
 
 
+def test_an_unwritable_table_leaves_no_passing_verdict(tmp_path, capsys):
+    # The tables are written before the verdict file: a table that cannot
+    # be written fails the scenario and leaves no `<stem>.json` to say it
+    # passed.
+    cfg = {"scenarios": [{"id": "ex", "module": "function-lab",
+                          "operation": "weighted_form_suite"}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    (out_dir / "ex__classification.csv").mkdir(parents=True)
+    assert main(["--out-dir", str(out_dir), "run", str(path)]) == 1
+    assert "ex: FAIL" in capsys.readouterr().out
+    assert not (out_dir / "ex.json").exists()
+
+
 def test_write_outcome_json_embeds_tables(tmp_path):
     scenario = SCENARIOS["ex-2.6-2"]
     written = write_outcome(scenario, run_scenario(scenario, seed=0),

@@ -2,11 +2,12 @@
 
 A ladder of grid functions of at most `STACK_VALUES` values is evaluated
 as two (L, N) stacks, its members and their differences, and a ladder of
-real multiplication operators as a `topologies.DiagonalStack`.  Every
-series must equal, bit for bit, the one the same evaluators give one
-member at a time: the reference below is the per-member seminorm written
-out plainly, one product per test vector.  Every member of a ladder is
-held, so the peak memory of a large ladder is bounded here too.
+real multiplication operators as one `TruncatedOperator` with a 2-D
+diagonal.  Every series must equal, bit for bit, the one the same
+evaluators give one member at a time: the reference below is the
+per-member seminorm written out plainly, one product per test vector.
+Every member of a ladder is held, so the peak memory of a large ladder is
+bounded here too.
 """
 
 import tracemalloc
@@ -25,8 +26,8 @@ from qstarlab.scenarios import (CLIP_VARIANTS, EXTENSION_GRID_NODES,
                                 EXTENSION_POINTS, EXTENSION_TARGETS,
                                 clipped_power_family, multiplication_suite,
                                 ramp_family, run_extension)
-from qstarlab.topologies import (TOPOLOGIES, DiagonalStack, Suite,
-                                 TruncatedOperator, seminorm)
+from qstarlab.topologies import (TOPOLOGIES, Suite, TruncatedOperator,
+                                 seminorm)
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +102,7 @@ def test_single_operator_is_a_stack_of_one(grid, topology):
 def test_empty_stack_gives_no_rows(grid, topology):
     suite = multiplication_suite(grid, topology)
     d = np.ones((0, grid.n_nodes), dtype=complex)
-    assert np.array_equal(seminorm(DiagonalStack(d), suite),
+    assert np.array_equal(seminorm(TruncatedOperator(diag=d), suite),
                           np.empty((0, len(suite.names))))
 
 
@@ -125,7 +126,7 @@ def test_weak_pairings_take_pythons_complex_abs(grid):
     suite = Suite("weak", weak_pairs=[("a", vecs[0], vecs[1]),
                                       ("b", vecs[2], vecs[3])])
     d = rng.standard_normal((5, grid.n_nodes)).astype(complex)
-    assert np.array_equal(seminorm(DiagonalStack(d), suite),
+    assert np.array_equal(seminorm(TruncatedOperator(diag=d), suite),
                           [member_seminorm(row, suite) for row in d])
 
 
