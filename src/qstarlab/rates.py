@@ -162,11 +162,9 @@ def running_tail_max(series) -> np.ndarray:
 
 
 def series_limit(ns, values, name: str = "values") -> tuple[float, TrendFit]:
-    """The fitted limit (the last value if the fit diverges), and the
-    fit, the raw series'.  The limit is 0.0 only when the running tail
-    maximum of |values| fits to 0 too, else the median of the last
-    TAIL_WINDOW |values|: a series that keeps returning to a level can end
-    on a dip that fits as decay."""
+    """The fitted limit (the last value if the fit diverges), and the raw
+    fit.  A limit 0.0 stands only when the running tail maximum of |values|
+    fits to 0 too, else it is the median of the last TAIL_WINDOW |values|."""
     values = _finite(ns, values, [name])[:, 0]
     fit = fit_trend(ns, values)
     if fit.limit == 0.0 and fit_trend(

@@ -79,7 +79,8 @@ class TruncatedOperator:
         if self.dim != other.dim:
             raise ValueError(f"inconsistent truncation: dimensions differ "
                              f"({self.dim} and {other.dim})")
-        if self.diag is not None and other.diag is not None:
+        if (self.diag is not None and other.diag is not None
+                and self.diag.shape == other.diag.shape):
             return TruncatedOperator(diag=self.diag - other.diag)
         return TruncatedOperator(self.matrix - other.matrix)
 
@@ -96,46 +97,47 @@ class TruncatedOperator:
 
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
-        if self._real_diag is not None:
+        if self._real_diag is not None and self._real_diag.ndim == 1:
             return (self._real_diag * v.T).T  # scales rows of a 2-D v too
-        return self.matrix @ v
+        return self.matrix @ v  # raises on a stack
 
 
 class BoundedSet:
     """Finite stand-in for a bounded subset of the domain.
 
     The vectors are stacked once, on construction, into the read-only
-    `rows` matrix (one vector per row) and its conjugate `conj_rows`.
-    `BoundedSet.basis(dim, name)` declares the canonical basis of
-    dimension dim instead (`is_basis`), for which seminorms read operator
-    entries instead of multiplying by I.  It stores no rows: its `rows`
-    and `conj_rows` are None, and `stack()` builds the identity from the
-    dimension, which a basis keeps in place of vectors.
+    `rows` matrix (one vector of length `dim` per row) and its conjugate
+    `conj_rows`.  `BoundedSet.basis(dim, name)` declares the canonical
+    basis instead (`is_basis`), for which seminorms read operator entries
+    instead of multiplying by I; it stores no rows (`rows` and `conj_rows`
+    are None), and `stack()` builds the identity from `dim`.
     """
 
-    __slots__ = ("name", "is_basis", "_vectors", "rows", "conj_rows")
+    __slots__ = ("name", "dim", "rows", "conj_rows")
 
     def __init__(self, vectors, name: str = "M"):
         if not len(vectors):
             raise ValueError("bounded set must contain at least one vector")
-        self.name, self.is_basis, self._vectors = name, False, vectors
-        # stack() reads the set's own copy from here on, not the caller's
-        self.rows = self._vectors = self.stack()
-        self.conj_rows = self.rows.conj()
+        self.name, self.rows = name, vectors
+        self.rows = self.stack()  # the set's own copy from here on
+        self.conj_rows, self.dim = self.rows.conj(), self.rows.shape[-1]
         self.rows.flags.writeable = self.conj_rows.flags.writeable = False
 
     @classmethod
     def basis(cls, dim: int, name: str) -> "BoundedSet":
         """The canonical basis of dimension dim, declared, not stored."""
         m = cls.__new__(cls)
-        m.name, m.is_basis, m._vectors = name, True, dim
-        m.rows = m.conj_rows = None
+        m.name, m.dim, m.rows, m.conj_rows = name, dim, None, None
         return m
+
+    @property
+    def is_basis(self) -> bool:
+        return self.rows is None
 
     def stack(self) -> np.ndarray:
         if self.is_basis:
-            return np.eye(self._vectors, dtype=complex)
-        return np.stack(self._vectors, dtype=complex)
+            return np.eye(self.dim, dtype=complex)
+        return np.stack(self.rows, dtype=complex)
 
 
 class Suite:

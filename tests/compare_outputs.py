@@ -1,10 +1,10 @@
 """Byte-identity check of this tree's CLI outputs against another tree's.
 
-    python tests/compare_outputs.py OTHER_ROOT [--seed N ...] [--run NAME ...]
+    python tests/compare_outputs.py OTHER_ROOT
 
 runs `qstarlab` from this tree and from OTHER_ROOT (for example a checkout
 of the parent commit), each with its own `src` first on PYTHONPATH, on
-three runs at seeds 0 and 3 (or the seeds and runs given):
+three runs at seeds 0 and 3:
 
 - replicate-csv: `replicate`, CSV tables;
 - replicate-json: `replicate --format json`;
@@ -12,9 +12,10 @@ three runs at seeds 0 and 3 (or the seeds and runs given):
   `perfbench/workloads.py`, loaded by path and only read, with
   `--jobs 2 --format json`.
 
-It prints each output file that differs or exists on one side only, and
-each run whose exit code differs, and exits 1 on any difference, 0 when
-all are byte-identical.  Its name keeps it out of pytest's collection;
+Every run is expected to pass.  It prints the number of files each run
+compared, each output file that differs or exists on one side only, and
+each run that exits non-zero on either side or writes no file, and exits
+1 on any such difference, 0 when all are byte-identical.  Its name keeps it out of pytest's collection;
 tests/test_compare_outputs.py runs it on one run.
 """
 
@@ -79,7 +80,7 @@ def diff_dirs(mine: str, other: str) -> tuple[list[str], int]:
 
 def compare(other_root: str, seeds=SEEDS, runs=RUNS) -> tuple[list[str], int]:
     """Every difference between the two trees' outputs, as printable
-    lines, and the number of files compared."""
+    lines, and the number of files compared; prints each run's count."""
     differences, compared = [], 0
     with tempfile.TemporaryDirectory() as work:
         for seed in seeds:
@@ -93,10 +94,13 @@ def compare(other_root: str, seeds=SEEDS, runs=RUNS) -> tuple[list[str], int]:
                     os.makedirs(out)
                     outs.append((out, run_cli(root, argv, out)))
                 (mine, code), (other, other_code) = outs
-                if code != other_code:
+                if code or other_code:
                     differences.append(f"{label}: exit code {code} here, "
                                        f"{other_code} in the other tree")
                 differ, count = diff_dirs(mine, other)
+                print(f"{label}: {count} files compared")
+                if not count:
+                    differences.append(f"{label}: no file written")
                 differences += [f"{label}/{path}" for path in differ]
                 compared += count
     return differences, compared
@@ -105,11 +109,8 @@ def compare(other_root: str, seeds=SEEDS, runs=RUNS) -> tuple[list[str], int]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_root")
-    parser.add_argument("--seed", type=int, action="append", dest="seeds")
-    parser.add_argument("--run", choices=RUNS, action="append", dest="runs")
-    args = parser.parse_args(argv)
-    differences, compared = compare(os.path.abspath(args.other_root),
-                                    args.seeds or SEEDS, args.runs or RUNS)
+    differences, compared = compare(
+        os.path.abspath(parser.parse_args(argv).other_root))
     for line in differences:
         print(f"differs: {line}")
     print(f"{compared} files compared, {len(differences)} differences")

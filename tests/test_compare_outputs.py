@@ -16,3 +16,13 @@ def test_tree_matches_itself_and_a_changed_file_shows(tmp_path):
     (mine / "extra.json").write_bytes(b"{}")
     assert compare_outputs.diff_dirs(str(mine), str(other)) == (
         ["edited.csv", "extra.json (only in this tree)"], 3)
+
+
+def test_a_run_failing_alike_on_both_sides_is_a_difference(monkeypatch):
+    monkeypatch.setattr(compare_outputs, "run_argv",
+                        lambda *_: ["no-such-command"])
+    differences, compared = compare_outputs.compare(
+        compare_outputs.ROOT, seeds=(0,), runs=("replicate-csv",))
+    assert compared == 0 and differences == [
+        "replicate-csv/seed0: exit code 2 here, 2 in the other tree",
+        "replicate-csv/seed0: no file written"]

@@ -84,6 +84,14 @@ def test_diagonal_constructor_validation():
     assert stack.dim == 4
     with pytest.raises(ValueError, match="no single matrix"):
         stack.matrix
+    # what needs one operator goes through .matrix, so a stack raises
+    one = TruncatedOperator(diag=np.ones(4))
+    for misuse in (lambda: stack.apply(np.ones(4)), lambda: stack - one,
+                   lambda: one - stack,
+                   lambda: stack - TruncatedOperator(np.eye(4))):
+        with pytest.raises(ValueError, match="no single matrix"):
+            misuse()
+    assert np.array_equal((stack - stack).diag, np.zeros((3, 4)))
     with pytest.raises(ValueError, match="1-D"):
         TruncatedOperator(diag=np.ones((3, 3)) + 1j * np.eye(3))
     with pytest.raises(ValueError, match="1-D"):
@@ -107,7 +115,7 @@ def test_bounded_set_stacks_once_read_only():
     rng = np.random.default_rng(17)
     raw = [random_vector(rng, complex_valued=False) for _ in range(4)]
     m = BoundedSet(tuple(raw), name="M")
-    assert np.array_equal(m.stack(), m.rows)
+    assert np.array_equal(m.stack(), m.rows) and m.dim == len(raw[0])
     assert np.array_equal(m.stack(), np.stack(raw).astype(complex))
     assert np.array_equal(m.conj_rows, m.rows.conj())
     with pytest.raises(ValueError):
