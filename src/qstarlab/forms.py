@@ -27,6 +27,21 @@ from .rates import (LadderProbe, _judge_ambient, _judged_probe,
 DEGENERATE_TOL = 1e-10
 # Geometric-ladder points of a closability probe.
 PROBE_POINTS = 24
+DOT_TERMS = 2 ** 13
+
+
+def chunked_dot(x, y):
+    """np.vdot(x, y) for x and y of one ndim; per row for a stack of rows and
+    a vector.  OpenBLAS 0.3.31 splits a dot of over 10,000 terms by thread
+    count, moving bits; longer sums add their DOT_TERMS-term dots in order."""
+    if x.ndim == y.ndim:
+        if x.size <= DOT_TERMS:
+            return np.vdot(x, y)
+        x, y = x.ravel(), y.ravel()
+    parts = [np.matmul(x[..., None, k:k + DOT_TERMS].conj(),
+                       y[..., k:k + DOT_TERMS, None])[..., 0, 0]
+             for k in range(0, x.shape[-1], DOT_TERMS)]
+    return sum(parts[1:], parts[0])
 
 
 @dataclass(frozen=True)

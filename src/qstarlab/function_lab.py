@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import FormContext, ProbeFamily, ScaledFamily, ladder_series
+from .forms import (FormContext, ProbeFamily, ScaledFamily, chunked_dot,
+                    ladder_series)
 from .rates import (NonFiniteSeriesError, _finite, fit_trend, geometric_ladder,
                     increments_shrink, ladder_probe)
 from .topologies import BoundedSet, TruncatedOperator
@@ -189,10 +190,9 @@ def lp_norm(f: GridFunction, p: float):
     if p < 1:
         raise ValueError(f"L^p norms need p >= 1, got {p}")
     with np.errstate(over="ignore"):
-        powers = np.abs(np.atleast_2d(f.values)) ** p
-        # (1, N) @ (N, 1) per row is the dot product np.dot takes
-        sums = np.matmul(powers[:, None, :], f.grid.weights[:, None])
-        norms = np.array([s ** (1.0 / p) for s in sums[:, 0, 0]])
+        sums = chunked_dot(np.abs(np.atleast_2d(f.values)) ** p,
+                           f.grid.weights)
+        norms = np.array([s ** (1.0 / p) for s in sums])
     return norms if f.stacked else float(norms[0])
 
 
@@ -213,9 +213,8 @@ def omega_form(f: GridFunction, g: GridFunction,
             integrand = integrand * w.values
         stacked = integrand.ndim == 2
         integrand = np.atleast_2d(integrand).astype(complex, copy=False)
-        # one (1, N) @ (N, 1) dot product per row, the one np.dot takes
-        forms = np.matmul(f.grid.weights[None, :], integrand[..., None])
-    return forms[:, 0, 0] if stacked else complex(forms[0, 0, 0])
+        forms = chunked_dot(f.grid.weights, integrand)
+    return forms if stacked else complex(forms[0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +357,7 @@ def _refinement_verdict(samples: list, q: float) -> tuple[bool, float]:
     Shrinking increments (growth ratio < 1) mean the integral converges;
     steady or growing increments mean divergence under refinement.
     """
-    sums = [float(np.dot(f.grid.weights, np.abs(f.values) ** q))
+    sums = [float(chunked_dot(f.grid.weights, np.abs(f.values) ** q))
             for f in samples]
     return increments_shrink(MEMBERSHIP_LADDER, sums, f"L^{q:g} sums")
 

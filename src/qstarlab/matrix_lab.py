@@ -15,7 +15,8 @@ import functools
 
 import numpy as np
 
-from .forms import FormContext, ProbeFamily, ScaledFamily, closability_probe
+from .forms import (FormContext, ProbeFamily, ScaledFamily, chunked_dot,
+                    closability_probe)
 from .rates import LadderProbe, increments_shrink
 
 DEFAULT_TRUNCATION = 256
@@ -145,13 +146,13 @@ def trace_form(a, b) -> complex:
     (ar, ac), (br, bc) = a.at, b.at
     (am, an), (bm, bn) = a.entries.shape, b.entries.shape
     if (ar, ac, am, an) == (br, bc, bm, bn):  # one box, a form diagonal
-        return complex(np.vdot(b.entries, a.entries))
+        return complex(chunked_dot(b.entries, a.entries))
     r0, c0 = max(ar, br), max(ac, bc)
     r1, c1 = min(ar + am, br + bm), min(ac + an, bc + bn)
     if r1 <= r0 or c1 <= c0:
         return 0j
-    return complex(np.vdot(b.entries[r0 - br:r1 - br, c0 - bc:c1 - bc],
-                           a.entries[r0 - ar:r1 - ar, c0 - ac:c1 - ac]))
+    return complex(chunked_dot(b.entries[r0 - br:r1 - br, c0 - bc:c1 - bc],
+                               a.entries[r0 - ar:r1 - ar, c0 - ac:c1 - ac]))
 
 
 def m_constant(n: int) -> tuple[float, float]:
