@@ -32,8 +32,8 @@ DOT_TERMS = 2 ** 13
 
 def chunked_dot(x, y):
     """np.vdot(x, y) for x and y of one ndim; per row for a stack of rows and
-    a vector.  OpenBLAS 0.3.31 splits a dot of over 10,000 terms by thread
-    count, moving bits; longer sums add their DOT_TERMS-term dots in order."""
+    a vector.  OpenBLAS 0.3.31 splits a dot of over 10,000 terms across
+    threads, moving bits: a longer sum adds DOT_TERMS-term dots in order."""
     if x.ndim == y.ndim:
         if x.size <= DOT_TERMS:
             return np.vdot(x, y)

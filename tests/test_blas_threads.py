@@ -17,7 +17,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import qstarlab
+from qstarlab import function_lab as flab
+from qstarlab.forms import DOT_TERMS, chunked_dot
 from test_matrix_oracle import _config
 
 CHILD = ("import sys; from qstarlab.cli import main; "
@@ -61,3 +65,29 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert sorted(one) == sorted(two)
     differ = [name for name in sorted(one) if one[name] != two[name]]
     assert not differ, f"differ in bytes between 1 and 2 threads: {differ}"
+
+
+def test_chunked_dot_adds_the_chunk_dots_in_order():
+    rng = np.random.default_rng(7)
+    n = 2 * DOT_TERMS + 5
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    rows = rng.standard_normal((3, n))
+    chunks = [slice(k, k + DOT_TERMS) for k in range(0, n, DOT_TERMS)]
+    want = np.vdot(x[chunks[0]], rows[0, chunks[0]])
+    for c in chunks[1:]:
+        want = want + np.vdot(x[c], rows[0, c])
+    assert chunked_dot(x, rows[0]) == want
+    stacked = chunked_dot(rows, rows[0])
+    assert stacked.shape == (3,)
+    assert [chunked_dot(r, rows[0]) for r in rows] == list(stacked)
+    block = rng.standard_normal((40, 30))
+    assert chunked_dot(block, block[::-1]) == np.vdot(block, block[::-1])
+
+
+def test_long_quadrature_sums_overflow_without_a_warning():
+    grid = flab.simpson_grid(16385)
+    values = np.ones(grid.n_nodes)
+    values[-1] = 1e200  # in the last chunk
+    f = flab.GridFunction(values, grid)
+    assert flab.lp_norm(f, 2.0) == np.inf
+    assert not np.isfinite(flab.omega_form(f, f))
